@@ -161,8 +161,8 @@ class FiberMap:
     def psi_t0(self) -> float:
         return float(self.psi(self.t0()))
 
-    def roots(self) -> tuple[float, float]:
-        """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
+    def _peak_above_level(self) -> tuple[float, float]:
+        """(concave mass c, t0), once psi(t0) > c guarantees both crossings."""
         c = self.concave_mass
         if c <= 0.0:
             raise DegenerateInputError("concave mass must be positive for the two-root analysis")
@@ -170,9 +170,9 @@ class FiberMap:
         peak = float(self.psi(t0))
         if peak <= c:
             raise NoRootsError(peak, c)
-        # psi(t) <= norm_p * t^(p-1-q), so psi < c strictly left of this point.
-        lo = 0.999 * (c / self.norm_p) ** (1.0 / (self.p - 1.0 - self.q))
-        tminus = _bisect(lambda t: float(self.psi(t)) - c, lo, t0)
+        return c, t0
+
+    def _upper_root(self, c: float, t0: float) -> float:
         hi = 2.0 * t0
         for _ in range(BISECT_MAX_ITER):
             if float(self.psi(hi)) < c:
@@ -180,8 +180,22 @@ class FiberMap:
             hi *= 2.0
         else:
             raise BisectionError("failed to bracket the upper ray root")
-        tplus = _bisect(lambda t: float(self.psi(t)) - c, t0, hi)
-        return tminus, tplus
+        return _bisect(lambda t: float(self.psi(t)) - c, t0, hi)
+
+    def roots(self) -> tuple[float, float]:
+        """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
+        c, t0 = self._peak_above_level()
+        # psi(t) <= norm_p * t^(p-1-q), so psi < c strictly left of this point.
+        lo = 0.999 * (c / self.norm_p) ** (1.0 / (self.p - 1.0 - self.q))
+        tminus = _bisect(lambda t: float(self.psi(t)) - c, lo, t0)
+        return tminus, self._upper_root(c, t0)
+
+    def tplus(self) -> float:
+        """The upper crossing alone, the fiber maximum; equals roots()[1].
+
+        Raises what roots() raises for a ray without two crossings.
+        """
+        return self._upper_root(*self._peak_above_level())
 
 
 def _bisect(g, lo: float, hi: float) -> float:

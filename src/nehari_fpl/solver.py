@@ -118,7 +118,7 @@ class SupScanResult:
 
 def _project_ray(u: GridFunction, params: Params, plus_variant: bool = False):
     fm = FiberMap.of(u, params, plus_variant)
-    tplus = fm.roots()[1]
+    tplus = fm.tplus()
     return u.with_values(tplus * u.values), tplus
 
 
@@ -249,7 +249,7 @@ def sup_over_fiber(u0: GridFunction, params: Params, plus_variant: bool = False)
     """
     fm = FiberMap.of(u0, params, plus_variant)
     try:
-        tplus = fm.roots()[1]
+        tplus = fm.tplus()
         return FiberSupremum(float(fm.phi(tplus)), True, tplus)
     except NoRootsError:
         t_grid = np.linspace(0.0, 4.0 * fm.t0(), 200001)
@@ -265,8 +265,8 @@ def part_scales(w1: GridFunction, u_eps: GridFunction, params: Params, r: float)
     vm = np.maximum(-v, 0.0)
     if not vp.any() or not vm.any():
         raise DegenerateInputError(f"w1 - r*u_eps has no sign change at r = {r}")
-    s_plus = FiberMap.of(w1.with_values(vp), params).roots()[1]
-    s_minus = FiberMap.of(w1.with_values(vm), params).roots()[1]
+    s_plus = FiberMap.of(w1.with_values(vp), params).tplus()
+    s_minus = FiberMap.of(w1.with_values(vm), params).tplus()
     return s_plus, s_minus
 
 

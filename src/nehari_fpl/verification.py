@@ -321,8 +321,8 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
             phi = direction.with_values(direction.values * scale)
             analytic = perturbation_derivative(u, phi, params)
             eps = 1e-5
-            tp = FiberMap.of(u.with_values(u.values + eps * phi.values), params).roots()[1]
-            tm = FiberMap.of(u.with_values(u.values - eps * phi.values), params).roots()[1]
+            tp = FiberMap.of(u.with_values(u.values + eps * phi.values), params).tplus()
+            tm = FiberMap.of(u.with_values(u.values - eps * phi.values), params).tplus()
             worst = max(worst, _rel((tp - tm) / (2.0 * eps), analytic))
         return worst <= 1e-3, "%.3g" % worst, ""
 
@@ -553,7 +553,7 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
     def projection_fixed_point():
         u = project_minus(_random_function(grid, rng), params)
         fm = FiberMap.of(u, params)
-        tplus = fm.roots()[1]
+        tplus = fm.tplus()
         return abs(tplus - 1.0) <= 1e-10, "%.3g" % abs(tplus - 1.0), ""
 
     out.append(_run("solver.projection-fixed-point", "reprojecting changes t+ by <= 1e-10", projection_fixed_point))

@@ -2,7 +2,7 @@
 
 Every subcommand reads one flat config (defaults, optional file, --set
 overrides, in that order), runs, and writes <subcommand>.report.txt into
---out: a few '#' header lines (command, config hash, seed, threads), then
+--out: a few '#' header lines (command, config hash, seed), then
 one quantity per line as tag, name, value separated by tabs.  Reports
 carry no timestamps or paths, so identical configurations produce byte
 identical files.  Solve commands additionally write the solution nodes as
@@ -50,30 +50,12 @@ from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
 from .verification import run_battery
 
-THREADS_ENV = "NEHARI_FPL_THREADS"
-
-
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
-
-
-def _threads_label() -> str:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return "default"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-    return str(n)
 
 
 def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed=None) -> str:
@@ -83,7 +65,6 @@ def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed=None) -
     lines.append(f"# config_hash {config_hash(cfg)}")
     if seed is not None:
         lines.append(f"# seed {seed}")
-    lines.append(f"# threads {_threads_label()}")
     for tag, name, value in rows:
         lines.append(f"{tag}\t{name}\t{_fmt(value)}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -421,7 +402,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.overrides)
-        _threads_label()  # validate the env var before doing any work
         return _COMMANDS[args.command](cfg, args.out, args.overrides)
     except (ParameterError, ConfigError, DegenerateInputError, GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

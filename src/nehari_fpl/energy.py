@@ -14,9 +14,19 @@ with Lebesgue integrals approximated by the rectangle rule h * sum.  The
 versions (u+)^(q+1) and (u+)^p* while keeping the full seminorm; it is the
 energy whose descent drives negative parts to zero.
 
-Reduction order: every sum is a single-threaded numpy reduction over a
-row-major array of fixed shape, so identical inputs give bit-identical
-results on a given platform.
+At p = 2 the pair sums need no n x n temporaries.  With the kernel row
+sums r_i = sum_j K_ij (stored on the grid) and (Lu)_i = r_i u_i - (K u)_i,
+
+    h^2 * sum_{i != j} (u_i - u_j)(phi_i - phi_j) K_ij = 2 h^2 * phi . Lu,
+
+so the seminorm, the pairing and the gradient share one matrix-vector
+product K u.  Any other p sums the dense pair array.
+
+Reduction order: the p = 2 pair sums are a BLAS matrix-vector product,
+deterministic for a fixed BLAS thread count (checked at 1 and 2
+threads); every other sum is a single-threaded numpy reduction over a
+row-major array of fixed shape.  Identical inputs give bit-identical
+results on a given platform and thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .grid import Grid, GridFunction, Params, pair_kernel, tail_vector
+from .grid import Grid, GridFunction, Params
 
 
 @dataclass(frozen=True)
@@ -44,13 +54,16 @@ def signed_power(x, e: float):
     return np.sign(x) * np.abs(x) ** e
 
 
-def _kernel_tail(grid: Grid, params: Params):
-    if params.ps == grid.ps:
-        return grid.kernel, grid.tail
-    return (
-        pair_kernel(grid.nodes, params.ps),
-        tail_vector(grid.nodes, grid.a, grid.b, params.ps),
-    )
+def _check_ps(grid: Grid, params: Params):
+    if params.ps != grid.ps:
+        raise ParameterError(
+            f"grid kernel was built for p*s = {grid.ps}, parameters have p*s = {params.ps}"
+        )
+
+
+def _pair_action(u: GridFunction) -> np.ndarray:
+    """(Lu)_i = sum_j (u_i - u_j) K_ij = r_i u_i - (K u)_i, one matvec."""
+    return u.grid.row_sums * u.values - u.grid.kernel @ u.values
 
 
 def _same_grid(u: GridFunction, v: GridFunction):
@@ -64,12 +77,19 @@ def _same_grid(u: GridFunction, v: GridFunction):
 
 
 def seminorm_p(u: GridFunction, params: Params) -> float:
-    """Nonlocal p-th power seminorm, interior double sum plus exterior tail."""
-    kernel, tail = _kernel_tail(u.grid, params)
+    """Nonlocal p-th power seminorm, interior double sum plus exterior tail.
+
+    At p = 2 the double sum is 2h^2 * u . Lu = 2h^2 (sum_i r_i u_i^2 - u.Ku).
+    """
+    grid = u.grid
+    _check_ps(grid, params)
     vals = u.values
-    diff = vals[:, None] - vals[None, :]
-    inner = u.grid.h ** 2 * float(np.sum(np.abs(diff) ** params.p * kernel))
-    outer = 2.0 * u.grid.h * float(np.sum(np.abs(vals) ** params.p * tail))
+    if params.p == 2.0:
+        inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(u)))
+    else:
+        diff = vals[:, None] - vals[None, :]
+        inner = grid.h ** 2 * float(np.sum(np.abs(diff) ** params.p * grid.kernel))
+    outer = 2.0 * grid.h * float(np.sum(np.abs(vals) ** params.p * grid.tail))
     return inner + outer
 
 
@@ -95,15 +115,22 @@ def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:
 
     Double sum of |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) against the
     kernel, plus the exterior tail 2h * sum |u_i|^(p-2) u_i phi_i tail_i.
-    Satisfies form_a(u, u) == seminorm_p(u).
+    Satisfies form_a(u, u) == seminorm_p(u).  At p = 2 the double sum is
+    2h^2 * phi . Lu = 2h^2 (sum_i r_i u_i phi_i - phi.Ku).
     """
     _same_grid(u, phi)
-    kernel, tail = _kernel_tail(u.grid, params)
-    du = u.values[:, None] - u.values[None, :]
-    dphi = phi.values[:, None] - phi.values[None, :]
-    inner = u.grid.h ** 2 * float(np.sum(signed_power(du, params.p - 1.0) * dphi * kernel))
-    outer = 2.0 * u.grid.h * float(
-        np.sum(signed_power(u.values, params.p - 1.0) * phi.values * tail)
+    grid = u.grid
+    _check_ps(grid, params)
+    if params.p == 2.0:
+        inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(u)))
+    else:
+        du = u.values[:, None] - u.values[None, :]
+        dphi = phi.values[:, None] - phi.values[None, :]
+        inner = grid.h ** 2 * float(
+            np.sum(signed_power(du, params.p - 1.0) * dphi * grid.kernel)
+        )
+    outer = 2.0 * grid.h * float(
+        np.sum(signed_power(u.values, params.p - 1.0) * phi.values * grid.tail)
     )
     return inner + outer
 
@@ -126,15 +153,20 @@ def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> Gri
 
     Assembled directly: the pair (i, j) appears twice in the double sum, so
     each kernel row contributes with a factor 2h^2, and the tail with 2h.
+    At p = 2 the pair part is 2h^2 * Lu = 2h^2 (r_i u_i - (Ku)_i).
     For the plus variant the two Lebesgue derivative terms use (u+)^q and
     (u+)^(p*-1), vanishing wherever u <= 0.
     """
-    kernel, tail = _kernel_tail(u.grid, params)
-    h = u.grid.h
+    grid = u.grid
+    _check_ps(grid, params)
+    h = grid.h
     vals = u.values
-    du = vals[:, None] - vals[None, :]
-    pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * kernel, axis=1)
-    tail_part = 2.0 * h * signed_power(vals, params.p - 1.0) * tail
+    if params.p == 2.0:
+        pair_part = 2.0 * h ** 2 * _pair_action(u)
+    else:
+        du = vals[:, None] - vals[None, :]
+        pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * grid.kernel, axis=1)
+    tail_part = 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
     if plus_variant:
         base = np.maximum(vals, 0.0)
         concave = base ** params.q

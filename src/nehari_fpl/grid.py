@@ -106,9 +106,9 @@ def pair_kernel(nodes: np.ndarray, ps: float) -> np.ndarray:
 class Grid:
     """Uniform interior grid with precomputed kernel data.
 
-    The kernel matrix and tail weights are built for the p*s the grid was
-    constructed with; energy routines fall back to a fresh computation when
-    called with different parameters.
+    The kernel matrix, its row sums and the tail weights are built for the
+    p*s the grid was constructed with; energy routines raise ParameterError
+    when called with parameters of a different p*s.
     """
 
     a: float
@@ -119,6 +119,7 @@ class Grid:
     tail: np.ndarray
     ps: float
     kernel: np.ndarray
+    row_sums: np.ndarray
 
     @property
     def halfwidth(self) -> float:
@@ -138,9 +139,10 @@ def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
     nodes = a + h * np.arange(1, n + 1, dtype=np.float64)
     tail = tail_vector(nodes, a, b, params.ps)
     kernel = pair_kernel(nodes, params.ps)
-    for arr in (nodes, tail, kernel):
+    row_sums = kernel.sum(axis=1)
+    for arr in (nodes, tail, kernel, row_sums):
         arr.setflags(write=False)
-    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, kernel)
+    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, kernel, row_sums)
 
 
 @dataclass(frozen=True)

@@ -77,17 +77,6 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "grid.m" in capsys.readouterr().err
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("NEHARI_FPL_THREADS", "zero")
-    assert main(["constants", "--out", str(tmp_path), "--set", "grid.n=48"]) == 2
-    monkeypatch.setenv("NEHARI_FPL_THREADS", "0")
-    assert main(["constants", "--out", str(tmp_path), "--set", "grid.n=48"]) == 2
-    monkeypatch.setenv("NEHARI_FPL_THREADS", "2")
-    assert main(["constants", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0
-    report = _read(tmp_path / "constants.report.txt").decode()
-    assert "# threads 2" in report
-
-
 def test_solve_positive_outputs(tmp_path):
     code = main(["solve-positive", "--out", str(tmp_path)] + FAST)
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from nehari_fpl import (
     GridFunction,
     GridMismatchError,
+    ParameterError,
     Params,
     build_grid,
     energy,
@@ -17,6 +18,7 @@ from nehari_fpl import (
     split_parts,
     tail_weight,
 )
+from nehari_fpl.grid import pair_kernel
 
 
 def _random_fn(grid, rng):
@@ -179,3 +181,47 @@ def test_grid_mismatch_guard(params, grid48, rng):
         form_a(u, v, params)
     with pytest.raises(GridMismatchError):
         residual(u, v, params)
+
+
+@pytest.mark.parametrize("n", [2, 17, 48, 64])
+def test_p2_pair_sums_match_dense_reference(params, n):
+    # the p = 2 matvec path against the pair sums spelled out over the
+    # dense kernel, for a sign-changing u
+    grid = build_grid(-1.0, 1.0, n, params)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n)
+    vals[0], vals[-1] = 1.0, -1.0
+    u = GridFunction(grid, vals)
+    phi = _random_fn(grid, rng)
+    h, tail, kernel = grid.h, grid.tail, pair_kernel(grid.nodes, params.ps)
+    du = vals[:, None] - vals[None, :]
+    dphi = phi.values[:, None] - phi.values[None, :]
+    sem = h * h * np.sum(du ** 2 * kernel) + 2.0 * h * np.sum(vals ** 2 * tail)
+    pairing = h * h * np.sum(du * dphi * kernel) + 2.0 * h * np.sum(vals * phi.values * tail)
+    sem_grad = 2.0 * h * h * np.sum(du * kernel, axis=1) + 2.0 * h * vals * tail
+    assert seminorm_p(u, params) == pytest.approx(sem, rel=1e-13)
+    assert form_a(u, phi, params) == pytest.approx(pairing, rel=1e-13)
+    pos = np.maximum(vals, 0.0)
+    mass_grads = {
+        False: params.mu * h * np.sign(vals) * np.abs(vals) ** params.q
+        + h * np.sign(vals) * np.abs(vals) ** (params.pstar - 1.0),
+        True: params.mu * h * pos ** params.q + h * pos ** (params.pstar - 1.0),
+    }
+    for plus_variant, mass_grad in mass_grads.items():
+        expected = sem_grad - mass_grad
+        g = gradient(u, params, plus_variant=plus_variant).values
+        assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert gradient(u, params, plus_variant=plus_variant).values.tobytes() == g.tobytes()
+    assert seminorm_p(u, params) == seminorm_p(u, params)
+    assert form_a(u, phi, params) == form_a(u, phi, params)
+
+
+def test_kernel_strength_mismatch_raises(params, grid48, rng):
+    other_s = Params(0.3, params.p, params.q, params.mu, params.N)
+    u = _random_fn(grid48, rng)
+    with pytest.raises(ParameterError, match="p\\*s = 0.8.*p\\*s = 0.6"):
+        seminorm_p(u, other_s)
+    with pytest.raises(ParameterError):
+        gradient(u, other_s)
+    with pytest.raises(ParameterError):
+        form_a(u, u, other_s)

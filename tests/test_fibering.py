@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nehari_fpl import (
+    DegenerateInputError,
     FiberMap,
     GridFunction,
     NehariTag,
@@ -198,3 +199,18 @@ def test_plus_variant_roots_use_positive_part(params, grid48, rng):
     scale = max(abs(rep_var.psi_t0), abs(target))
     assert abs(psi_var(rep_var.tminus) - target) <= 1e-8 * scale
     assert abs(psi_var(rep_var.tplus) - target) <= 1e-8 * scale
+
+
+def test_tplus_is_upper_root_bitwise(params, grid48, rng):
+    for _ in range(20):
+        fm = FiberMap.of(_random_fn(grid48, rng), params)
+        assert fm.tplus() == fm.roots()[1]
+    u = _random_fn(grid48, rng)
+    fm = FiberMap.of(u, params)
+    big = FiberMap.of(u, Params(params.s, params.p, params.q, 2.0 * fm.psi(fm.t0()) / fm.mass_q, params.N))
+    flat = FiberMap(norm_p=1.0, mass_q=0.0, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=0.05)
+    for bad, error in ((big, NoRootsError), (flat, DegenerateInputError)):
+        with pytest.raises(error):
+            bad.roots()
+        with pytest.raises(error):
+            bad.tplus()

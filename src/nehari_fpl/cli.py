@@ -263,6 +263,7 @@ def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.restarts", "fresh starts used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
+        ("solve.stop_reason", "why the descent stopped", res.stop_reason),
         ("solve.seminorm", "gagliardo seminorm to the p", seminorm_p(res.u, params)),
         ("solve.plus_part", "positive part seminorm", res.plus_part_norm),
         ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
@@ -298,6 +299,7 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.restarts", "bubble retries used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
+        ("solve.stop_reason", "why the descent stopped", res.stop_reason),
         ("solve.plus_part", "positive part seminorm", res.plus_part_norm),
         ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
         ("solve.positive_level", "one-sign level from the first stage", pos.energy),

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import signed_power
+from .energy import _seminorm_gradient, lebesgue_mass, seminorm_p, signed_power
 from .errors import ParameterError
-from .grid import Grid, Params
+from .grid import Grid, GridFunction, Params
 
 P_BRANCH = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -39,66 +39,55 @@ class SobolevEstimate:
         return self.value
 
 
+# The descent stops once the running minimum has improved by at most
+# FLOOR_REL_GAIN relative over the last FLOOR_WINDOW accepted steps: the
+# quotient sits at its rounding floor and further steps chase noise.
+FLOOR_REL_GAIN = 1e-14
+FLOOR_WINDOW = 10
+
+
 def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0) -> SobolevEstimate:
     """Minimize the discrete Rayleigh quotient from a seeded random start.
 
     Plain descent on the logarithmic gradient of R with backtracking and a
     modulus projection (|u| never increases the quotient), deterministic
-    for a fixed seed.  Returns the running minimum, an upper bound for the
-    discrete infimum.
+    for a fixed seed.  Stops at the rounding floor (see FLOOR_REL_GAIN) or
+    after ``iters`` iterations, whichever comes first.  Returns the running
+    minimum over every quotient evaluated, an upper bound for the discrete
+    infimum.  A grid built for another p*s raises ParameterError.
     """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     rng = np.random.default_rng(seed)
     h = grid.h
-    kernel, tail = grid.kernel, grid.tail
-    if params.ps != grid.ps:
-        from .grid import pair_kernel, tail_vector
-
-        kernel = pair_kernel(grid.nodes, params.ps)
-        tail = tail_vector(grid.nodes, grid.a, grid.b, params.ps)
     p, pstar = params.p, params.pstar
 
-    def sem(u):
-        diff = u[:, None] - u[None, :]
-        return h ** 2 * float(np.sum(np.abs(diff) ** p * kernel)) + 2.0 * h * float(
-            np.sum(np.abs(u) ** p * tail)
-        )
+    def mass(v):
+        return lebesgue_mass(v, pstar)
 
-    def sem_grad(u):
-        # each unordered pair appears twice in the double sum, hence the 2
-        diff = u[:, None] - u[None, :]
-        pair = h ** 2 * np.sum(signed_power(diff, p - 1.0) * kernel, axis=1)
-        return 2.0 * p * (pair + h * signed_power(u, p - 1.0) * tail)
-
-    def mass(u):
-        return h * float(np.sum(np.abs(u) ** pstar))
-
-    def mass_grad(u):
-        return pstar * h * signed_power(u, pstar - 1.0)
-
-    u = rng.random(grid.n) + 1e-3
-    u = u / mass(u) ** (1.0 / pstar)
-    S = sem(u)
-    m = 1.0
+    u = GridFunction(grid, rng.random(grid.n) + 1e-3)
+    u = u.with_values(u.values / mass(u) ** (1.0 / pstar))
+    S = seminorm_p(u, params)
+    m = mass(u)
     quotient = S / m ** (p / pstar)
+    best = quotient
+    history = [best]
     last_rel_drop = math.inf
     it_done = 0
     for it in range(iters):
         it_done = it + 1
-        gS = sem_grad(u)
-        gm = mass_grad(u)
-        glog = gS / S - (p / pstar) * gm / m
+        gm = pstar * h * signed_power(u.values, pstar - 1.0)
+        glog = _seminorm_gradient(u, params) / S - (p / pstar) * gm / m
         d = -glog / h
         slope = float(np.dot(glog, d))
         alpha = 1.0
         accepted = False
         while alpha > 1e-18:
-            trial = np.abs(u + alpha * d)
+            trial = u.with_values(np.abs(u.values + alpha * d))
             m_t = mass(trial)
             if m_t > 0.0:
-                S_t = sem(trial)
-                q_t = S_t / m_t ** (p / pstar)
+                q_t = seminorm_p(trial, params) / m_t ** (p / pstar)
+                best = min(best, q_t)
                 if q_t <= quotient * (1.0 + 1e-4 * alpha * slope):
                     accepted = True
                     break
@@ -107,12 +96,17 @@ def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0
             last_rel_drop = 0.0
             break
         last_rel_drop = (quotient - q_t) / quotient
-        trial = trial / m_t ** (1.0 / pstar)
-        u = trial
-        S = sem(u)
+        u = trial.with_values(trial.values / m_t ** (1.0 / pstar))
+        S = seminorm_p(u, params)
         m = mass(u)
         quotient = S / m ** (p / pstar)
-    return SobolevEstimate(quotient, last_rel_drop <= 1e-6, it_done)
+        best = min(best, quotient)
+        history.append(best)
+        if len(history) > FLOOR_WINDOW:
+            before = history[-1 - FLOOR_WINDOW]
+            if before - best <= FLOOR_REL_GAIN * before:
+                break
+    return SobolevEstimate(best, last_rel_drop <= 1e-6, it_done)
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,12 @@ def residual(u: GridFunction, phi: GridFunction, params: Params) -> float:
     return form_a(u, phi, params) - params.mu * concave - critical
 
 
-def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
-    """Nodal gradient g with g_k = residual(u, e_k).
+def _seminorm_parts(u: GridFunction, params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Pair and tail parts of the seminorm gradient, each divided by p.
 
-    Assembled directly: the pair (i, j) appears twice in the double sum, so
-    each kernel row contributes with a factor 2h^2, and the tail with 2h.
-    At p = 2 the pair part is 2h^2 * Lu = 2h^2 (r_i u_i - (Ku)_i).
-    For the plus variant the two Lebesgue derivative terms use (u+)^q and
-    (u+)^(p*-1), vanishing wherever u <= 0.
+    The pair (i, j) appears twice in the double sum, so each kernel row
+    contributes with a factor 2h^2, and the tail with 2h.  At p = 2 the
+    pair part is 2h^2 * Lu = 2h^2 (r_i u_i - (Ku)_i).
     """
     grid = u.grid
     _check_ps(grid, params)
@@ -167,6 +165,26 @@ def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> Gri
         du = vals[:, None] - vals[None, :]
         pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * grid.kernel, axis=1)
     tail_part = 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
+    return pair_part, tail_part
+
+
+def _seminorm_gradient(u: GridFunction, params: Params) -> np.ndarray:
+    """Nodal gradient of seminorm_p, p * (pair part + tail part)."""
+    pair_part, tail_part = _seminorm_parts(u, params)
+    return params.p * (pair_part + tail_part)
+
+
+def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
+    """Nodal gradient g with g_k = residual(u, e_k).
+
+    Assembled directly from the pair and tail parts of the seminorm
+    gradient (see _seminorm_parts) and the two Lebesgue derivative terms.
+    For the plus variant the two Lebesgue derivative terms use (u+)^q and
+    (u+)^(p*-1), vanishing wherever u <= 0.
+    """
+    h = u.grid.h
+    vals = u.values
+    pair_part, tail_part = _seminorm_parts(u, params)
     if plus_variant:
         base = np.maximum(vals, 0.0)
         concave = base ** params.q

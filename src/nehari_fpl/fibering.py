@@ -172,22 +172,40 @@ class FiberMap:
             raise NoRootsError(peak, c)
         return c, t0
 
+    def _level_gap(self, c: float):
+        """t -> psi(t) - c on plain floats, for the scalar root searches.
+
+        A power too large for a float is taken as psi = -inf, the value
+        the array form gives past the ray peak.
+        """
+        a, b = self.p - 1.0 - self.q, self.pstar - self.q - 1.0
+        norm_p, mass_star = self.norm_p, self.mass_star
+
+        def gap(t: float) -> float:
+            try:
+                return t ** a * norm_p - t ** b * mass_star - c
+            except OverflowError:
+                return -math.inf
+
+        return gap
+
     def _upper_root(self, c: float, t0: float) -> float:
+        gap = self._level_gap(c)
         hi = 2.0 * t0
         for _ in range(BISECT_MAX_ITER):
-            if float(self.psi(hi)) < c:
+            if gap(hi) < 0.0:
                 break
             hi *= 2.0
         else:
             raise BisectionError("failed to bracket the upper ray root")
-        return _bisect(lambda t: float(self.psi(t)) - c, t0, hi)
+        return _bisect(gap, t0, hi)
 
     def roots(self) -> tuple[float, float]:
         """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
         c, t0 = self._peak_above_level()
         # psi(t) <= norm_p * t^(p-1-q), so psi < c strictly left of this point.
         lo = 0.999 * (c / self.norm_p) ** (1.0 / (self.p - 1.0 - self.q))
-        tminus = _bisect(lambda t: float(self.psi(t)) - c, lo, t0)
+        tminus = _bisect(self._level_gap(c), lo, t0)
         return tminus, self._upper_root(c, t0)
 
     def tplus(self) -> float:

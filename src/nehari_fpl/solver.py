@@ -50,6 +50,10 @@ class SolveResult:
     two-part function this pairing equals the nonlocal cross interaction
     of the parts, which is strictly positive, so it is the floor under the
     full-gradient residual of any two-part run.
+
+    stop_reason says why the descent ended: ``converged`` (residual below
+    tolerance), ``stalled`` (the line search found no acceptable step) or
+    ``budget`` (the iteration or restart budget ran out first).
     """
 
     u: GridFunction
@@ -60,6 +64,7 @@ class SolveResult:
     plus_part_norm: float
     minus_part_norm: float
     converged: bool
+    stop_reason: str
     restarts: int = 0
     plus_class: NehariClass | None = None
     minus_class: NehariClass | None = None
@@ -117,9 +122,16 @@ class SupScanResult:
 
 
 def _project_ray(u: GridFunction, params: Params, plus_variant: bool = False):
+    """(t+ u, I(t+ u)), the energy read off the closed form phi(t+)."""
     fm = FiberMap.of(u, params, plus_variant)
     tplus = fm.tplus()
-    return u.with_values(tplus * u.values), tplus
+    return u.with_values(tplus * u.values), float(fm.phi(tplus))
+
+
+def _stop_reason(converged: bool, stalled: bool) -> str:
+    if converged:
+        return "converged"
+    return "stalled" if stalled else "budget"
 
 
 def project_minus(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
@@ -127,12 +139,12 @@ def project_minus(u: GridFunction, params: Params, plus_variant: bool = False) -
     return _project_ray(u, params, plus_variant)[0]
 
 
-def _project_parts(u: GridFunction, params: Params):
+def _project_parts(u: GridFunction, params: Params) -> GridFunction:
     """Rescale each sign part onto its own fiber maximum."""
     plus, minus = split_parts(u)
-    plus_scaled, tp = _project_ray(plus, params)
-    minus_scaled, tm = _project_ray(minus, params)
-    return u.with_values(plus_scaled.values - minus_scaled.values), (tp, tm)
+    plus_scaled = _project_ray(plus, params)[0]
+    minus_scaled = _project_ray(minus, params)[0]
+    return u.with_values(plus_scaled.values - minus_scaled.values)
 
 
 def _positive_bump(grid: Grid, rng) -> GridFunction:
@@ -162,6 +174,7 @@ def solve_positive(
     rng = np.random.default_rng(seed)
     restarts_used = 0
     iterations = 0
+    stalled = False
     u = None
     for attempt in range(max_restarts + 1):
         start = _positive_bump(grid, rng)
@@ -186,6 +199,7 @@ def solve_positive(
         u = _positive_bump(grid, rng)
     e_total = energy(u, params, plus_variant=True).total
     res = float(np.max(np.abs(gradient(u, params, plus_variant=True).values)))
+    converged = res <= tol_res * (1.0 + abs(e_total))
     plus, minus = split_parts(u)
     return SolveResult(
         u=u,
@@ -195,17 +209,23 @@ def solve_positive(
         nehari=classify(u, params, tol_manifold, plus_variant=True),
         plus_part_norm=seminorm_p(plus, params),
         minus_part_norm=seminorm_p(minus, params),
-        converged=res <= tol_res * (1.0 + abs(e_total)),
+        converged=converged,
+        stop_reason=_stop_reason(converged, stalled),
         restarts=restarts_used,
     )
 
 
 def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
              project=None, on_accept=None):
-    """Shared projected-descent loop; returns (u, iterations, stalled)."""
+    """Shared projected-descent loop; returns (u, iterations, stalled).
+
+    project(v) returns the projected trial and its energy.  The default
+    ray projection reads the energy off the closed form phi(t+) of the map
+    it has just built, with no second seminorm evaluation.
+    """
     if project is None:
         def project(v):
-            return _project_ray(v, params, plus_variant=plus_variant)[0]
+            return _project_ray(v, params, plus_variant=plus_variant)
     h = u.grid.h
     e_total = energy(u, params, plus_variant=plus_variant).total
     iterations = iterations_base
@@ -222,11 +242,10 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
         accepted = False
         while alpha >= ALPHA_FLOOR:
             try:
-                trial = project(u.with_values(u.values + alpha * d))
+                trial, e_trial = project(u.with_values(u.values + alpha * d))
             except (NoRootsError, DegenerateInputError):
                 alpha *= ARMIJO_SHRINK
                 continue
-            e_trial = energy(trial, params, plus_variant=plus_variant).total
             if e_trial <= e_total + ARMIJO_C * alpha * slope:
                 accepted = True
                 break
@@ -414,7 +433,7 @@ def solve_sign_changing(
             f"crossing search failed for every bubble scale after {restarts_used} restarts"
         )
 
-    u, _ = _project_parts(cross.ansatz, params)
+    u = _project_parts(cross.ansatz, params)
     scale_norm = seminorm_p(u, params)
 
     def check_parts(v):
@@ -426,10 +445,14 @@ def solve_sign_changing(
             if norm < COLLAPSE_FACTOR * scale_norm:
                 raise CollapseError(name, norm, scale_norm)
 
-    u, iterations, _stalled = _descend(
+    def project(v):
+        # the parts interact, so I(v) is not the sum of the part energies
+        w = _project_parts(v, params)
+        return w, energy(w, params).total
+
+    u, iterations, stalled = _descend(
         u, params, max_iters, tol_res, plus_variant=False, iterations_base=0,
-        project=lambda v: _project_parts(v, params)[0],
-        on_accept=check_parts,
+        project=project, on_accept=check_parts,
     )
 
     e_total = energy(u, params).total
@@ -437,6 +460,7 @@ def solve_sign_changing(
     plus, minus = split_parts(u)
     e_plus = energy(plus, params).total
     e_minus = energy(minus, params).total
+    converged = res <= tol_res * (1.0 + abs(e_total))
     ps_gap_bound = None
     ps_gap_ok = None
     if s_est is not None:
@@ -451,7 +475,8 @@ def solve_sign_changing(
         nehari=classify(u, params, tol_manifold),
         plus_part_norm=seminorm_p(plus, params),
         minus_part_norm=seminorm_p(minus, params),
-        converged=res <= tol_res * (1.0 + abs(e_total)),
+        converged=converged,
+        stop_reason=_stop_reason(converged, stalled),
         restarts=restarts_used,
         plus_class=classify(plus, params, tol_manifold),
         minus_class=classify(minus, params, tol_manifold),

@@ -11,10 +11,13 @@ from nehari_fpl import (
     Params,
     build_grid,
     estimate_sobolev,
+    lebesgue_mass,
     mass_regime,
     mu_tilde,
     regime_report,
+    seminorm_p,
 )
+from nehari_fpl import constants as constants_module
 
 
 def test_mu_tilde_hand_value():
@@ -135,6 +138,42 @@ def test_sobolev_estimate_mesh_stability(params):
     e2 = estimate_sobolev(g2, params, iters=600, seed=0)
     assert e1.converged and e2.converged
     assert abs(e2.value - e1.value) / e1.value < 0.05
+
+
+def test_sobolev_estimate_stops_at_rounding_floor(params):
+    # at n = 128 the quotient reaches its rounding floor well inside the
+    # 600-iteration cap, and the descent stops there
+    grid = build_grid(-1.0, 1.0, 128, params)
+    est = estimate_sobolev(grid, params, iters=600, seed=0)
+    assert est.converged
+    assert est.iterations < 600
+    assert est.value == pytest.approx(4.3737756011015, rel=1e-13)
+
+
+def test_sobolev_estimate_returns_minimum_visited(params, grid64, monkeypatch):
+    # every quotient the descent evaluates is seminorm_p(v) / (int |v|^p*)^(p/p*);
+    # the estimate is the least of them, not the last
+    seen = []
+
+    def spy(u, prm):
+        value = seminorm_p(u, prm)
+        mass = lebesgue_mass(u, prm.pstar)
+        seen.append(value / mass ** (prm.p / prm.pstar))
+        return value
+
+    monkeypatch.setattr(constants_module, "seminorm_p", spy)
+    est = estimate_sobolev(grid64, params, iters=600, seed=0)
+    assert len(seen) > est.iterations
+    assert est.value == min(seen)
+
+
+def test_sobolev_estimate_rejects_foreign_grid(params):
+    # a grid whose kernel was built for another p*s raises instead of
+    # rebuilding the kernel
+    other = Params(s=0.3, p=params.p, q=params.q, mu=params.mu, N=params.N)
+    grid = build_grid(-1.0, 1.0, 32, other)
+    with pytest.raises(ParameterError, match="p\\*s"):
+        estimate_sobolev(grid, params, iters=10, seed=0)
 
 
 def test_regime_report_rejects_bad_inputs():

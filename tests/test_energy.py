@@ -18,6 +18,7 @@ from nehari_fpl import (
     split_parts,
     tail_weight,
 )
+from nehari_fpl.energy import _seminorm_gradient
 from nehari_fpl.grid import pair_kernel
 
 
@@ -214,6 +215,27 @@ def test_p2_pair_sums_match_dense_reference(params, n):
         assert gradient(u, params, plus_variant=plus_variant).values.tobytes() == g.tobytes()
     assert seminorm_p(u, params) == seminorm_p(u, params)
     assert form_a(u, phi, params) == form_a(u, phi, params)
+
+
+@pytest.mark.parametrize("n", [2, 17, 48, 64])
+def test_seminorm_gradient_matches_dense_reference(params, n):
+    # the shared seminorm gradient p * (pair part + tail part) against the
+    # dense pair_kernel sum, for a sign-changing u, at p = 2 (matvec path)
+    # and p = 3 (dense path)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n)
+    vals[0], vals[-1] = 1.0, -1.0
+    for prm in (params, Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)):
+        grid = build_grid(-1.0, 1.0, n, prm)
+        u = GridFunction(grid, vals)
+        h, tail, kernel = grid.h, grid.tail, pair_kernel(grid.nodes, prm.ps)
+        du = vals[:, None] - vals[None, :]
+        pair = np.sum(np.sign(du) * np.abs(du) ** (prm.p - 1.0) * kernel, axis=1)
+        own = np.sign(vals) * np.abs(vals) ** (prm.p - 1.0) * tail
+        expected = prm.p * (2.0 * h * h * pair + 2.0 * h * own)
+        got = _seminorm_gradient(u, prm)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert _seminorm_gradient(u, prm).tobytes() == got.tobytes()
 
 
 def test_kernel_strength_mismatch_raises(params, grid48, rng):

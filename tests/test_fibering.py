@@ -214,3 +214,18 @@ def test_tplus_is_upper_root_bitwise(params, grid48, rng):
             bad.roots()
         with pytest.raises(error):
             bad.tplus()
+
+
+def test_tplus_brackets_past_float_overflow():
+    # t0^(p*-q-1) m_* is finite but (2 t0)^(p*-q-1) overflows a float: the
+    # bracket treats psi there as -inf, as the array form does, and finds
+    # the root the array form finds
+    fm = FiberMap(norm_p=1.0, mass_q=1e-10, mass_star=6e-292, p=2.0, q=0.5, pstar=10.0, mu=0.05)
+    t0 = fm.t0()
+    assert t0 ** 8.5 * fm.mass_star < np.inf
+    with pytest.raises(OverflowError):
+        (2.0 * t0) ** 8.5
+    tplus = fm.tplus()
+    assert t0 < tplus < 2.0 * t0
+    assert tplus == fm.roots()[1]
+    assert tplus == pytest.approx(1.8418771244142063e36, rel=1e-11)

@@ -214,3 +214,13 @@ def test_solve_positive_respects_restart_budget(params):
     res = solve_positive(g, params, seed=1, max_iters=2000)
     assert res.converged
     assert res.restarts <= 5
+
+
+def test_stop_reason_says_why_descent_ended(params, grid48):
+    assert solve_positive(grid48, params, seed=0).stop_reason == "converged"
+    assert solve_positive(grid48, params, seed=0, max_iters=3).stop_reason == "budget"
+    # the two-part descent ends on a line search that finds no acceptable
+    # step, with the cross pairing still in the gradient
+    res = solve_sign_changing(grid48, params, seed=0)
+    assert not res.converged
+    assert res.stop_reason == "stalled"

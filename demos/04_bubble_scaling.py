@@ -19,6 +19,7 @@ from nehari_fpl import (
     build_grid,
     default_bubble,
     fit_exponent,
+    interaction_exponent,
     interaction_integrals,
     ladder,
     lq_mass_scaling,
@@ -40,7 +41,8 @@ def main():
     print(f"collar width delta = {base.delta:g} (every rung below delta/2)")
 
     print("\n-- interaction integrals against w = 1 --")
-    for which, theory in (("A1", 0.1), ("A4", 0.1)):
+    for which in ("A1", "A4"):
+        theory = interaction_exponent(params, which)
         vals = [interaction_integrals(w, g, params, sp, which) for sp in specs]
         fit = fit_exponent(eps, vals, theory=theory)
         comp = ", ".join(f"{v / e ** theory:.4f}" for v, e in zip(vals, eps))

@@ -186,6 +186,21 @@ def mass_regime(params: Params) -> tuple[int, float]:
     return (1, threshold) if params.q < threshold else (3, threshold)
 
 
+def interaction_exponent(params: Params, which: str) -> float:
+    """Asymptotic eps-exponent of an interaction integral against w1 = 1.
+
+    A1, A2: (N - ps)/(p(p-1));  A3: q (N - ps)/(p(p-1));  A4: (N - ps)/p.
+    """
+    if which not in INTERACTION_NAMES:
+        raise ParameterError(f"which must be one of {INTERACTION_NAMES}, got {which!r}")
+    p, ps, N, q = params.p, params.ps, params.N, params.q
+    if which == "A3":
+        return q * (N - ps) / (p * (p - 1.0))
+    if which == "A4":
+        return (N - ps) / p
+    return (N - ps) / (p * (p - 1.0))
+
+
 def lq_mass_scaling(grid: Grid, params: Params, spec_ladder: Sequence[BubbleSpec]) -> ScalingFit:
     """Fit of the concave-term mass of the bubble family against eps.
 

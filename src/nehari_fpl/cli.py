@@ -30,21 +30,17 @@ from .config import (
     params_from,
 )
 from .constants import estimate_sobolev, regime_report
-from .bubble import INTERACTION_NAMES, fit_exponent, interaction_integrals, lq_mass_scaling, mass_regime
-from .energy import energy, lebesgue_mass, seminorm_p
-from .errors import (
-    BisectionError,
-    CollapseError,
-    ConfigError,
-    DegenerateInputError,
-    GridMismatchError,
-    NehariError,
-    NoCrossingError,
-    NoRootsError,
-    NotMinusConeError,
-    ParameterError,
-    SolverError,
+from .bubble import (
+    INTERACTION_NAMES,
+    fit_exponent,
+    interaction_exponent,
+    interaction_integrals,
+    lq_mass_scaling,
+    make_u_eps,
+    mass_regime,
 )
+from .energy import energy, lebesgue_mass, seminorm_p
+from .errors import ConfigError, DegenerateInputError, GridMismatchError, NehariError, ParameterError
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
@@ -215,17 +211,10 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
     specs = ladder_from(cfg, grid, params)
     eps = [sp.eps for sp in specs]
     w_one = GridFunction(grid, np.ones(grid.n))
-    p, ps, N, q = params.p, params.ps, params.N, params.q
-    theories = {
-        "A1": (N - ps) / (p * (p - 1.0)),
-        "A2": (N - ps) / (p * (p - 1.0)),
-        "A3": q * (N - ps) / (p * (p - 1.0)),
-        "A4": (N - ps) / p,
-    }
     rows = [("scaling.eps_ladder", "concentration scales", ",".join(_fmt(e) for e in eps))]
     for which in INTERACTION_NAMES:
         vals = [interaction_integrals(w_one, grid, params, sp, which) for sp in specs]
-        fit = fit_exponent(eps, vals, theory=theories[which])
+        fit = fit_exponent(eps, vals, theory=interaction_exponent(params, which))
         key = which.lower()
         rows.append((f"scaling.{key}.slope", "fitted log-log slope", fit.slope))
         rows.append((f"scaling.{key}.theory", "theory exponent", fit.theory))
@@ -250,6 +239,15 @@ def _solver_kwargs(cfg) -> dict:
         tol_manifold=float(cfg["solver.tol_manifold"]),
         max_restarts=int(cfg["solver.max_restarts"]),
     )
+
+
+def _positive_stage(cfg, grid, params):
+    """One-sign solution and Sobolev estimate; None if the solve did not converge."""
+    pos = solve_positive(grid, params, **_solver_kwargs(cfg))
+    if not pos.converged:
+        print("positive-solution stage did not converge", file=sys.stderr)
+        return None
+    return pos, estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
 
 
 def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
@@ -279,11 +277,10 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
     params = params_from(cfg)
     grid = grid_from(cfg, params)
     kw = _solver_kwargs(cfg)
-    est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
-    pos = solve_positive(grid, params, **kw)
-    if not pos.converged:
-        print("positive-solution stage did not converge", file=sys.stderr)
+    stage = _positive_stage(cfg, grid, params)
+    if stage is None:
         return 1
+    pos, est = stage
     res = solve_sign_changing(
         grid,
         params,
@@ -333,13 +330,10 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
 def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
     params = params_from(cfg)
     grid = grid_from(cfg, params)
-    kw = _solver_kwargs(cfg)
-    pos = solve_positive(grid, params, **kw)
-    if not pos.converged:
-        print("positive-solution stage did not converge", file=sys.stderr)
+    stage = _positive_stage(cfg, grid, params)
+    if stage is None:
         return 1
-    from .bubble import make_u_eps
-
+    pos, est = stage
     u_eps = make_u_eps(grid, params, bubble_from(cfg, grid, params))
     scan = sup_scan_ab(
         pos.u,
@@ -349,7 +343,6 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         float(cfg["scan.b_max"]),
         int(cfg["scan.grid_counts"]),
     )
-    est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
     rep = regime_report(params, grid.b - grid.a, est.value)
     s, N, sp = params.s, params.N, params.ps
     bound = pos.energy + (s / N) * est.value ** (N / sp)
@@ -363,7 +356,7 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         ("scan.hypothesis_ok", "(q, N) inside the window", rep.hypothesis_ok),
         ("scan.sobolev", "discrete quotient minimum", est.value),
     ]
-    _write_report(out_dir, "sup-scan", overrides, cfg, rows, seed=kw["seed"])
+    _write_report(out_dir, "sup-scan", overrides, cfg, rows, seed=int(cfg["solver.seed"]))
     return 0
 
 
@@ -412,16 +405,6 @@ def main(argv=None) -> int:
         # unwritable --out path, out path colliding with a file, unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NoRootsError,
-        NoCrossingError,
-        NotMinusConeError,
-        CollapseError,
-        BisectionError,
-        SolverError,
-    ) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
     except NehariError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1

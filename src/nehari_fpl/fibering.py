@@ -158,9 +158,6 @@ class FiberMap:
         )
         return ratio ** (1.0 / (self.pstar - self.p))
 
-    def psi_t0(self) -> float:
-        return float(self.psi(self.t0()))
-
     def _peak_above_level(self) -> tuple[float, float]:
         """(concave mass c, t0), once psi(t0) > c guarantees both crossings."""
         c = self.concave_mass

@@ -177,11 +177,11 @@ def solve_positive(
     stalled = False
     u = None
     for attempt in range(max_restarts + 1):
+        restarts_used = attempt
         start = _positive_bump(grid, rng)
         try:
             candidate = _project_ray(start, params, plus_variant=True)[0]
         except (NoRootsError, DegenerateInputError):
-            restarts_used = attempt + 1
             continue
         u, iterations, stalled = _descend(
             candidate, params, max_iters - iterations, tol_res, plus_variant=True,
@@ -191,7 +191,6 @@ def solve_positive(
         e_total = energy(u, params, plus_variant=True).total
         if float(np.max(np.abs(g.values))) <= tol_res * (1.0 + abs(e_total)):
             break
-        restarts_used = attempt + 1
         if iterations >= max_iters:
             break
     if u is None:

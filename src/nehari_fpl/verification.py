@@ -16,8 +16,10 @@ import numpy as np
 from .bubble import (
     DEFAULT_DELTA_FRAC,
     DEFAULT_EPS_FRACS,
+    INTERACTION_NAMES,
     BubbleSpec,
     fit_exponent,
+    interaction_exponent,
     interaction_integrals,
     ladder,
     lq_mass_scaling,
@@ -502,16 +504,10 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
     out.append(_run("bubble.fit-selfcheck", "exact power law recovers slope 2", fit_selfcheck))
 
     w_one = GridFunction(grid, np.ones(grid.n))
-    theories = {
-        "A1": (params.N - params.ps) / (params.p * (params.p - 1.0)),
-        "A2": (params.N - params.ps) / (params.p * (params.p - 1.0)),
-        "A3": params.q * (params.N - params.ps) / (params.p * (params.p - 1.0)),
-        "A4": (params.N - params.ps) / params.p,
-    }
-    for which in ("A1", "A2", "A3", "A4"):
+    for which in INTERACTION_NAMES:
         def interaction_fit(which=which):
             vals = [interaction_integrals(w_one, grid, params, sp, which) for sp in specs]
-            fit = fit_exponent(eps, vals, theory=theories[which])
+            fit = fit_exponent(eps, vals, theory=interaction_exponent(params, which))
             # decay-rate laws are one sided: decaying faster than theory is
             # consistent, decaying slower is the failure direction
             ratios = [v / e ** fit.theory for v, e in zip(vals, eps)]
@@ -525,7 +521,7 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
         out.append(
             _run(
                 "bubble.fit-%s" % which.lower(),
-                "slope >= %.6g - 15%%" % theories[which],
+                "slope >= %.6g - 15%%" % interaction_exponent(params, which),
                 interaction_fit,
             )
         )

@@ -13,11 +13,11 @@ from nehari_fpl import (
     build_grid,
     cutoff,
     fit_exponent,
+    interaction_exponent,
     interaction_integrals,
     ladder,
     lq_mass_scaling,
     make_u_eps,
-    mass_regime,
     profile_u,
 )
 
@@ -92,13 +92,6 @@ def test_default_ladder_clears_collar():
     assert len(DEFAULT_EPS_FRACS) >= 4
 
 
-def test_fit_exponent_recovers_exact_power():
-    eps = (0.1, 0.05, 0.025, 0.0125)
-    fit = fit_exponent(eps, [e ** 2 for e in eps], theory=2.0)
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
-    assert fit.rel_err == pytest.approx(0.0, abs=1e-12)
-
-
 def test_fit_exponent_tolerates_noise(rng):
     eps = (0.1, 0.05, 0.025, 0.0125)
     vals = [3.0 * e ** 0.15 * (1.0 + 0.01 * rng.standard_normal()) for e in eps]
@@ -111,14 +104,6 @@ def test_fit_exponent_guards():
         fit_exponent((0.1, 0.05), (1.0, 2.0, 3.0))
     with pytest.raises(ParameterError):
         fit_exponent((0.1, 0.05), (1.0, -2.0))
-
-
-def test_mass_regime_threshold_and_membership(params):
-    regime, threshold = mass_regime(params)
-    assert regime == 1
-    assert threshold == pytest.approx(4.0, rel=1e-12)
-    # every admissible q < p - 1 = 1 sits below the threshold here
-    assert params.q < threshold
 
 
 def test_interaction_integrals_coincide_for_flat_weight(params):
@@ -140,6 +125,8 @@ def test_interaction_integrals_reject_signed_weight(params, grid48, rng):
     wpos = GridFunction(grid48, np.ones(grid48.n))
     with pytest.raises(ParameterError):
         interaction_integrals(wpos, grid48, params, spec, "A5")
+    with pytest.raises(ParameterError):
+        interaction_exponent(params, "A5")
 
 
 def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
@@ -153,13 +140,15 @@ def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
     a1 = fit_exponent(
         [sp.eps for sp in specs],
         [interaction_integrals(w, g, params, sp, "A1") for sp in specs],
-        theory=0.1,
+        theory=interaction_exponent(params, "A1"),
     )
     a4 = fit_exponent(
         [sp.eps for sp in specs],
         [interaction_integrals(w, g, params, sp, "A4") for sp in specs],
-        theory=(params.N - params.ps) / params.p,
+        theory=interaction_exponent(params, "A4"),
     )
+    assert a1.theory == pytest.approx(0.1, rel=1e-12)
+    assert a4.theory == pytest.approx(0.1, rel=1e-12)
     assert a1.slope == pytest.approx(0.081, abs=0.01)
     assert a4.slope == pytest.approx(0.046, abs=0.01)
     assert a1.slope < a1.theory

@@ -12,51 +12,11 @@ from nehari_fpl import (
     build_grid,
     estimate_sobolev,
     lebesgue_mass,
-    mass_regime,
     mu_tilde,
     regime_report,
     seminorm_p,
 )
 from nehari_fpl import constants as constants_module
-
-
-def test_mu_tilde_hand_value():
-    # p = 2, q = 0.5, N = 1, s = 0.4, |domain| = 1, S = 1: the threshold
-    # reduces to (0.5/8.5)^(1/16) * 8/8.5, evaluated here independently
-    p = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
-    hand = (0.5 / 8.5) ** (1.0 / 16.0) * 8.0 / 8.5
-    rep = regime_report(p, 1.0, 1.0)
-    assert rep.mu_tilde == pytest.approx(hand, rel=1e-12)
-    assert hand == pytest.approx(0.7885, abs=1e-4)
-
-
-def test_big_m_hand_value():
-    # same parameter point, |domain| = 1: lead factor 1.7 * 0.5 / 6 and
-    # inner factor 0.0625^(1.5/8.5), multiplied out by hand
-    p = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
-    rep = regime_report(p, 1.0, 1.0)
-    hand = (1.7 * 0.5 / 6.0) * 0.0625 ** (1.5 / 8.5)
-    assert rep.big_m == pytest.approx(hand, rel=1e-12)
-    assert hand == pytest.approx(0.086851218064245117, rel=1e-13)
-    assert round(hand, 4) == 0.0869
-
-
-def test_q1_hand_value():
-    p = Params(s=0.5, p=2.0, q=0.4, mu=0.05, N=4)
-    rep = regime_report(p, 1.0, 1.0)
-    hand = 16.0 / 10.5 - 1.0
-    assert rep.q1 == pytest.approx(hand, rel=1e-12)
-    assert round(hand, 4) == 0.5238
-
-
-def test_q2_hand_value():
-    p = Params(s=0.5, p=3.0, q=1.0, mu=0.05, N=11)
-    rep = regime_report(p, 1.0, 1.0)
-    hand = 33.0 / 9.5 - 1.5
-    assert rep.q2 == pytest.approx(hand, rel=1e-12)
-    assert round(hand, 4) == 1.9737
-    # window below p - 1 stays open at these parameters
-    assert rep.q2 < p.p - 1.0
 
 
 def test_branch_identity_at_golden_p():
@@ -110,14 +70,6 @@ def test_hypothesis_flag():
     assert ok.hypothesis_ok
     bad = regime_report(Params(s=0.5, p=2.0, q=0.6, mu=0.05, N=4), 1.0, 1.0)
     assert not bad.hypothesis_ok
-
-
-def test_mass_regime_threshold():
-    p = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
-    regime, threshold = mass_regime(p)
-    assert regime == 1
-    assert threshold == pytest.approx((p.N * (p.p - 2.0) + p.ps) / (p.N - p.ps), rel=1e-12)
-    assert threshold == pytest.approx(4.0, rel=1e-12)
 
 
 def test_sobolev_estimate_converges_and_pins(params, grid64):

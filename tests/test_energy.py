@@ -111,52 +111,6 @@ def test_split_parts_structure(grid48, rng):
         np.testing.assert_array_equal(plus.values * minus.values, 0.0)
 
 
-def test_seminorm_superadditive_on_sign_change(params, grid48, rng):
-    # mixed-sign functions pay a strictly positive nonlocal cross term
-    for _ in range(50):
-        u = _random_fn(grid48, rng)
-        plus, minus = split_parts(u)
-        if not (plus.values.any() and minus.values.any()):
-            continue
-        gap = seminorm_p(u, params) - seminorm_p(plus, params) - seminorm_p(minus, params)
-        assert gap > 0.0
-
-
-def test_mass_split_exact(params, grid48, rng):
-    # the node sum splits exactly in exact arithmetic; floating point only
-    # moves it by summation order, so the tolerance is near machine level
-    for r in (params.q + 1.0, params.pstar):
-        for _ in range(50):
-            u = _random_fn(grid48, rng)
-            plus, minus = split_parts(u)
-            whole = lebesgue_mass(u, r)
-            split = lebesgue_mass(plus, r) + lebesgue_mass(minus, r)
-            assert split == pytest.approx(whole, rel=1e-13)
-
-
-def test_energy_split_strict(params, grid48, rng):
-    for _ in range(50):
-        u = _random_fn(grid48, rng)
-        plus, minus = split_parts(u)
-        if not (plus.values.any() and minus.values.any()):
-            continue
-        neg = minus.with_values(-minus.values)
-        gap = energy(u, params).total - energy(plus, params).total - energy(neg, params).total
-        assert gap > 0.0
-
-
-def test_pairing_dominates_part_seminorm(params, grid48, rng):
-    # testing the energy against the negative part always over-collects it:
-    # <A(u), -u^-> >= ||u^-||^p, strictly when u changes sign
-    for _ in range(50):
-        u = _random_fn(grid48, rng)
-        plus, minus = split_parts(u)
-        if not (plus.values.any() and minus.values.any()):
-            continue
-        neg = minus.with_values(-minus.values)
-        assert form_a(u, neg, params) - seminorm_p(minus, params) > 0.0
-
-
 def test_plus_variant_matches_on_nonnegative(params, grid48, rng):
     u = GridFunction(grid48, np.abs(rng.standard_normal(grid48.n)))
     full = energy(u, params)

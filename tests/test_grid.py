@@ -12,16 +12,6 @@ from nehari_fpl import (
 )
 
 
-def test_node_layout(params):
-    g = build_grid(-1.0, 1.0, 48, params)
-    assert g.n == 48
-    assert g.h == pytest.approx((g.b - g.a) / (g.n + 1), rel=0, abs=0)
-    np.testing.assert_allclose(np.diff(g.nodes), g.h, rtol=1e-14)
-    # interior nodes only: one spacing of clearance at each endpoint
-    assert g.nodes[0] == pytest.approx(g.a + g.h, abs=1e-15)
-    assert g.nodes[-1] == pytest.approx(g.b - g.h, abs=1e-15)
-
-
 def test_refinement_embeds_nodes(params):
     # 2n+1 interior nodes halve the spacing, so every coarse node reappears
     coarse = build_grid(-1.0, 1.0, 24, params)
@@ -29,15 +19,6 @@ def test_refinement_embeds_nodes(params):
     assert fine.h == pytest.approx(coarse.h / 2.0, rel=1e-14)
     for x in coarse.nodes:
         assert np.min(np.abs(fine.nodes - x)) < 1e-12
-
-
-def test_tail_weight_midpoint_closed_form(params):
-    # midpoint of (0, 1) at ps = 0.8: both one-sided integrals are equal
-    # and elementary, 2 * 0.5^(-0.8) / 0.8
-    g = build_grid(0.0, 1.0, 3, params)
-    hand = 2.0 * 0.5 ** -0.8 / 0.8
-    assert tail_weight(0.5, g, params) == pytest.approx(hand, rel=1e-13)
-    assert hand == pytest.approx(4.3527528164806206, rel=1e-15)
 
 
 def test_tail_weight_off_center_closed_form(params):

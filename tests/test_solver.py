@@ -14,10 +14,8 @@ from nehari_fpl import (
     crossing_search,
     energy,
     estimate_sobolev,
-    fiber_roots,
     form_a,
     make_u_eps,
-    part_scales,
     project_minus,
     seminorm_p,
     solve_positive,
@@ -64,19 +62,6 @@ def test_positive_solve_facts(params, grid48):
     assert res.residual_norm <= 1e-6 * scale
 
 
-def test_positive_solution_is_fiber_stationary(params, grid48):
-    res = solve_positive(grid48, params, seed=0)
-    rep = fiber_roots(res.u, params)
-    assert rep.tplus == pytest.approx(1.0, abs=1e-6)
-
-
-def test_positive_solve_seed_determinism(params, grid48):
-    a = solve_positive(grid48, params, seed=0)
-    b = solve_positive(grid48, params, seed=0)
-    np.testing.assert_array_equal(a.u.values, b.u.values)
-    assert a.energy == b.energy
-
-
 def test_sup_over_fiber_identity(params, grid48):
     res = solve_positive(grid48, params, seed=0)
     sup = sup_over_fiber(res.u, params)
@@ -91,21 +76,6 @@ def test_sup_over_fiber_scale_invariant(params, grid48, rng):
     scaled = sup_over_fiber(u.with_values(2.5 * u.values), params)
     assert scaled.value == pytest.approx(base.value, rel=1e-10)
     assert scaled.t_at == pytest.approx(base.t_at / 2.5, rel=1e-9)
-
-
-def test_part_scales_blow_up_at_bracket_edge(params, grid48):
-    pos = solve_positive(grid48, params, seed=0)
-    spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
-    ue = make_u_eps(grid48, params, spec)
-    uv, wv = ue.values, pos.u.values
-    mask = uv > 1e-12 * float(np.max(np.abs(uv)))
-    rbar1 = float(np.min(wv[mask] / uv[mask]))
-    rbar2 = float(np.max(wv[mask] / uv[mask]))
-    mid = 0.5 * (rbar1 + rbar2)
-    _, sm_mid = part_scales(pos.u, ue, params, mid)
-    _, sm_edge = part_scales(pos.u, ue, params, rbar1 + 1e-3 * (rbar2 - rbar1))
-    # negative part vanishes toward rbar1, so its rescaling diverges
-    assert sm_edge > 10.0 * sm_mid
 
 
 def test_crossing_search_matches_scales(params, grid48):
@@ -218,7 +188,10 @@ def test_solve_positive_respects_restart_budget(params):
 
 def test_stop_reason_says_why_descent_ended(params, grid48):
     assert solve_positive(grid48, params, seed=0).stop_reason == "converged"
-    assert solve_positive(grid48, params, seed=0, max_iters=3).stop_reason == "budget"
+    spent = solve_positive(grid48, params, seed=0, max_iters=3)
+    assert spent.stop_reason == "budget"
+    # the budget ran out on the first start, so no fresh start was made
+    assert spent.restarts == 0
     # the two-part descent ends on a line search that finds no acceptable
     # step, with the cross pairing still in the gradient
     res = solve_sign_changing(grid48, params, seed=0)

@@ -29,7 +29,7 @@ from .config import (
     load_config,
     params_from,
 )
-from .constants import estimate_sobolev, regime_report
+from .constants import compactness_gap, estimate_sobolev, regime_report
 from .bubble import (
     INTERACTION_NAMES,
     fit_exponent,
@@ -335,22 +335,13 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         return 1
     pos, est = stage
     u_eps = make_u_eps(grid, params, bubble_from(cfg, grid, params))
-    scan = sup_scan_ab(
-        pos.u,
-        u_eps,
-        params,
-        float(cfg["scan.a_max"]),
-        float(cfg["scan.b_max"]),
-        int(cfg["scan.grid_counts"]),
-    )
+    scan = sup_scan_ab(pos.u, u_eps, params)
     rep = regime_report(params, grid.b - grid.a, est.value)
-    s, N, sp = params.s, params.N, params.ps
-    bound = pos.energy + (s / N) * est.value ** (N / sp)
+    bound = pos.energy + compactness_gap(params, est.value)
     rows = [
         ("scan.value", "max of the two-bump energy", scan.value),
         ("scan.a_at", "one-sign amplitude at the max", scan.a_at),
         ("scan.b_at", "bubble amplitude at the max", scan.b_at),
-        ("scan.coarse_value", "max before refinement", scan.coarse_value),
         ("scan.bound", "one-sign level plus the compactness gap", bound),
         ("scan.below_bound", "scan max strictly below the bound", scan.value < bound),
         ("scan.hypothesis_ok", "(q, N) inside the window", rep.hypothesis_ok),

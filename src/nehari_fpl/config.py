@@ -41,9 +41,6 @@ DEFAULTS: dict[str, object] = {
     "solver.max_restarts": 5,
     "sobolev.iters": 600,
     "sobolev.seed": 0,
-    "scan.a_max": 2.0,
-    "scan.b_max": 2.0,
-    "scan.grid_counts": 24,
     "fiber.input": "",
     "checks.n": 48,
     "checks.seed": 0,

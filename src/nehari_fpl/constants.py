@@ -139,11 +139,16 @@ class ConstantsReport:
 
     def ps_level(self, mu: float) -> float:
         """Compactness threshold c*(mu), strictly decreasing in mu."""
-        s, N = self.params.s, self.params.N
-        p, pstar, q = self.params.p, self.params.pstar, self.params.q
-        return (s / N) * self.s_est ** (N / (s * p)) - self.big_m * mu ** (
+        pstar, q = self.params.pstar, self.params.q
+        return compactness_gap(self.params, self.s_est) - self.big_m * mu ** (
             pstar / (pstar - q - 1.0)
         )
+
+
+def compactness_gap(params: Params, s_const) -> float:
+    """(s/N) * S^(N/(s p)), the energy a concentrating bubble adds in the limit."""
+    s, N = params.s, params.N
+    return (s / N) * float(s_const) ** (N / (s * params.p))
 
 
 def mu_tilde(params: Params, domain_measure: float, s_const: float) -> float:

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
+from .constants import compactness_gap
 from .energy import energy, form_a, gradient, seminorm_p, split_parts
 from .errors import (
     CollapseError,
     DegenerateInputError,
     NoCrossingError,
     NoRootsError,
-    ParameterError,
     SolverError,
 )
 from .fibering import FiberMap, NehariClass, classify
@@ -36,6 +36,11 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 ALPHA_FLOOR = 1e-16
 COLLAPSE_FACTOR = 1e-10
+# sup_scan_ab: angles per scan of the ray-angle bracket, and scans made.
+# Each scan after the first spans the two neighbours of the previous
+# scan's best angle, so the bracket shrinks 8x per scan to ~5e-11 rad.
+SCAN_ANGLES = 17
+SCAN_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -81,16 +86,13 @@ class SolveResult:
 class FiberSupremum:
     """Supremum of the ray energy over t >= 0.
 
-    via_roots is False when the two-root analysis failed and the value had
-    to come from a dense scan of the ray instead.
+    via_roots is False when the ray has no two crossings; the energy then
+    falls on all of (0, inf) and the supremum is I(0) = 0 at t = 0.
     """
 
     value: float
     via_roots: bool
     t_at: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,11 @@ class CrossingResult:
 
 @dataclass(frozen=True)
 class SupScanResult:
-    """Maximum of I(a*w1 - b*u_eps) over the scanned (a, b) rectangle."""
+    """Maximum of I(a*w1 - b*u_eps) over the half-plane a >= 0."""
 
     value: float
     a_at: float
     b_at: float
-    coarse_value: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _project_ray(u: GridFunction, params: Params, plus_variant: bool = False):
@@ -261,19 +259,20 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
 def sup_over_fiber(u0: GridFunction, params: Params, plus_variant: bool = False) -> FiberSupremum:
     """Supremum of the ray energy t -> I(t * u0) over t >= 0.
 
-    With both ray roots present this is the closed-form value at t+; when
-    the roots are missing (concave mass above the peak) the ray energy is
-    strictly decreasing, and the reported value comes from a dense scan.
+    The ray energy falls from I(0) = 0 to its local minimum at t-, rises to
+    its local maximum at t+ and falls for good after that, so the supremum
+    is max(0, phi(t+)).  Without the two crossings it falls on all of
+    (0, inf) and the supremum is 0 at t = 0.
     """
     fm = FiberMap.of(u0, params, plus_variant)
     try:
         tplus = fm.tplus()
-        return FiberSupremum(float(fm.phi(tplus)), True, tplus)
     except NoRootsError:
-        t_grid = np.linspace(0.0, 4.0 * fm.t0(), 200001)
-        vals = fm.phi(t_grid)
-        k = int(np.argmax(vals))
-        return FiberSupremum(float(vals[k]), False, float(t_grid[k]))
+        return FiberSupremum(0.0, False, 0.0)
+    value = float(fm.phi(tplus))
+    if value <= 0.0:
+        return FiberSupremum(0.0, True, 0.0)
+    return FiberSupremum(value, True, tplus)
 
 
 def part_scales(w1: GridFunction, u_eps: GridFunction, params: Params, r: float):
@@ -463,8 +462,7 @@ def solve_sign_changing(
     ps_gap_bound = None
     ps_gap_ok = None
     if s_est is not None:
-        s, N, p = params.s, params.N, params.p
-        ps_gap_bound = alpha_minus + (s / N) * float(s_est) ** (N / (s * p))
+        ps_gap_bound = alpha_minus + compactness_gap(params, s_est)
         ps_gap_ok = e_total < ps_gap_bound
     return SolveResult(
         u=u,
@@ -490,41 +488,30 @@ def solve_sign_changing(
     )
 
 
-def sup_scan_ab(
-    w1: GridFunction,
-    u_eps: GridFunction,
-    params: Params,
-    a_max: float = 2.0,
-    b_max: float = 2.0,
-    grid_counts: int = 24,
-) -> SupScanResult:
-    """Grid maximum of I(a * w1 - b * u_eps) with one local refinement.
+def sup_scan_ab(w1: GridFunction, u_eps: GridFunction, params: Params) -> SupScanResult:
+    """Maximum of I(a * w1 - b * u_eps) over the half-plane a >= 0.
 
-    The coarse grids always contain a = 1 (when a_max allows) and b = 0,
-    so the scan maximum dominates I(w1) by construction.
+    Every such point is t * (cos th, sin th) with t >= 0 and |th| <= pi/2,
+    and the supremum along each ray is the fiber maximum of
+    cos th * w1 - sin th * u_eps, in closed form.  So the plane maximum is
+    the maximum of one scalar function of th, searched by SCAN_ROUNDS scans
+    of SCAN_ANGLES angles, each zoomed onto the neighbours of the previous
+    scan's best angle; the result is the best over every angle evaluated.
+    The first scan holds th = 0, the point (a, b) = (1, 0), so for w1 on its
+    fiber maximum the result dominates I(w1).
     """
-    if grid_counts < 8:
-        raise ParameterError(f"grid_counts must be >= 8, got {grid_counts}")
-    if not (a_max > 0.0 and b_max > 0.0):
-        raise ParameterError("a_max and b_max must be positive")
-    special_a = [1.0] if a_max >= 1.0 else []
-    a_vals = np.union1d(np.linspace(0.0, a_max, grid_counts), special_a)
-    b_vals = np.union1d(np.linspace(-b_max, b_max, grid_counts), [0.0])
-
-    def scan(avs, bvs):
-        best = (-math.inf, 0.0, 0.0)
-        for a in avs:
-            for b in bvs:
-                val = energy(w1.with_values(a * w1.values - b * u_eps.values), params).total
-                if val > best[0]:
-                    best = (val, float(a), float(b))
-        return best
-
-    coarse = scan(a_vals, b_vals)
-    da = a_vals[1] - a_vals[0] if len(a_vals) > 1 else a_max
-    db = b_vals[1] - b_vals[0] if len(b_vals) > 1 else b_max
-    a_lo, a_hi = max(0.0, coarse[1] - da), min(a_max, coarse[1] + da)
-    b_lo, b_hi = max(-b_max, coarse[2] - db), min(b_max, coarse[2] + db)
-    fine = scan(np.linspace(a_lo, a_hi, grid_counts), np.linspace(b_lo, b_hi, grid_counts))
-    best = max(coarse, fine)
-    return SupScanResult(best[0], best[1], best[2], coarse[0])
+    best = (-math.inf, 0.0, 0.0)
+    lo, hi = -0.5 * math.pi, 0.5 * math.pi
+    for _ in range(SCAN_ROUNDS):
+        thetas = np.linspace(lo, hi, SCAN_ANGLES)
+        values = []
+        for th in thetas:
+            cos_th, sin_th = math.cos(th), math.sin(th)
+            ray = w1.with_values(cos_th * w1.values - sin_th * u_eps.values)
+            sup = sup_over_fiber(ray, params)
+            values.append(sup.value)
+            if sup.value > best[0]:
+                best = (sup.value, sup.t_at * cos_th, sup.t_at * sin_th)
+        k = int(np.argmax(values))
+        lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, SCAN_ANGLES - 1)]
+    return SupScanResult(*best)

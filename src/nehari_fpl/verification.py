@@ -281,7 +281,6 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
                 return False, "scan found %d crossings" % flips.size, ""
             cell = ts[1] - ts[0]
             worst = max(worst, abs(ts[flips[0]] - tminus), abs(ts[flips[-1]] - tplus))
-            worst = worst if worst > cell else worst
             if abs(ts[flips[0]] - tminus) > 2.0 * cell or abs(ts[flips[-1]] - tplus) > 2.0 * cell:
                 return False, "%.3g" % worst, "bisection root outside scan cell"
         return True, "%.3g" % worst, "max distance to scan crossing"
@@ -650,7 +649,7 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
     out.append(_run("solver.energy-ordering", "sign-changing level >= positive level", sign_ordering))
 
     def scan_inclusion():
-        scan = sup_scan_ab(pos.u, u_eps, params, 2.0, 2.0, 12)
+        scan = sup_scan_ab(pos.u, u_eps, params)
         floor = energy(pos.u, params).total
         return scan.value >= floor - 1e-12 * abs(floor), "%.6g >= %.6g" % (scan.value, floor), ""
 

@@ -58,8 +58,12 @@ def test_verify_reports_known_failures(tmp_path, capsys):
     assert "checks.total\tchecks run\t54\n" in report
 
 
-def test_unknown_config_key_exits_2(tmp_path):
-    assert main(["constants", "--out", str(tmp_path), "--set", "nope.key=1"]) == 2
+@pytest.mark.parametrize(
+    "key", ["nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts"]
+)
+def test_unknown_config_key_exits_2(tmp_path, key):
+    # a config that still sets one of the removed scan.* keys fails loudly
+    assert main(["constants", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
 
 
 def test_malformed_override_exits_2(tmp_path):
@@ -139,7 +143,7 @@ def test_sign_changing_reports_cross_terms(tmp_path):
 
 
 def test_sup_scan_runs(tmp_path):
-    code = main(["sup-scan", "--out", str(tmp_path)] + FAST + ["--set", "scan.grid_counts=12"])
+    code = main(["sup-scan", "--out", str(tmp_path)] + FAST)
     assert code == 0
     report = _read(tmp_path / "sup-scan.report.txt").decode()
     assert "scan.value\t" in report

@@ -1,5 +1,7 @@
 """Manifold projection, the two solves, crossing search, and the scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from nehari_fpl import (
     BubbleSpec,
     GridFunction,
     NehariTag,
-    ParameterError,
     Params,
     build_grid,
     classify,
@@ -15,8 +16,10 @@ from nehari_fpl import (
     energy,
     estimate_sobolev,
     form_a,
+    lebesgue_mass,
     make_u_eps,
     project_minus,
+    psi_and_t0,
     seminorm_p,
     solve_positive,
     solve_sign_changing,
@@ -95,25 +98,34 @@ def test_crossing_search_matches_scales(params, grid48):
     assert parts[0].values.any() and parts[1].values.any()
 
 
-def test_sup_scan_contains_base_point_and_refines(params, grid48):
+def test_sup_over_fiber_is_never_negative(params, grid48, rng):
+    # with both roots present phi(t+) can fall below I(0) = 0; without
+    # them the ray energy falls from 0 on all of (0, inf)
+    u = _random_fn(grid48, rng)
+    _, psi_t0 = psi_and_t0(u, params)
+    mu_crit = psi_t0 / lebesgue_mass(u, params.q + 1.0)
+    below = sup_over_fiber(u, replace(params, mu=0.99 * mu_crit))
+    assert (below.value, below.t_at) == (0.0, 0.0)
+    assert below.via_roots
+    above = sup_over_fiber(u, replace(params, mu=1.01 * mu_crit))
+    assert (above.value, above.via_roots, above.t_at) == (0.0, False, 0.0)
+
+
+def test_sup_scan_is_the_half_plane_maximum(params, grid48):
     pos = solve_positive(grid48, params, seed=0)
     spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
     ue = make_u_eps(grid48, params, spec)
     scan = sup_scan_ab(pos.u, ue, params)
-    # (a, b) = (1, 0) is always on the coarse grid
     assert scan.value >= pos.energy
-    assert scan.value >= scan.coarse_value
-    doubled = sup_scan_ab(pos.u, ue, params, grid_counts=48)
-    assert abs(doubled.value - scan.value) <= 0.01 * abs(scan.value)
 
+    def plane_energy(a, b):
+        return energy(pos.u.with_values(a * pos.u.values - b * ue.values), params).total
 
-def test_sup_scan_guards(params, grid48, rng):
-    u = _random_fn(grid48, rng)
-    v = GridFunction(grid48, np.abs(rng.standard_normal(grid48.n)))
-    with pytest.raises(ParameterError):
-        sup_scan_ab(u, v, params, grid_counts=4)
-    with pytest.raises(ParameterError):
-        sup_scan_ab(u, v, params, a_max=-1.0)
+    assert plane_energy(scan.a_at, scan.b_at) == pytest.approx(scan.value, rel=1e-12)
+    grid_max = max(
+        plane_energy(a, b) for a in np.linspace(0.0, 4.0, 81) for b in np.linspace(-4.0, 4.0, 161)
+    )
+    assert grid_max <= scan.value * (1.0 + 1e-12)
 
 
 def test_sign_changing_search_facts(params, grid48):

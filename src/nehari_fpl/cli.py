@@ -257,8 +257,9 @@ def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
     res = solve_positive(grid, params, **kw)
     rows = [
         ("solve.energy", "energy at the final iterate", res.energy),
-        ("solve.residual", "gradient norm against the step metric", res.residual_norm),
+        ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
         ("solve.iterations", "descent iterations used", res.iterations),
+        ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.restarts", "fresh starts used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
@@ -292,8 +293,9 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
     )
     rows = [
         ("solve.energy", "energy at the final iterate", res.energy),
-        ("solve.residual", "gradient norm against the step metric", res.residual_norm),
+        ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
         ("solve.iterations", "descent iterations used", res.iterations),
+        ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.restarts", "bubble retries used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),

@@ -20,7 +20,10 @@ sums r_i = sum_j K_ij (stored on the grid) and (Lu)_i = r_i u_i - (K u)_i,
     h^2 * sum_{i != j} (u_i - u_j)(phi_i - phi_j) K_ij = 2 h^2 * phi . Lu,
 
 so the seminorm, the pairing and the gradient share one matrix-vector
-product K u.  Any other p sums the dense pair array.
+product K u.  Any other p sums the dense pair array.  The p = 2 seminorm
+is u . A u with the symmetric positive definite operator
+A = 2h^2 L + 2h diag(tail) (stiffness_action), which the one-sign descent
+also uses as its metric.
 
 Reduction order: the p = 2 pair sums are a BLAS matrix-vector product,
 deterministic for a fixed BLAS thread count (checked at 1 and 2
@@ -61,9 +64,9 @@ def _check_ps(grid: Grid, params: Params):
         )
 
 
-def _pair_action(u: GridFunction) -> np.ndarray:
-    """(Lu)_i = sum_j (u_i - u_j) K_ij = r_i u_i - (K u)_i, one matvec."""
-    return u.grid.row_sums * u.values - u.grid.kernel @ u.values
+def _pair_action(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """(Lx)_i = sum_j (x_i - x_j) K_ij = r_i x_i - (K x)_i, one matvec."""
+    return grid.row_sums * x - grid.kernel @ x
 
 
 def _same_grid(u: GridFunction, v: GridFunction):
@@ -85,7 +88,7 @@ def seminorm_p(u: GridFunction, params: Params) -> float:
     _check_ps(grid, params)
     vals = u.values
     if params.p == 2.0:
-        inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(u)))
+        inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(grid, vals)))
     else:
         diff = vals[:, None] - vals[None, :]
         inner = grid.h ** 2 * float(np.sum(np.abs(diff) ** params.p * grid.kernel))
@@ -122,7 +125,7 @@ def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:
     grid = u.grid
     _check_ps(grid, params)
     if params.p == 2.0:
-        inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(u)))
+        inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(grid, u.values)))
     else:
         du = u.values[:, None] - u.values[None, :]
         dphi = phi.values[:, None] - phi.values[None, :]
@@ -148,43 +151,50 @@ def residual(u: GridFunction, phi: GridFunction, params: Params) -> float:
     return form_a(u, phi, params) - params.mu * concave - critical
 
 
-def _seminorm_parts(u: GridFunction, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Pair and tail parts of the seminorm gradient, each divided by p.
+def stiffness_action(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """A x = 2h^2 (r o x - K x) + 2h tail o x, the grid's p = 2 seminorm operator.
+
+    seminorm_2(u) = u . A u, and A is symmetric positive definite.  Built on
+    any grid's kernel, so at p != 2 it is the p = 2 operator of order p*s/2.
+    """
+    h = grid.h
+    return 2.0 * h ** 2 * _pair_action(grid, x) + 2.0 * h * x * grid.tail
+
+
+def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
+    """Nodal gradient of seminorm_p divided by p: pair part plus tail part.
 
     The pair (i, j) appears twice in the double sum, so each kernel row
-    contributes with a factor 2h^2, and the tail with 2h.  At p = 2 the
-    pair part is 2h^2 * Lu = 2h^2 (r_i u_i - (Ku)_i).
+    contributes with a factor 2h^2, and the tail with 2h.  At p = 2 it is
+    the stiffness action A u.
     """
     grid = u.grid
     _check_ps(grid, params)
-    h = grid.h
     vals = u.values
     if params.p == 2.0:
-        pair_part = 2.0 * h ** 2 * _pair_action(u)
-    else:
-        du = vals[:, None] - vals[None, :]
-        pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * grid.kernel, axis=1)
-    tail_part = 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
-    return pair_part, tail_part
+        return stiffness_action(grid, vals)
+    h = grid.h
+    du = vals[:, None] - vals[None, :]
+    pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * grid.kernel, axis=1)
+    return pair_part + 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
 
 
 def _seminorm_gradient(u: GridFunction, params: Params) -> np.ndarray:
-    """Nodal gradient of seminorm_p, p * (pair part + tail part)."""
-    pair_part, tail_part = _seminorm_parts(u, params)
-    return params.p * (pair_part + tail_part)
+    """Nodal gradient of seminorm_p."""
+    return params.p * _seminorm_gradient_over_p(u, params)
 
 
 def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
     """Nodal gradient g with g_k = residual(u, e_k).
 
-    Assembled directly from the pair and tail parts of the seminorm
-    gradient (see _seminorm_parts) and the two Lebesgue derivative terms.
+    Assembled directly from the seminorm gradient divided by p (see
+    _seminorm_gradient_over_p) and the two Lebesgue derivative terms.
     For the plus variant the two Lebesgue derivative terms use (u+)^q and
     (u+)^(p*-1), vanishing wherever u <= 0.
     """
     h = u.grid.h
     vals = u.values
-    pair_part, tail_part = _seminorm_parts(u, params)
+    sem = _seminorm_gradient_over_p(u, params)
     if plus_variant:
         base = np.maximum(vals, 0.0)
         concave = base ** params.q
@@ -192,7 +202,7 @@ def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> Gri
     else:
         concave = signed_power(vals, params.q)
         critical = signed_power(vals, params.pstar - 1.0)
-    g = pair_part + tail_part - params.mu * h * concave - h * critical
+    g = sem - params.mu * h * concave - h * critical
     return GridFunction(u.grid, g)
 
 

@@ -7,9 +7,21 @@ the step only if the projected energy satisfies an Armijo decrease.  The
 projection is the fiber maximum, so on the manifold the envelope theorem
 makes the accepted-step energy sequence genuinely nonincreasing.
 
-The descent direction is the gradient divided by the mesh width h (the
-Riesz representative in the discrete L2 inner product h * sum u_i v_i),
-which keeps step sizes mesh independent.
+The descent direction is the Riesz representative of the nodal gradient g
+in an inner product, and the two solves use different ones:
+
+* The one-sign solve descends along the Sobolev gradient -A^{-1} g, with
+  A the grid's p = 2 seminorm operator (energy.stiffness_action), the
+  discrete H^s inner product the seminorm itself defines (Neuberger,
+  LNM 1670).  A^{-1} g comes from Jacobi-preconditioned conjugate
+  gradients to RIESZ_RTOL relative residual.  The full step is usually
+  accepted and the iteration count does not grow with n.  At p != 2
+  the same operator on that grid's kernel serves as the metric.
+* The two-part sign-changing descent keeps the L2 direction -g/h, the
+  Riesz representative in h * sum u_i v_i.  The set it searches holds no
+  critical point, so it can only end on a stalled line search; along the
+  L2 direction it stalls within a few dozen iterations, while along the
+  H^s direction it keeps creeping and spends its whole budget.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import numpy as np
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
 from .constants import compactness_gap
-from .energy import energy, form_a, gradient, seminorm_p, split_parts
+from .energy import energy, form_a, gradient, seminorm_p, split_parts, stiffness_action
 from .errors import (
     CollapseError,
     DegenerateInputError,
@@ -36,6 +48,8 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 ALPHA_FLOOR = 1e-16
 COLLAPSE_FACTOR = 1e-10
+# _riesz_direction: conjugate gradients stop at |A x - g| <= RIESZ_RTOL |g|
+RIESZ_RTOL = 0.1
 # sup_scan_ab: angles per scan of the ray-angle bracket, and scans made.
 # Each scan after the first spans the two neighbours of the previous
 # scan's best angle, so the bracket shrinks 8x per scan to ~5e-11 rad.
@@ -59,6 +73,7 @@ class SolveResult:
     stop_reason says why the descent ended: ``converged`` (residual below
     tolerance), ``stalled`` (the line search found no acceptable step) or
     ``budget`` (the iteration or restart budget ran out first).
+    armijo_trials counts the projected line-search trials over all starts.
     """
 
     u: GridFunction
@@ -70,6 +85,7 @@ class SolveResult:
     minus_part_norm: float
     converged: bool
     stop_reason: str
+    armijo_trials: int
     restarts: int = 0
     plus_class: NehariClass | None = None
     minus_class: NehariClass | None = None
@@ -172,6 +188,7 @@ def solve_positive(
     rng = np.random.default_rng(seed)
     restarts_used = 0
     iterations = 0
+    trials = 0
     stalled = False
     u = None
     for attempt in range(max_restarts + 1):
@@ -181,10 +198,11 @@ def solve_positive(
             candidate = _project_ray(start, params, plus_variant=True)[0]
         except (NoRootsError, DegenerateInputError):
             continue
-        u, iterations, stalled = _descend(
+        u, iterations, stalled, start_trials = _descend(
             candidate, params, max_iters - iterations, tol_res, plus_variant=True,
-            iterations_base=iterations,
+            iterations_base=iterations, sobolev=True,
         )
+        trials += start_trials
         g = gradient(u, params, plus_variant=True)
         e_total = energy(u, params, plus_variant=True).total
         if float(np.max(np.abs(g.values))) <= tol_res * (1.0 + abs(e_total)):
@@ -208,17 +226,52 @@ def solve_positive(
         minus_part_norm=seminorm_p(minus, params),
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
+        armijo_trials=trials,
         restarts=restarts_used,
     )
 
 
-def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
-             project=None, on_accept=None):
-    """Shared projected-descent loop; returns (u, iterations, stalled).
+def _riesz_direction(grid: Grid, g: np.ndarray) -> np.ndarray:
+    """Approximate A^{-1} g, A the grid's p = 2 seminorm operator.
 
-    project(v) returns the projected trial and its energy.  The default
-    ray projection reads the energy off the closed form phi(t+) of the map
-    it has just built, with no second seminorm evaluation.
+    Jacobi-preconditioned conjugate gradients from x = 0, stopped once
+    |A x - g| <= RIESZ_RTOL |g| or after n steps.  Every iterate is the
+    A-orthogonal projection of A^{-1} g onto a Krylov space, so
+    g . x = x . A x > 0 and -x is a descent direction however early the
+    iteration stops.
+    """
+    # the diagonal of A; the kernel's own diagonal is zero
+    diag = 2.0 * grid.h ** 2 * grid.row_sums + 2.0 * grid.h * grid.tail
+    x = np.zeros_like(g)
+    r = g.copy()
+    z = r / diag
+    d = z.copy()
+    rz = float(np.dot(r, z))
+    stop = RIESZ_RTOL * float(np.linalg.norm(g))
+    for _ in range(grid.n):
+        if float(np.linalg.norm(r)) <= stop:
+            break
+        ad = stiffness_action(grid, d)
+        step = rz / float(np.dot(d, ad))
+        x += step * d
+        r -= step * ad
+        z = r / diag
+        rz, rz_old = float(np.dot(r, z)), rz
+        d = z + (rz / rz_old) * d
+    return x
+
+
+def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
+             sobolev, project=None, on_accept=None):
+    """Shared projected-descent loop; returns (u, iterations, stalled, trials).
+
+    sobolev selects the direction: -A^{-1} g (the H^s Riesz representative,
+    see _riesz_direction) for the one-sign solve, or -g/h (the L2 one) for
+    the two-part descent, which stalls sooner along it (module docstring).
+    trials counts the projected line-search trials.  project(v) returns
+    the projected trial and its energy.  The default ray projection reads
+    the energy off the closed form phi(t+) of the map it has just built,
+    with no second seminorm evaluation.
     """
     if project is None:
         def project(v):
@@ -226,6 +279,7 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
     h = u.grid.h
     e_total = energy(u, params, plus_variant=plus_variant).total
     iterations = iterations_base
+    trials = 0
     stalled = False
     for _ in range(max(budget, 0)):
         iterations += 1
@@ -233,11 +287,12 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
         if float(np.max(np.abs(g))) <= tol_res * (1.0 + abs(e_total)):
             iterations -= 1
             break
-        d = -g / h
+        d = -_riesz_direction(u.grid, g) if sobolev else -g / h
         slope = float(np.dot(g, d))
         alpha = 1.0
         accepted = False
         while alpha >= ALPHA_FLOOR:
+            trials += 1
             try:
                 trial, e_trial = project(u.with_values(u.values + alpha * d))
             except (NoRootsError, DegenerateInputError):
@@ -253,7 +308,7 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
         u, e_total = trial, e_trial
         if on_accept is not None:
             on_accept(u)
-    return u, iterations, stalled
+    return u, iterations, stalled, trials
 
 
 def sup_over_fiber(u0: GridFunction, params: Params, plus_variant: bool = False) -> FiberSupremum:
@@ -448,9 +503,9 @@ def solve_sign_changing(
         w = _project_parts(v, params)
         return w, energy(w, params).total
 
-    u, iterations, stalled = _descend(
+    u, iterations, stalled, trials = _descend(
         u, params, max_iters, tol_res, plus_variant=False, iterations_base=0,
-        project=project, on_accept=check_parts,
+        sobolev=False, project=project, on_accept=check_parts,
     )
 
     e_total = energy(u, params).total
@@ -474,6 +529,7 @@ def solve_sign_changing(
         minus_part_norm=seminorm_p(minus, params),
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
+        armijo_trials=trials,
         restarts=restarts_used,
         plus_class=classify(plus, params, tol_manifold),
         minus_class=classify(minus, params, tol_manifold),

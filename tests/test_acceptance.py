@@ -16,8 +16,8 @@ proportional to eps_k^theta, and fits log R_k against log eps_k.
 test_criterion_9_sign_changing_solution fails on purpose and stays failing:
 the solver puts u+ and u- each on its own fiber maximum, where
 <I'(u), u+> equals the nonlocal cross pairing of the parts (cross_plus /
-cross_minus, 0.586 at n = 128), so the searched set holds no critical point
-and the sup-norm residual stalls near 0.16.  At a critical point
+cross_minus, 0.563 at n = 128), so the searched set holds no critical point
+and the sup-norm residual stalls near 0.15.  At a critical point
 phi'_{u+-}(1) = -cross+- != 0, so no two-part point can have both parts on
 their own fiber maxima and also converge; mending it needs the nodal
 Nehari projection {<I'(u), u+-> = 0} together with a revised part clause.
@@ -259,7 +259,7 @@ def test_criterion_8_positive_solution():
 
 def test_criterion_9_sign_changing_solution():
     # KNOWN FAILURE on the converged flag: both parts sit on their own
-    # fiber maxima, where <I'(u), u+-> is the cross pairing 0.586, so the
+    # fiber maxima, where <I'(u), u+-> is the cross pairing 0.563, so the
     # searched set holds no critical point; see the module docstring
     start = time.perf_counter()
     grid = build_grid(-1.0, 1.0, 128, PARAMS)

@@ -27,6 +27,7 @@ from nehari_fpl import (
     sup_over_fiber,
     sup_scan_ab,
 )
+from nehari_fpl.solver import _riesz_direction
 
 
 def _random_fn(grid, rng):
@@ -63,6 +64,31 @@ def test_positive_solve_facts(params, grid48):
     assert res.energy == pytest.approx(2.6858648751, rel=1e-6)
     scale = 1.0 + abs(res.energy)
     assert res.residual_norm <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_positive_descent_is_mesh_independent(params, n):
+    # along the H^s Riesz direction the iteration count does not grow with
+    # n (the L2 direction took 52 and 86), and the full step is accepted
+    res = solve_positive(build_grid(-1.0, 1.0, n, params), params, seed=0)
+    assert res.converged
+    assert res.iterations <= 25
+    assert res.armijo_trials == res.iterations
+
+
+@pytest.mark.parametrize(
+    "prm", [None, Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)], ids=["p2", "p3"]
+)
+def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
+    # the p = 2 seminorm operator A, assembled densely on the grid's kernel
+    grid = grid48 if prm is None else build_grid(-1.0, 1.0, 48, prm)
+    h = grid.h
+    dense = 2.0 * h ** 2 * (np.diag(grid.row_sums) - grid.kernel) + 2.0 * h * np.diag(grid.tail)
+    for _ in range(5):
+        g = rng.standard_normal(grid.n)
+        x = _riesz_direction(grid, g)
+        assert np.linalg.norm(dense @ x - g) <= 0.1 * np.linalg.norm(g)
+        assert float(np.dot(g, x)) > 0.0
 
 
 def test_sup_over_fiber_identity(params, grid48):

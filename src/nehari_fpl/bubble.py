@@ -59,6 +59,11 @@ class BubbleSpec:
             )
 
 
+def default_profile_kind(params: Params) -> str:
+    """exact-p2 where it is the extremal shape (p = 2), model otherwise."""
+    return "exact-p2" if params.p == 2.0 else "model"
+
+
 def profile_u(r, params: Params, profile_kind: str = "exact-p2") -> np.ndarray:
     """Profile value at radius r >= 0 (scalar or array)."""
     r = np.asarray(r, dtype=np.float64)

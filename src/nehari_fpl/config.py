@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, ladder
+from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, ladder
 from .errors import ConfigError
 from .grid import Grid, Params, build_grid
 
@@ -123,13 +123,6 @@ def grid_from(cfg: dict[str, object], params: Params) -> Grid:
     return build_grid(float(cfg["grid.a"]), float(cfg["grid.b"]), int(cfg["grid.n"]), params)
 
 
-def _profile_kind(cfg: dict[str, object], params: Params) -> str:
-    kind = str(cfg["bubble.profile"])
-    if kind == "auto":
-        return "exact-p2" if params.p == 2.0 else "model"
-    return kind
-
-
 def _center(cfg: dict[str, object]) -> float | None:
     raw = str(cfg["bubble.center"]).strip()
     if not raw:
@@ -142,11 +135,12 @@ def _center(cfg: dict[str, object]) -> float | None:
 
 def bubble_from(cfg: dict[str, object], grid: Grid, params: Params) -> BubbleSpec:
     hw = grid.halfwidth
+    kind = str(cfg["bubble.profile"])
     return BubbleSpec(
         float(cfg["bubble.eps_frac"]) * hw,
         float(cfg["bubble.delta_frac"]) * hw,
         _center(cfg),
-        _profile_kind(cfg, params),
+        default_profile_kind(params) if kind == "auto" else kind,
     )
 
 

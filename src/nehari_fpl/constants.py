@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _seminorm_gradient, lebesgue_mass, seminorm_p, signed_power
+from .energy import _seminorm_gradient_over_p, lebesgue_mass, seminorm_p, signed_power
 from .errors import ParameterError
 from .grid import Grid, GridFunction, Params
 
@@ -34,9 +34,6 @@ class SobolevEstimate:
     value: float
     converged: bool
     iterations: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # The descent stops once the running minimum has improved by at most
@@ -77,7 +74,7 @@ def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0
     for it in range(iters):
         it_done = it + 1
         gm = pstar * h * signed_power(u.values, pstar - 1.0)
-        glog = _seminorm_gradient(u, params) / S - (p / pstar) * gm / m
+        glog = p * _seminorm_gradient_over_p(u, params) / S - (p / pstar) * gm / m
         d = -glog / h
         slope = float(np.dot(glog, d))
         alpha = 1.0

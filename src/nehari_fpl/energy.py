@@ -14,22 +14,26 @@ with Lebesgue integrals approximated by the rectangle rule h * sum.  The
 versions (u+)^(q+1) and (u+)^p* while keeping the full seminorm; it is the
 energy whose descent drives negative parts to zero.
 
-At p = 2 the pair sums need no n x n temporaries.  With the kernel row
-sums r_i = sum_j K_ij (stored on the grid) and (Lu)_i = r_i u_i - (K u)_i,
+Every pair sum goes through one pair action.  With the weighted kernel
+W_ij = K_ij |u_i - u_j|^(p-2) (W = K at p = 2) and
+(L_W u)_i = sum_j W_ij (u_i - u_j),
 
-    h^2 * sum_{i != j} (u_i - u_j)(phi_i - phi_j) K_ij = 2 h^2 * phi . Lu,
+    h^2 * sum_{i != j} |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) K_ij
+        = 2 h^2 * phi . L_W u,
 
-so the seminorm, the pairing and the gradient share one matrix-vector
-product K u.  Any other p sums the dense pair array.  The p = 2 seminorm
-is u . A u with the symmetric positive definite operator
-A = 2h^2 L + 2h diag(tail) (stiffness_action), which the one-sign descent
-also uses as its metric.
+so the seminorm (phi = u), the pairing and the gradient (2h^2 L_W u) each
+need one pair action.  At p = 2 it is one matrix-vector product K u with
+the kernel row sums r_i = sum_j K_ij stored on the grid,
+(L u)_i = r_i u_i - (K u)_i; at any other p it builds W once and takes
+W.sum(1) * u - W @ u.  The p = 2 seminorm is u . A u with the symmetric
+positive definite operator A = 2h^2 L + 2h diag(tail) (stiffness_action),
+which the one-sign descent also uses as its metric at every p.
 
-Reduction order: the p = 2 pair sums are a BLAS matrix-vector product,
+Reduction order: the pair sums are a BLAS matrix-vector product,
 deterministic for a fixed BLAS thread count (checked at 1 and 2
-threads); every other sum is a single-threaded numpy reduction over a
-row-major array of fixed shape.  Identical inputs give bit-identical
-results on a given platform and thread count.
+threads); every other sum is a single-threaded numpy reduction over an
+array of fixed shape.  Identical inputs give bit-identical results on a
+given platform and thread count.
 """
 
 from __future__ import annotations
@@ -64,9 +68,19 @@ def _check_ps(grid: Grid, params: Params):
         )
 
 
-def _pair_action(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """(Lx)_i = sum_j (x_i - x_j) K_ij = r_i x_i - (K x)_i, one matvec."""
-    return grid.row_sums * x - grid.kernel @ x
+def _pair_action(grid: Grid, x: np.ndarray, p: float) -> np.ndarray:
+    """(L_W x)_i = sum_j W_ij (x_i - x_j) with W_ij = K_ij |x_i - x_j|^(p-2).
+
+    At p = 2, W = K and this is r_i x_i - (K x)_i, one matvec.  Any other p
+    (p > 2, as Params requires) builds W in place in one n x n array.
+    """
+    if p == 2.0:
+        return grid.row_sums * x - grid.kernel @ x
+    w = np.subtract.outer(x, x)
+    np.abs(w, out=w)
+    w **= p - 2.0
+    w *= grid.kernel
+    return w.sum(axis=1) * x - w @ x
 
 
 def _same_grid(u: GridFunction, v: GridFunction):
@@ -82,16 +96,12 @@ def _same_grid(u: GridFunction, v: GridFunction):
 def seminorm_p(u: GridFunction, params: Params) -> float:
     """Nonlocal p-th power seminorm, interior double sum plus exterior tail.
 
-    At p = 2 the double sum is 2h^2 * u . Lu = 2h^2 (sum_i r_i u_i^2 - u.Ku).
+    The double sum is 2h^2 * u . L_W u.
     """
     grid = u.grid
     _check_ps(grid, params)
     vals = u.values
-    if params.p == 2.0:
-        inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(grid, vals)))
-    else:
-        diff = vals[:, None] - vals[None, :]
-        inner = grid.h ** 2 * float(np.sum(np.abs(diff) ** params.p * grid.kernel))
+    inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(grid, vals, params.p)))
     outer = 2.0 * grid.h * float(np.sum(np.abs(vals) ** params.p * grid.tail))
     return inner + outer
 
@@ -118,20 +128,13 @@ def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:
 
     Double sum of |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) against the
     kernel, plus the exterior tail 2h * sum |u_i|^(p-2) u_i phi_i tail_i.
-    Satisfies form_a(u, u) == seminorm_p(u).  At p = 2 the double sum is
-    2h^2 * phi . Lu = 2h^2 (sum_i r_i u_i phi_i - phi.Ku).
+    Satisfies form_a(u, u) == seminorm_p(u).  The double sum is
+    2h^2 * phi . L_W u.
     """
     _same_grid(u, phi)
     grid = u.grid
     _check_ps(grid, params)
-    if params.p == 2.0:
-        inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(grid, u.values)))
-    else:
-        du = u.values[:, None] - u.values[None, :]
-        dphi = phi.values[:, None] - phi.values[None, :]
-        inner = grid.h ** 2 * float(
-            np.sum(signed_power(du, params.p - 1.0) * dphi * grid.kernel)
-        )
+    inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(grid, u.values, params.p)))
     outer = 2.0 * grid.h * float(
         np.sum(signed_power(u.values, params.p - 1.0) * phi.values * grid.tail)
     )
@@ -158,11 +161,11 @@ def stiffness_action(grid: Grid, x: np.ndarray) -> np.ndarray:
     any grid's kernel, so at p != 2 it is the p = 2 operator of order p*s/2.
     """
     h = grid.h
-    return 2.0 * h ** 2 * _pair_action(grid, x) + 2.0 * h * x * grid.tail
+    return 2.0 * h ** 2 * _pair_action(grid, x, 2.0) + 2.0 * h * x * grid.tail
 
 
 def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
-    """Nodal gradient of seminorm_p divided by p: pair part plus tail part.
+    """Nodal gradient of seminorm_p divided by p: 2h^2 L_W u plus the tail part.
 
     The pair (i, j) appears twice in the double sum, so each kernel row
     contributes with a factor 2h^2, and the tail with 2h.  At p = 2 it is
@@ -171,17 +174,9 @@ def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
     grid = u.grid
     _check_ps(grid, params)
     vals = u.values
-    if params.p == 2.0:
-        return stiffness_action(grid, vals)
     h = grid.h
-    du = vals[:, None] - vals[None, :]
-    pair_part = 2.0 * h ** 2 * np.sum(signed_power(du, params.p - 1.0) * grid.kernel, axis=1)
+    pair_part = 2.0 * h ** 2 * _pair_action(grid, vals, params.p)
     return pair_part + 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
-
-
-def _seminorm_gradient(u: GridFunction, params: Params) -> np.ndarray:
-    """Nodal gradient of seminorm_p."""
-    return params.p * _seminorm_gradient_over_p(u, params)
 
 
 def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:

@@ -165,7 +165,3 @@ class GridFunction:
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.n))

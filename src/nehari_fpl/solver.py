@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
+from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
 from .constants import compactness_gap
 from .energy import energy, form_a, gradient, seminorm_p, split_parts, stiffness_action
 from .errors import (
@@ -425,9 +425,9 @@ def crossing_search(
 
 def default_bubble(grid: Grid, params: Params) -> BubbleSpec:
     """Bubble used by the sign-changing pipeline when none is configured."""
-    kind = "exact-p2" if params.p == 2.0 else "model"
     return BubbleSpec(
-        DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth, None, kind
+        DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth, None,
+        default_profile_kind(params),
     )
 
 
@@ -487,10 +487,8 @@ def solve_sign_changing(
         )
 
     u = _project_parts(cross.ansatz, params)
-    scale_norm = seminorm_p(u, params)
 
     def check_parts(v):
-        nonlocal scale_norm
         scale_norm = seminorm_p(v, params)
         plus, minus = split_parts(v)
         for name, part in (("plus", plus), ("minus", minus)):

@@ -16,8 +16,10 @@ from nehari_fpl import (
     interaction_exponent,
     interaction_integrals,
     ladder,
+    lebesgue_mass,
     lq_mass_scaling,
     make_u_eps,
+    mass_regime,
     profile_u,
 )
 
@@ -164,6 +166,30 @@ def test_concave_mass_trend_and_measured_slope(params):
     # decreasing along the ladder, measured slope short of the limit rate
     assert all(b < a for a, b in zip(fit.values, fit.values[1:]))
     assert fit.slope == pytest.approx(0.117, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "q, regime, theory",
+    [(2.0 / 3.0, 2, 0.5), (0.8, 3, 1.0 - 0.6 * 1.8 / 2.0)],
+    ids=["regime-2", "regime-3"],
+)
+def test_concave_mass_regimes_two_and_three(q, regime, theory):
+    # N = 1, p = 2, s = 0.2 puts the threshold (N(p-2) + ps)/(N - ps) at 2/3,
+    # inside (0, p - 1): q at the threshold is regime 2 (theory N/p, masses
+    # divided by |log eps|), q = 0.8 is regime 3 (theory N - (N-ps)(q+1)/p)
+    prm = Params(s=0.2, p=2.0, q=q, mu=0.05, N=1)
+    got_regime, threshold = mass_regime(prm)
+    assert got_regime == regime
+    assert threshold == pytest.approx(2.0 / 3.0, rel=1e-15)
+    g = build_grid(-1.0, 1.0, 64, prm)
+    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
+    specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
+    fit = lq_mass_scaling(g, prm, specs)
+    assert fit.theory == pytest.approx(theory, rel=1e-12)
+    assert fit.label.startswith(f"regime-{regime} ")
+    masses = [lebesgue_mass(make_u_eps(g, prm, sp), q + 1.0) for sp in specs]
+    divisor = np.abs(np.log(fit.eps_ladder)) if regime == 2 else 1.0
+    np.testing.assert_allclose(np.multiply(fit.values, divisor), masses, rtol=1e-14)
 
 
 def test_lq_mass_scaling_rejects_wide_rungs(params):

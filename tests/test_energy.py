@@ -18,7 +18,7 @@ from nehari_fpl import (
     split_parts,
     tail_weight,
 )
-from nehari_fpl.energy import _seminorm_gradient
+from nehari_fpl.energy import _seminorm_gradient_over_p
 from nehari_fpl.grid import pair_kernel
 
 
@@ -138,58 +138,53 @@ def test_grid_mismatch_guard(params, grid48, rng):
         residual(u, v, params)
 
 
+PAIR_PARAMS = {
+    "p2": Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1),
+    "p2.5": Params(s=0.3, p=2.5, q=0.5, mu=0.05, N=1),
+    "p3": Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1),
+}
+
+
 @pytest.mark.parametrize("n", [2, 17, 48, 64])
-def test_p2_pair_sums_match_dense_reference(params, n):
-    # the p = 2 matvec path against the pair sums spelled out over the
-    # dense kernel, for a sign-changing u
-    grid = build_grid(-1.0, 1.0, n, params)
+@pytest.mark.parametrize("key", list(PAIR_PARAMS))
+def test_pair_sums_match_dense_reference(key, n):
+    # the pair action (one matvec against K at p = 2, against the weighted
+    # kernel otherwise) against the pair sums spelled out over the dense
+    # kernel, for a sign-changing u
+    prm = PAIR_PARAMS[key]
+    p = prm.p
+    grid = build_grid(-1.0, 1.0, n, prm)
     rng = np.random.default_rng(n)
     vals = rng.standard_normal(n)
     vals[0], vals[-1] = 1.0, -1.0
     u = GridFunction(grid, vals)
     phi = _random_fn(grid, rng)
-    h, tail, kernel = grid.h, grid.tail, pair_kernel(grid.nodes, params.ps)
+    h, tail, kernel = grid.h, grid.tail, pair_kernel(grid.nodes, prm.ps)
     du = vals[:, None] - vals[None, :]
     dphi = phi.values[:, None] - phi.values[None, :]
-    sem = h * h * np.sum(du ** 2 * kernel) + 2.0 * h * np.sum(vals ** 2 * tail)
-    pairing = h * h * np.sum(du * dphi * kernel) + 2.0 * h * np.sum(vals * phi.values * tail)
-    sem_grad = 2.0 * h * h * np.sum(du * kernel, axis=1) + 2.0 * h * vals * tail
-    assert seminorm_p(u, params) == pytest.approx(sem, rel=1e-13)
-    assert form_a(u, phi, params) == pytest.approx(pairing, rel=1e-13)
+    pair = np.sign(du) * np.abs(du) ** (p - 1.0) * kernel
+    own = np.sign(vals) * np.abs(vals) ** (p - 1.0) * tail
+    sem = h * h * np.sum(np.abs(du) ** p * kernel) + 2.0 * h * np.sum(np.abs(vals) ** p * tail)
+    pairing = h * h * np.sum(pair * dphi) + 2.0 * h * np.sum(own * phi.values)
+    sem_grad = 2.0 * h * h * np.sum(pair, axis=1) + 2.0 * h * own
+    assert seminorm_p(u, prm) == pytest.approx(sem, rel=1e-13)
+    assert form_a(u, phi, prm) == pytest.approx(pairing, rel=1e-13)
+    got = _seminorm_gradient_over_p(u, prm)
+    assert np.max(np.abs(got - sem_grad)) <= 1e-13 * np.max(np.abs(sem_grad))
+    assert _seminorm_gradient_over_p(u, prm).tobytes() == got.tobytes()
     pos = np.maximum(vals, 0.0)
     mass_grads = {
-        False: params.mu * h * np.sign(vals) * np.abs(vals) ** params.q
-        + h * np.sign(vals) * np.abs(vals) ** (params.pstar - 1.0),
-        True: params.mu * h * pos ** params.q + h * pos ** (params.pstar - 1.0),
+        False: prm.mu * h * np.sign(vals) * np.abs(vals) ** prm.q
+        + h * np.sign(vals) * np.abs(vals) ** (prm.pstar - 1.0),
+        True: prm.mu * h * pos ** prm.q + h * pos ** (prm.pstar - 1.0),
     }
     for plus_variant, mass_grad in mass_grads.items():
         expected = sem_grad - mass_grad
-        g = gradient(u, params, plus_variant=plus_variant).values
+        g = gradient(u, prm, plus_variant=plus_variant).values
         assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert gradient(u, params, plus_variant=plus_variant).values.tobytes() == g.tobytes()
-    assert seminorm_p(u, params) == seminorm_p(u, params)
-    assert form_a(u, phi, params) == form_a(u, phi, params)
-
-
-@pytest.mark.parametrize("n", [2, 17, 48, 64])
-def test_seminorm_gradient_matches_dense_reference(params, n):
-    # the shared seminorm gradient p * (pair part + tail part) against the
-    # dense pair_kernel sum, for a sign-changing u, at p = 2 (matvec path)
-    # and p = 3 (dense path)
-    rng = np.random.default_rng(n)
-    vals = rng.standard_normal(n)
-    vals[0], vals[-1] = 1.0, -1.0
-    for prm in (params, Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)):
-        grid = build_grid(-1.0, 1.0, n, prm)
-        u = GridFunction(grid, vals)
-        h, tail, kernel = grid.h, grid.tail, pair_kernel(grid.nodes, prm.ps)
-        du = vals[:, None] - vals[None, :]
-        pair = np.sum(np.sign(du) * np.abs(du) ** (prm.p - 1.0) * kernel, axis=1)
-        own = np.sign(vals) * np.abs(vals) ** (prm.p - 1.0) * tail
-        expected = prm.p * (2.0 * h * h * pair + 2.0 * h * own)
-        got = _seminorm_gradient(u, prm)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert _seminorm_gradient(u, prm).tobytes() == got.tobytes()
+        assert gradient(u, prm, plus_variant=plus_variant).values.tobytes() == g.tobytes()
+    assert seminorm_p(u, prm) == seminorm_p(u, prm)
+    assert form_a(u, phi, prm) == form_a(u, phi, prm)
 
 
 def test_kernel_strength_mismatch_raises(params, grid48, rng):

@@ -9,10 +9,7 @@ and the full energy is
 
     I(u) = seminorm_p(u)/p - mu/(q+1) * int |u|^(q+1) - 1/p* * int |u|^p*,
 
-with Lebesgue integrals approximated by the rectangle rule h * sum.  The
-"plus" variant replaces both Lebesgue integrands by their positive-part
-versions (u+)^(q+1) and (u+)^p* while keeping the full seminorm; it is the
-energy whose descent drives negative parts to zero.
+with Lebesgue integrals approximated by the rectangle rule h * sum.
 
 Every pair sum goes through one pair action.  With the weighted kernel
 W_ij = K_ij |u_i - u_j|^(p-2) (W = K at p = 2) and
@@ -106,19 +103,18 @@ def seminorm_p(u: GridFunction, params: Params) -> float:
     return inner + outer
 
 
-def lebesgue_mass(u: GridFunction, r: float, plus_only: bool = False) -> float:
-    """Rectangle-rule integral of |u|^r, or of (u+)^r when plus_only."""
+def lebesgue_mass(u: GridFunction, r: float) -> float:
+    """Rectangle-rule integral of |u|^r."""
     if r < 1.0:
         raise ParameterError(f"mass exponent must be >= 1, got {r}")
-    vals = np.maximum(u.values, 0.0) if plus_only else np.abs(u.values)
-    return u.grid.h * float(np.sum(vals ** r))
+    return u.grid.h * float(np.sum(np.abs(u.values) ** r))
 
 
-def energy(u: GridFunction, params: Params, plus_variant: bool = False) -> EnergyBreakdown:
-    """Energy breakdown at u; plus_variant uses positive-part Lebesgue masses."""
+def energy(u: GridFunction, params: Params) -> EnergyBreakdown:
+    """Energy breakdown at u."""
     sem = seminorm_p(u, params)
-    lq = lebesgue_mass(u, params.q + 1.0, plus_only=plus_variant)
-    lps = lebesgue_mass(u, params.pstar, plus_only=plus_variant)
+    lq = lebesgue_mass(u, params.q + 1.0)
+    lps = lebesgue_mass(u, params.pstar)
     total = sem / params.p - params.mu / (params.q + 1.0) * lq - lps / params.pstar
     return EnergyBreakdown(sem, lq, lps, total)
 
@@ -179,24 +175,17 @@ def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
     return pair_part + 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
 
 
-def gradient(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
+def gradient(u: GridFunction, params: Params) -> GridFunction:
     """Nodal gradient g with g_k = residual(u, e_k).
 
     Assembled directly from the seminorm gradient divided by p (see
     _seminorm_gradient_over_p) and the two Lebesgue derivative terms.
-    For the plus variant the two Lebesgue derivative terms use (u+)^q and
-    (u+)^(p*-1), vanishing wherever u <= 0.
     """
     h = u.grid.h
     vals = u.values
     sem = _seminorm_gradient_over_p(u, params)
-    if plus_variant:
-        base = np.maximum(vals, 0.0)
-        concave = base ** params.q
-        critical = base ** (params.pstar - 1.0)
-    else:
-        concave = signed_power(vals, params.q)
-        critical = signed_power(vals, params.pstar - 1.0)
+    concave = signed_power(vals, params.q)
+    critical = signed_power(vals, params.pstar - 1.0)
     g = sem - params.mu * h * concave - h * critical
     return GridFunction(u.grid, g)
 

@@ -16,8 +16,6 @@ a one-hump function on (0, inf): it rises to its single maximum at
 and falls to -inf afterwards.  Whenever psi(t0) > mu*m_q there are exactly
 two crossings t- < t0 < t+: the smaller is a local minimum of phi (stable,
 "Plus" side of the manifold), the larger a local maximum ("Minus" side).
-The same analysis applies verbatim with positive-part masses (plus
-variant), since (t*u)+ = t*(u+) for t > 0.
 """
 
 from __future__ import annotations
@@ -85,8 +83,7 @@ class FiberMap:
     """Scalar coefficients of the ray energy of one function.
 
     Carries ||u||^p and the two masses together with the exponents, so the
-    whole one-dimensional analysis runs on five floats.  mass_q and
-    mass_star are the plus-part masses when built with plus_variant.
+    whole one-dimensional analysis runs on five floats.
     """
 
     norm_p: float
@@ -98,13 +95,13 @@ class FiberMap:
     mu: float
 
     @classmethod
-    def of(cls, u: GridFunction, params: Params, plus_variant: bool = False) -> "FiberMap":
+    def of(cls, u: GridFunction, params: Params) -> "FiberMap":
         if not np.any(u.values):
             raise DegenerateInputError("nonzero function required")
         return cls(
             seminorm_p(u, params),
-            lebesgue_mass(u, params.q + 1.0, plus_only=plus_variant),
-            lebesgue_mass(u, params.pstar, plus_only=plus_variant),
+            lebesgue_mass(u, params.q + 1.0),
+            lebesgue_mass(u, params.pstar),
             params.p,
             params.q,
             params.pstar,
@@ -237,29 +234,22 @@ def _bisect(g, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def fiber_derivatives(
-    u: GridFunction, t: float, params: Params, plus_variant: bool = False
-) -> tuple[float, float, float]:
+def fiber_derivatives(u: GridFunction, t: float, params: Params) -> tuple[float, float, float]:
     """(phi(t), phi'(t), phi''(t)) of the ray energy at scaling t > 0."""
     if not t > 0.0:
         raise ParameterError(f"ray scaling t must be positive, got {t}")
-    fm = FiberMap.of(u, params, plus_variant)
+    fm = FiberMap.of(u, params)
     return float(fm.phi(t)), float(fm.dphi(t)), float(fm.ddphi(t))
 
 
-def psi_and_t0(u: GridFunction, params: Params, plus_variant: bool = False) -> tuple[float, float]:
+def psi_and_t0(u: GridFunction, params: Params) -> tuple[float, float]:
     """Peak location t0 and peak value psi(t0) of the ray root function."""
-    fm = FiberMap.of(u, params, plus_variant)
+    fm = FiberMap.of(u, params)
     t0 = fm.t0()
     return t0, float(fm.psi(t0))
 
 
-def classify(
-    u: GridFunction,
-    params: Params,
-    tol_manifold: float = 1e-8,
-    plus_variant: bool = False,
-) -> NehariClass:
+def classify(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> NehariClass:
     """Classify u against the manifold at relative tolerance tol_manifold.
 
     Also evaluates the four equivalent on-manifold expressions for
@@ -271,7 +261,7 @@ def classify(
         (p-1-q) ||u||^p - (p*-1-q) m_*
         (p-p*)  ||u||^p + (p*-1-q) mu m_q
     """
-    fm = FiberMap.of(u, params, plus_variant)
+    fm = FiberMap.of(u, params)
     first = float(fm.dphi(1.0))
     second = float(fm.ddphi(1.0))
     p, q, pstar = fm.p, fm.q, fm.pstar
@@ -294,19 +284,14 @@ def classify(
     return NehariClass(tag, first, second, spread)
 
 
-def fiber_roots(
-    u: GridFunction,
-    params: Params,
-    plus_variant: bool = False,
-    tol_manifold: float = 1e-8,
-) -> FiberingReport:
+def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> FiberingReport:
     """Full two-root ray analysis of u, with both projections classified."""
-    fm = FiberMap.of(u, params, plus_variant)
+    fm = FiberMap.of(u, params)
     t0 = fm.t0()
     psi_t0 = float(fm.psi(t0))
     tminus, tplus = fm.roots()
-    class_minus = classify(u.with_values(tminus * u.values), params, tol_manifold, plus_variant)
-    class_plus = classify(u.with_values(tplus * u.values), params, tol_manifold, plus_variant)
+    class_minus = classify(u.with_values(tminus * u.values), params, tol_manifold)
+    class_plus = classify(u.with_values(tplus * u.values), params, tol_manifold)
     return FiberingReport(t0, psi_t0, fm.concave_mass, tminus, tplus, class_minus, class_plus)
 
 

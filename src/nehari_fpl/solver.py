@@ -1,11 +1,12 @@
 """Constrained descent on the unstable side of the manifold.
 
 Both solvers are projected gradient descent: take an explicit gradient
-step, rescale back onto the fiber maximum (whole ray for the positive
-solve, each sign part separately for the sign-changing solve), and accept
-the step only if the projected energy satisfies an Armijo decrease.  The
-projection is the fiber maximum, so on the manifold the envelope theorem
-makes the accepted-step energy sequence genuinely nonincreasing.
+step, rescale back onto the fiber maximum (the whole ray, clipped to
+u >= 0, for the positive solve; each sign part separately for the
+sign-changing solve), and accept the step only if the projected energy
+satisfies an Armijo decrease.  The projection is the fiber maximum, so
+on the manifold the envelope theorem makes the accepted-step energy
+sequence genuinely nonincreasing.
 
 The descent direction is the Riesz representative of the nodal gradient g
 in an inner product, and the two solves use different ones:
@@ -135,9 +136,9 @@ class SupScanResult:
     b_at: float
 
 
-def _project_ray(u: GridFunction, params: Params, plus_variant: bool = False):
+def _project_ray(u: GridFunction, params: Params):
     """(t+ u, I(t+ u)), the energy read off the closed form phi(t+)."""
-    fm = FiberMap.of(u, params, plus_variant)
+    fm = FiberMap.of(u, params)
     tplus = fm.tplus()
     return u.with_values(tplus * u.values), float(fm.phi(tplus))
 
@@ -148,9 +149,9 @@ def _stop_reason(converged: bool, stalled: bool) -> str:
     return "stalled" if stalled else "budget"
 
 
-def project_minus(u: GridFunction, params: Params, plus_variant: bool = False) -> GridFunction:
+def project_minus(u: GridFunction, params: Params) -> GridFunction:
     """Rescale u onto the fiber maximum t+(u) * u."""
-    return _project_ray(u, params, plus_variant)[0]
+    return _project_ray(u, params)[0]
 
 
 def _project_parts(u: GridFunction, params: Params) -> GridFunction:
@@ -159,6 +160,16 @@ def _project_parts(u: GridFunction, params: Params) -> GridFunction:
     plus_scaled = _project_ray(plus, params)[0]
     minus_scaled = _project_ray(minus, params)[0]
     return u.with_values(plus_scaled.values - minus_scaled.values)
+
+
+def _project_cone(v: GridFunction, params: Params):
+    """Ray projection of the clip max(v, 0), the one-sign solve's projection.
+
+    The clip keeps every trial in the cone u >= 0, which the truncated CG
+    direction alone does not guarantee.  On the descents measured no trial
+    left the cone, so there the clip changes no bit.
+    """
+    return _project_ray(v.with_values(np.maximum(v.values, 0.0)), params)
 
 
 def _positive_bump(grid: Grid, rng) -> GridFunction:
@@ -176,14 +187,13 @@ def solve_positive(
     tol_manifold: float = 1e-8,
     max_restarts: int = 5,
 ) -> SolveResult:
-    """Minimize the plus-variant energy over the unstable manifold side.
+    """Minimize I over the unstable manifold side within the cone u >= 0.
 
     Needs mu below the two-root threshold of the configuration so the
-    projection exists everywhere it is asked for.  The plus-variant
-    Lebesgue terms reward only the positive part while the seminorm pays
-    for both, so descent starves the negative part; the result's negative
-    part seminorm is reported through minus_part_norm and shrinks to
-    rounding level at convergence.
+    projection exists everywhere it is asked for.  Every trial is clipped
+    to u >= 0 before its ray projection (_project_cone), so the result is
+    nonnegative and its minus_part_norm is zero.  A stalled descent
+    restarts from a fresh bump while budget is left.
     """
     rng = np.random.default_rng(seed)
     restarts_used = 0
@@ -195,25 +205,23 @@ def solve_positive(
         restarts_used = attempt
         start = _positive_bump(grid, rng)
         try:
-            candidate = _project_ray(start, params, plus_variant=True)[0]
+            candidate = _project_ray(start, params)[0]
         except (NoRootsError, DegenerateInputError):
             continue
-        u, iterations, stalled, start_trials = _descend(
-            candidate, params, max_iters - iterations, tol_res, plus_variant=True,
-            iterations_base=iterations, sobolev=True,
+        u, made, stalled, start_trials = _descend(
+            candidate, params, max_iters - iterations, tol_res,
+            sobolev=True, project=lambda v: _project_cone(v, params),
         )
+        iterations += made
         trials += start_trials
-        g = gradient(u, params, plus_variant=True)
-        e_total = energy(u, params, plus_variant=True).total
-        if float(np.max(np.abs(g.values))) <= tol_res * (1.0 + abs(e_total)):
-            break
-        if iterations >= max_iters:
+        # only a stall with budget left is worth a restart
+        if not stalled or iterations >= max_iters:
             break
     if u is None:
         # every start failed to project; report the last bump, unconverged
         u = _positive_bump(grid, rng)
-    e_total = energy(u, params, plus_variant=True).total
-    res = float(np.max(np.abs(gradient(u, params, plus_variant=True).values)))
+    e_total = energy(u, params).total
+    res = float(np.max(np.abs(gradient(u, params).values)))
     converged = res <= tol_res * (1.0 + abs(e_total))
     plus, minus = split_parts(u)
     return SolveResult(
@@ -221,7 +229,7 @@ def solve_positive(
         energy=e_total,
         residual_norm=res,
         iterations=iterations,
-        nehari=classify(u, params, tol_manifold, plus_variant=True),
+        nehari=classify(u, params, tol_manifold),
         plus_part_norm=seminorm_p(plus, params),
         minus_part_norm=seminorm_p(minus, params),
         converged=converged,
@@ -261,29 +269,25 @@ def _riesz_direction(grid: Grid, g: np.ndarray) -> np.ndarray:
     return x
 
 
-def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
-             sobolev, project=None, on_accept=None):
+def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
     """Shared projected-descent loop; returns (u, iterations, stalled, trials).
 
     sobolev selects the direction: -A^{-1} g (the H^s Riesz representative,
     see _riesz_direction) for the one-sign solve, or -g/h (the L2 one) for
     the two-part descent, which stalls sooner along it (module docstring).
-    trials counts the projected line-search trials.  project(v) returns
-    the projected trial and its energy.  The default ray projection reads
-    the energy off the closed form phi(t+) of the map it has just built,
-    with no second seminorm evaluation.
+    project(v) returns the projected trial and its energy.  iterations
+    counts the gradient steps of this run, trials its projected
+    line-search trials.  stalled is False only when the run converged or
+    spent its budget.
     """
-    if project is None:
-        def project(v):
-            return _project_ray(v, params, plus_variant=plus_variant)
     h = u.grid.h
-    e_total = energy(u, params, plus_variant=plus_variant).total
-    iterations = iterations_base
+    e_total = energy(u, params).total
+    iterations = 0
     trials = 0
     stalled = False
     for _ in range(max(budget, 0)):
         iterations += 1
-        g = gradient(u, params, plus_variant=plus_variant).values
+        g = gradient(u, params).values
         if float(np.max(np.abs(g))) <= tol_res * (1.0 + abs(e_total)):
             iterations -= 1
             break
@@ -311,7 +315,7 @@ def _descend(u, params, budget, tol_res, *, plus_variant, iterations_base,
     return u, iterations, stalled, trials
 
 
-def sup_over_fiber(u0: GridFunction, params: Params, plus_variant: bool = False) -> FiberSupremum:
+def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
     """Supremum of the ray energy t -> I(t * u0) over t >= 0.
 
     The ray energy falls from I(0) = 0 to its local minimum at t-, rises to
@@ -319,7 +323,7 @@ def sup_over_fiber(u0: GridFunction, params: Params, plus_variant: bool = False)
     is max(0, phi(t+)).  Without the two crossings it falls on all of
     (0, inf) and the supremum is 0 at t = 0.
     """
-    fm = FiberMap.of(u0, params, plus_variant)
+    fm = FiberMap.of(u0, params)
     try:
         tplus = fm.tplus()
     except NoRootsError:
@@ -502,8 +506,7 @@ def solve_sign_changing(
         return w, energy(w, params).total
 
     u, iterations, stalled, trials = _descend(
-        u, params, max_iters, tol_res, plus_variant=False, iterations_base=0,
-        sobolev=False, project=project, on_accept=check_parts,
+        u, params, max_iters, tol_res, sobolev=False, project=project, on_accept=check_parts,
     )
 
     e_total = energy(u, params).total

@@ -203,17 +203,6 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
 
     out.append(_run("energy.positivity-pairing", "A(u,-u-) >= seminorm(u-)", positivity_pairing))
 
-    def plus_variant_on_nonneg():
-        u = _random_function(grid, rng)
-        u = u.with_values(np.abs(u.values))
-        same_total = energy(u, params).total == energy(u, params, plus_variant=True).total
-        same_grad = bool(
-            np.array_equal(gradient(u, params).values, gradient(u, params, plus_variant=True).values)
-        )
-        return same_total and same_grad, "bitwise" if same_total and same_grad else "differs", ""
-
-    out.append(_run("energy.plus-variant-on-nonneg", "variants agree bitwise for u >= 0", plus_variant_on_nonneg))
-
     def determinism():
         u = _random_function(grid, rng)
         first = energy(u, params).total

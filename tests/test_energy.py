@@ -111,23 +111,6 @@ def test_split_parts_structure(grid48, rng):
         np.testing.assert_array_equal(plus.values * minus.values, 0.0)
 
 
-def test_plus_variant_matches_on_nonnegative(params, grid48, rng):
-    u = GridFunction(grid48, np.abs(rng.standard_normal(grid48.n)))
-    full = energy(u, params)
-    plus = energy(u, params, plus_variant=True)
-    assert plus.total == full.total
-    assert plus.lq_mass == full.lq_mass
-    assert plus.lpstar_mass == full.lpstar_mass
-
-
-def test_plus_variant_drops_negative_mass(params, grid48, rng):
-    u = _random_fn(grid48, rng)
-    plus_part, _ = split_parts(u)
-    br = energy(u, params, plus_variant=True)
-    assert br.lq_mass == pytest.approx(lebesgue_mass(plus_part, params.q + 1.0), rel=1e-14)
-    assert br.lpstar_mass == pytest.approx(lebesgue_mass(plus_part, params.pstar), rel=1e-14)
-
-
 def test_grid_mismatch_guard(params, grid48, rng):
     other = build_grid(-1.0, 1.0, 32, params)
     u = _random_fn(grid48, rng)
@@ -172,17 +155,12 @@ def test_pair_sums_match_dense_reference(key, n):
     got = _seminorm_gradient_over_p(u, prm)
     assert np.max(np.abs(got - sem_grad)) <= 1e-13 * np.max(np.abs(sem_grad))
     assert _seminorm_gradient_over_p(u, prm).tobytes() == got.tobytes()
-    pos = np.maximum(vals, 0.0)
-    mass_grads = {
-        False: prm.mu * h * np.sign(vals) * np.abs(vals) ** prm.q
-        + h * np.sign(vals) * np.abs(vals) ** (prm.pstar - 1.0),
-        True: prm.mu * h * pos ** prm.q + h * pos ** (prm.pstar - 1.0),
-    }
-    for plus_variant, mass_grad in mass_grads.items():
-        expected = sem_grad - mass_grad
-        g = gradient(u, prm, plus_variant=plus_variant).values
-        assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert gradient(u, prm, plus_variant=plus_variant).values.tobytes() == g.tobytes()
+    concave = np.sign(vals) * np.abs(vals) ** prm.q
+    critical = np.sign(vals) * np.abs(vals) ** (prm.pstar - 1.0)
+    expected = sem_grad - prm.mu * h * concave - h * critical
+    g = gradient(u, prm).values
+    assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert gradient(u, prm).values.tobytes() == g.tobytes()
     assert seminorm_p(u, prm) == seminorm_p(u, prm)
     assert form_a(u, phi, prm) == form_a(u, phi, prm)
 

@@ -143,25 +143,6 @@ def test_rescaling_scale_invariance(params, grid48, rng):
     assert rep_c.tplus == pytest.approx(rep.tplus / c, rel=1e-9)
 
 
-def test_plus_variant_roots_use_positive_part(params, grid48, rng):
-    from nehari_fpl import split_parts
-
-    u = _random_fn(grid48, rng)
-    plus, _ = split_parts(u)
-    rep_var = fiber_roots(u, params, plus_variant=True)
-    fm = FiberMap.of(u, params)
-    fm_plus = FiberMap.of(plus, params)
-    # variant keeps the full seminorm but only the positive-part masses
-    target = params.mu * fm_plus.mass_q
-    psi_var = (
-        lambda t: t ** (params.p - 1.0 - params.q) * fm.norm_p
-        - t ** (params.pstar - params.q - 1.0) * fm_plus.mass_star
-    )
-    scale = max(abs(rep_var.psi_t0), abs(target))
-    assert abs(psi_var(rep_var.tminus) - target) <= 1e-8 * scale
-    assert abs(psi_var(rep_var.tplus) - target) <= 1e-8 * scale
-
-
 def test_tplus_is_upper_root_bitwise(params, grid48, rng):
     for _ in range(20):
         fm = FiberMap.of(_random_fn(grid48, rng), params)

@@ -27,7 +27,7 @@ from nehari_fpl import (
     sup_over_fiber,
     sup_scan_ab,
 )
-from nehari_fpl.solver import _riesz_direction
+from nehari_fpl.solver import _project_cone, _project_ray, _riesz_direction
 
 
 def _random_fn(grid, rng):
@@ -64,6 +64,17 @@ def test_positive_solve_facts(params, grid48):
     assert res.energy == pytest.approx(2.6858648751, rel=1e-6)
     scale = 1.0 + abs(res.energy)
     assert res.residual_norm <= 1e-6 * scale
+
+
+def test_cone_projection_clips_then_projects(params, grid48, rng):
+    # the one-sign solve's projection: the ray projection of v+ = max(v, 0)
+    v = _random_fn(grid48, rng)
+    assert np.any(v.values < 0.0) and np.any(v.values > 0.0)
+    got, e_got = _project_cone(v, params)
+    want, e_want = _project_ray(v.with_values(np.maximum(v.values, 0.0)), params)
+    assert np.all(got.values >= 0.0)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert e_got == e_want
 
 
 @pytest.mark.parametrize("n", [64, 256])

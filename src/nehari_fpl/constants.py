@@ -1,34 +1,34 @@
 """Closed-form constants, thresholds, and the discrete Sobolev quotient.
 
 All formulas are explicit in (s, p, q, N, |domain|, S); only S itself is
-numerical, obtained by minimizing the discrete Rayleigh quotient
+numerical: the discrete Rayleigh quotient
 
     R(u) = seminorm_p(u) / (int |u|^p*)^(p/p*)
 
-over grid functions.  The quotient is scale invariant, so the descent
-renormalizes to unit critical mass after every step.
+at the one-sign solution of the mu = 0 problem.  On its own fiber maximum
+a function u has mu = 0 energy (1/p - 1/p*) R(u)^(p*/(p*-p))
+= (s/N) R(u)^(N/(s p)), so the least mu = 0 level and the least quotient
+are one minimization, and the one-sign solve does it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .energy import _seminorm_gradient_over_p, lebesgue_mass, seminorm_p, signed_power
 from .errors import ParameterError
-from .grid import Grid, GridFunction, Params
+from .grid import Grid, Params
 
 P_BRANCH = (3.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
 class SobolevEstimate:
-    """Best Rayleigh quotient found, with convergence bookkeeping.
+    """Sobolev quotient of the mu = 0 one-sign solution, with its solve's bookkeeping.
 
-    ``converged`` is False when the quotient was still decreasing by more
-    than 1e-6 relative per accepted step when the iteration budget ran out.
+    ``converged`` is the mu = 0 solve's residual test: the sup norm of the
+    nodal gradient at most tol_res * (1 + |level|).  ``iterations`` counts
+    that solve's descent iterations.
     """
 
     value: float
@@ -36,74 +36,21 @@ class SobolevEstimate:
     iterations: int
 
 
-# The descent stops once the running minimum has improved by at most
-# FLOOR_REL_GAIN relative over the last FLOOR_WINDOW accepted steps: the
-# quotient sits at its rounding floor and further steps chase noise.
-FLOOR_REL_GAIN = 1e-14
-FLOOR_WINDOW = 10
-
-
 def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0) -> SobolevEstimate:
-    """Minimize the discrete Rayleigh quotient from a seeded random start.
+    """Discrete Sobolev quotient from the one-sign solve of the mu = 0 problem.
 
-    Plain descent on the logarithmic gradient of R with backtracking and a
-    modulus projection (|u| never increases the quotient), deterministic
-    for a fixed seed.  Stops at the rounding floor (see FLOOR_REL_GAIN) or
-    after ``iters`` iterations, whichever comes first.  Returns the running
-    minimum over every quotient evaluated, an upper bound for the discrete
-    infimum.  A grid built for another p*s raises ParameterError.
+    Its level c0 is (s/N) R(u)^(N/(s p)) at the solution u, so the returned
+    value (N c0 / s)^(s p / N) is R(u), an upper bound for the discrete
+    infimum.  ``iters`` caps the solve's iterations and ``seed`` picks its
+    start.  A grid built for another p*s raises ParameterError.
     """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
-    h = grid.h
-    p, pstar = params.p, params.pstar
+    from .solver import solve_positive  # solver imports compactness_gap from here
 
-    def mass(v):
-        return lebesgue_mass(v, pstar)
-
-    u = GridFunction(grid, rng.random(grid.n) + 1e-3)
-    u = u.with_values(u.values / mass(u) ** (1.0 / pstar))
-    S = seminorm_p(u, params)
-    m = mass(u)
-    quotient = S / m ** (p / pstar)
-    best = quotient
-    history = [best]
-    last_rel_drop = math.inf
-    it_done = 0
-    for it in range(iters):
-        it_done = it + 1
-        gm = pstar * h * signed_power(u.values, pstar - 1.0)
-        glog = p * _seminorm_gradient_over_p(u, params) / S - (p / pstar) * gm / m
-        d = -glog / h
-        slope = float(np.dot(glog, d))
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-18:
-            trial = u.with_values(np.abs(u.values + alpha * d))
-            m_t = mass(trial)
-            if m_t > 0.0:
-                q_t = seminorm_p(trial, params) / m_t ** (p / pstar)
-                best = min(best, q_t)
-                if q_t <= quotient * (1.0 + 1e-4 * alpha * slope):
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            last_rel_drop = 0.0
-            break
-        last_rel_drop = (quotient - q_t) / quotient
-        u = trial.with_values(trial.values / m_t ** (1.0 / pstar))
-        S = seminorm_p(u, params)
-        m = mass(u)
-        quotient = S / m ** (p / pstar)
-        best = min(best, quotient)
-        history.append(best)
-        if len(history) > FLOOR_WINDOW:
-            before = history[-1 - FLOOR_WINDOW]
-            if before - best <= FLOOR_REL_GAIN * before:
-                break
-    return SobolevEstimate(best, last_rel_drop <= 1e-6, it_done)
+    res = solve_positive(grid, replace(params, mu=0.0), seed=seed, max_iters=iters)
+    value = (params.N * res.energy / params.s) ** (params.ps / params.N)
+    return SobolevEstimate(value, res.converged, res.iterations)
 
 
 @dataclass(frozen=True)

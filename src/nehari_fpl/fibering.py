@@ -16,6 +16,8 @@ a one-hump function on (0, inf): it rises to its single maximum at
 and falls to -inf afterwards.  Whenever psi(t0) > mu*m_q there are exactly
 two crossings t- < t0 < t+: the smaller is a local minimum of phi (stable,
 "Plus" side of the manifold), the larger a local maximum ("Minus" side).
+At mu = 0 the level is zero, psi(0) = 0 takes the place of t-, and t+ is
+the ray's only critical point.
 """
 
 from __future__ import annotations
@@ -156,10 +158,10 @@ class FiberMap:
         return ratio ** (1.0 / (self.pstar - self.p))
 
     def _peak_above_level(self) -> tuple[float, float]:
-        """(concave mass c, t0), once psi(t0) > c guarantees both crossings."""
+        """(concave mass c, t0), once psi(t0) > c guarantees the crossing t+."""
         c = self.concave_mass
-        if c <= 0.0:
-            raise DegenerateInputError("concave mass must be positive for the two-root analysis")
+        if c < 0.0:
+            raise DegenerateInputError("concave mass must be nonnegative for the ray analysis")
         t0 = self.t0()
         peak = float(self.psi(t0))
         if peak <= c:
@@ -197,6 +199,8 @@ class FiberMap:
     def roots(self) -> tuple[float, float]:
         """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
         c, t0 = self._peak_above_level()
+        if c == 0.0:
+            raise DegenerateInputError("zero concave mass: the ray has no stable root")
         # psi(t) <= norm_p * t^(p-1-q), so psi < c strictly left of this point.
         lo = 0.999 * (c / self.norm_p) ** (1.0 / (self.p - 1.0 - self.q))
         tminus = _bisect(self._level_gap(c), lo, t0)
@@ -205,7 +209,8 @@ class FiberMap:
     def tplus(self) -> float:
         """The upper crossing alone, the fiber maximum; equals roots()[1].
 
-        Raises what roots() raises for a ray without two crossings.
+        Raises what roots() raises for a ray without two crossings, except
+        at zero concave mass, where t+ is (||u||^p / m_*)^(1/(p*-p)).
         """
         return self._upper_root(*self._peak_above_level())
 

@@ -28,7 +28,9 @@ class Params:
     s  : fractional order, 0 < s < 1.
     p  : integrability exponent, p >= 2.
     q  : sublinear exponent of the concave term, 0 < q < p - 1.
-    mu : weight of the concave term, mu > 0.
+    mu : weight of the concave term, mu >= 0.  At mu = 0 the energy is
+         the pure critical one, whose least one-sign level is
+         (s/N) S^(N/(p*s)) (constants.estimate_sobolev).
     N  : dimension entering the closed-form constants and the critical
          exponent; the quadrature itself is one-dimensional.  Must satisfy
          N > p*s so the critical exponent is finite.
@@ -55,8 +57,8 @@ class Params:
             raise ParameterError(f"p must be >= 2, got {self.p}")
         if not 0.0 < self.q < self.p - 1.0:
             raise ParameterError(f"q must lie in (0, p - 1) = (0, {self.p - 1}), got {self.q}")
-        if self.mu <= 0.0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
+        if self.mu < 0.0:
+            raise ParameterError(f"mu must be nonnegative, got {self.mu}")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.N <= self.p * self.s:

@@ -190,10 +190,12 @@ def solve_positive(
     """Minimize I over the unstable manifold side within the cone u >= 0.
 
     Needs mu below the two-root threshold of the configuration so the
-    projection exists everywhere it is asked for.  Every trial is clipped
-    to u >= 0 before its ray projection (_project_cone), so the result is
-    nonnegative and its minus_part_norm is zero.  A stalled descent
-    restarts from a fresh bump while budget is left.
+    projection exists everywhere it is asked for; raises SolverError when
+    no start projects.  Every trial is clipped to u >= 0 before its ray
+    projection (_project_cone), so the result is nonnegative and its
+    minus_part_norm is zero.  A stalled descent restarts from a fresh bump
+    while budget is left.  At mu = 0 it is the Sobolev quotient's
+    minimization (constants.estimate_sobolev).
     """
     rng = np.random.default_rng(seed)
     restarts_used = 0
@@ -218,8 +220,10 @@ def solve_positive(
         if not stalled or iterations >= max_iters:
             break
     if u is None:
-        # every start failed to project; report the last bump, unconverged
-        u = _positive_bump(grid, rng)
+        raise SolverError(
+            f"no start projects onto the fiber maximum in {max_restarts + 1} tries: "
+            f"mu = {params.mu} is above the two-root threshold for these starts"
+        )
     e_total = energy(u, params).total
     res = float(np.max(np.abs(gradient(u, params).values)))
     converged = res <= tol_res * (1.0 + abs(e_total))
@@ -475,6 +479,7 @@ def solve_sign_changing(
     cross = None
     restarts_used = 0
     for attempt in range(max_restarts + 1):
+        restarts_used = attempt
         spec = BubbleSpec(
             bubble.eps * 0.85 ** attempt, bubble.delta, bubble.center, bubble.profile_kind
         )
@@ -483,7 +488,6 @@ def solve_sign_changing(
             cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
             break
         except (NoRootsError, NoCrossingError, DegenerateInputError):
-            restarts_used = attempt + 1
             continue
     if cross is None:
         raise SolverError(

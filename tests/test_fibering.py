@@ -150,12 +150,15 @@ def test_tplus_is_upper_root_bitwise(params, grid48, rng):
     u = _random_fn(grid48, rng)
     fm = FiberMap.of(u, params)
     big = FiberMap.of(u, Params(params.s, params.p, params.q, 2.0 * fm.psi(fm.t0()) / fm.mass_q, params.N))
+    with pytest.raises(NoRootsError):
+        big.roots()
+    with pytest.raises(NoRootsError):
+        big.tplus()
+    # zero concave mass: no stable root, and t+ = (||u||^p / m_*)^(1/(p*-p)) = 1
     flat = FiberMap(norm_p=1.0, mass_q=0.0, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=0.05)
-    for bad, error in ((big, NoRootsError), (flat, DegenerateInputError)):
-        with pytest.raises(error):
-            bad.roots()
-        with pytest.raises(error):
-            bad.tplus()
+    with pytest.raises(DegenerateInputError, match="no stable root"):
+        flat.roots()
+    assert flat.tplus() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tplus_brackets_past_float_overflow():

@@ -76,6 +76,10 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         # subcritical requires N > ps
         Params(s=0.6, p=2.0, q=0.5, mu=0.05, N=1)
+    with pytest.raises(ParameterError):
+        Params(s=0.4, p=2.0, q=0.5, mu=-0.05, N=1)
+    # mu = 0 is the pure critical problem
+    assert Params(s=0.4, p=2.0, q=0.5, mu=0.0, N=1).mu == 0.0
 
 
 def test_pstar_value(params):

@@ -9,7 +9,9 @@ from nehari_fpl import (
     BubbleSpec,
     GridFunction,
     NehariTag,
+    NoCrossingError,
     Params,
+    SolverError,
     build_grid,
     classify,
     crossing_search,
@@ -27,6 +29,7 @@ from nehari_fpl import (
     sup_over_fiber,
     sup_scan_ab,
 )
+from nehari_fpl import solver as solver_module
 from nehari_fpl.solver import _project_cone, _project_ray, _riesz_direction
 
 
@@ -233,6 +236,24 @@ def test_solve_positive_respects_restart_budget(params):
     res = solve_positive(g, params, seed=1, max_iters=2000)
     assert res.converged
     assert res.restarts <= 5
+
+
+def test_solve_positive_raises_when_no_start_projects(params, grid48):
+    # mu far above the two-root threshold: no start has a fiber maximum, so
+    # there is no descent to report
+    with pytest.raises(SolverError, match="no start projects"):
+        solve_positive(grid48, replace(params, mu=100.0), seed=0)
+
+
+def test_sign_changing_failure_counts_bubble_retries(params, grid48, monkeypatch):
+    def no_crossing(*args, **kwargs):
+        raise NoCrossingError("forced", [])
+
+    monkeypatch.setattr(solver_module, "crossing_search", no_crossing)
+    w1 = solve_positive(grid48, params, seed=0).u
+    # the first bubble scale plus five retries
+    with pytest.raises(SolverError, match="after 5 restarts"):
+        solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
 
 
 def test_stop_reason_says_why_descent_ended(params, grid48):

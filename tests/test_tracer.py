@@ -34,3 +34,16 @@ def test_tracer_spans_every_traced_function(params):
         tracer.uninstall()
     assert tracer.counts["solver.armijo_trials"] == res.armijo_trials
     assert tracer.counts["solver.iterations"] == res.iterations
+
+
+def test_tracer_counts_sobolev_iterations(params):
+    # the estimate is a mu = 0 one-sign solve; the observer still reads its
+    # iteration count off the returned estimate
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        est = nehari_fpl.estimate_sobolev(build_grid(-1.0, 1.0, 48, params), params, 600, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["constants.sobolev.iterations"] == est.iterations

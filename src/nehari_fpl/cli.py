@@ -29,7 +29,7 @@ from .config import (
     load_config,
     params_from,
 )
-from .constants import compactness_gap, estimate_sobolev, regime_report
+from .constants import compactness_gap, estimate_sobolev, regime_report, sobolev_exact
 from .bubble import (
     INTERACTION_NAMES,
     fit_exponent,
@@ -119,9 +119,11 @@ def _cmd_constants(cfg, out_dir, overrides) -> int:
     est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
     rep = regime_report(params, grid.b - grid.a, est.value)
     regime, threshold = mass_regime(params)
-    rows = [
-        ("sobolev.estimate", "discrete quotient minimum", est.value),
-        ("sobolev.converged", "quotient descent converged", est.converged),
+    rows = [("sobolev.estimate", "quotient of the mu = 0 one-sign solution", est.value)]
+    if params.p == 2.0:
+        rows.append(("sobolev.exact", "sharp p = 2 constant, closed form", sobolev_exact(params)))
+    rows += [
+        ("sobolev.converged", "mu = 0 solve residual below tolerance", est.converged),
         ("sobolev.iterations", "descent iterations used", est.iterations),
         ("const.mu_tilde", "uniform two-root threshold", rep.mu_tilde),
         ("const.big_m", "compactness drop prefactor", rep.big_m),
@@ -260,6 +262,7 @@ def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
         ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
+        ("solve.cg_steps", "conjugate-gradient steps, all directions", res.cg_steps),
         ("solve.restarts", "fresh starts used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
@@ -347,7 +350,7 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         ("scan.bound", "one-sign level plus the compactness gap", bound),
         ("scan.below_bound", "scan max strictly below the bound", scan.value < bound),
         ("scan.hypothesis_ok", "(q, N) inside the window", rep.hypothesis_ok),
-        ("scan.sobolev", "discrete quotient minimum", est.value),
+        ("scan.sobolev", "quotient of the mu = 0 one-sign solution", est.value),
     ]
     _write_report(out_dir, "sup-scan", overrides, cfg, rows, seed=int(cfg["solver.seed"]))
     return 0

@@ -8,7 +8,9 @@ numerical: the discrete Rayleigh quotient
 at the one-sign solution of the mu = 0 problem.  On its own fiber maximum
 a function u has mu = 0 energy (1/p - 1/p*) R(u)^(p*/(p*-p))
 = (s/N) R(u)^(N/(s p)), so the least mu = 0 level and the least quotient
-are one minimization, and the one-sign solve does it.
+are one minimization, and the one-sign solve does it.  At p = 2 the sharp
+constant of this seminorm is also known in closed form (sobolev_exact);
+it is reported next to the estimate, not used in its place.
 """
 
 from __future__ import annotations
@@ -51,6 +53,28 @@ def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0
     res = solve_positive(grid, replace(params, mu=0.0), seed=seed, max_iters=iters)
     value = (params.N * res.energy / params.s) ** (params.ps / params.N)
     return SobolevEstimate(value, res.converged, res.iterations)
+
+
+def sobolev_exact(params: Params) -> float:
+    """Sharp p = 2 Sobolev constant of this seminorm on all of R^N: 2 S_CT / C(N, s).
+
+    Cotsiolis and Tavoularis (J. Math. Anal. Appl. 295, 2004) give
+    ||(-Delta)^(s/2) u||^2 >= S_CT ||u||^2_(2*) with
+    S_CT = 2^(2s) pi^s G((N+2s)/2) / G((N-2s)/2) (G(N/2)/G(N))^(2s/N), G the
+    gamma function.  The seminorm here is the full Gagliardo double
+    integral, 2 / C(N, s) times that norm, with
+    C(N, s) = s 2^(2s) G((N+2s)/2) / (pi^(N/2) G(1-s)) (Di Nezza, Palatucci
+    and Valdinoci, Bull. Sci. Math. 136, 2012, Prop. 3.6); the factors
+    2^(2s) G((N+2s)/2) cancel in the ratio.  Raises ParameterError at p != 2.
+    """
+    if params.p != 2.0:
+        raise ParameterError(f"the closed-form Sobolev constant needs p = 2, got p = {params.p}")
+    s, N = params.s, params.N
+    return (
+        2.0 * math.pi ** (s + N / 2.0) * math.gamma(1.0 - s)
+        * (math.gamma(N / 2.0) / math.gamma(N)) ** (2.0 * s / N)
+        / (s * math.gamma((N - 2.0 * s) / 2.0))
+    )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ exterior is not truncated; its kernel mass is folded into a per-node
     tail(x) = ((x - a)^(-p*s) + (b - x)^(-p*s)) / (p*s),
 
 the exact integral of |x - y|^(-(1 + p*s)) over y outside (a, b).
+
+The grid also stores the eigenvalues of the Strang circulant of its p = 2
+seminorm operator A (strang_circulant), the one-sign descent's
+preconditioner.
 """
 
 from __future__ import annotations
@@ -104,13 +108,37 @@ def pair_kernel(nodes: np.ndarray, ps: float) -> np.ndarray:
     return kernel
 
 
+def strang_circulant(kernel: np.ndarray, row_sums: np.ndarray, tail: np.ndarray, h: float) -> np.ndarray:
+    """Eigenvalues of the Strang circulant C of A = 2h^2 (diag(r) - K) + 2h diag(tail).
+
+    Off the diagonal A is Toeplitz, A_ij = -2h^2 K_0|i-j|, and its diagonal
+    varies only through the row sums and the tail.  C has the column
+    c_0 = max_i A_ii, c_k = c_(n-k) = -2h^2 K_0k for 1 <= k <= n/2 (Strang,
+    Stud. Appl. Math. 74, 1986), so C x = irfft(rfft(c) rfft(x)) and its
+    eigenvalues are rfft(c).real, one per frequency 0..n//2.  Raises
+    ParameterError unless all are positive: conjugate gradients need a
+    symmetric positive definite preconditioner.
+    """
+    k = np.arange(kernel.shape[0])
+    col = -2.0 * h ** 2 * kernel[0, np.minimum(k, k.size - k)]
+    col[0] = np.max(2.0 * h ** 2 * row_sums + 2.0 * h * tail)
+    eig = np.fft.rfft(col).real
+    if not np.all(eig > 0.0):
+        raise ParameterError(
+            f"Strang circulant of the n = {k.size} grid operator is not positive definite: "
+            f"least eigenvalue {float(np.min(eig))!r}"
+        )
+    return eig
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform interior grid with precomputed kernel data.
 
-    The kernel matrix, its row sums and the tail weights are built for the
-    p*s the grid was constructed with; energy routines raise ParameterError
-    when called with parameters of a different p*s.
+    The kernel matrix, its row sums, the tail weights and the Strang
+    circulant's eigenvalues are built for the p*s the grid was constructed
+    with; energy routines raise ParameterError when called with parameters
+    of a different p*s.
     """
 
     a: float
@@ -122,6 +150,7 @@ class Grid:
     ps: float
     kernel: np.ndarray
     row_sums: np.ndarray
+    strang_eigs: np.ndarray
 
     @property
     def halfwidth(self) -> float:
@@ -142,9 +171,10 @@ def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
     tail = tail_vector(nodes, a, b, params.ps)
     kernel = pair_kernel(nodes, params.ps)
     row_sums = kernel.sum(axis=1)
-    for arr in (nodes, tail, kernel, row_sums):
+    strang_eigs = strang_circulant(kernel, row_sums, tail, h)
+    for arr in (nodes, tail, kernel, row_sums, strang_eigs):
         arr.setflags(write=False)
-    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, kernel, row_sums)
+    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, kernel, row_sums, strang_eigs)
 
 
 @dataclass(frozen=True)

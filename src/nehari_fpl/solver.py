@@ -14,10 +14,13 @@ in an inner product, and the two solves use different ones:
 * The one-sign solve descends along the Sobolev gradient -A^{-1} g, with
   A the grid's p = 2 seminorm operator (energy.stiffness_action), the
   discrete H^s inner product the seminorm itself defines (Neuberger,
-  LNM 1670).  A^{-1} g comes from Jacobi-preconditioned conjugate
-  gradients to RIESZ_RTOL relative residual.  The full step is usually
-  accepted and the iteration count does not grow with n.  At p != 2
-  the same operator on that grid's kernel serves as the metric.
+  LNM 1670).  A^{-1} g comes from conjugate gradients to RIESZ_RTOL
+  relative residual, preconditioned by the Strang circulant of A, whose
+  eigenvalues the grid stores; one rfft/irfft pair applies its inverse
+  (numpy's FFT is deterministic, so repeated solves keep their bits).
+  The full step is usually accepted, and neither the iteration count nor
+  the CG steps per direction (about two) grow with n.  At p != 2 the
+  same operator on that grid's kernel serves as the metric.
 * The two-part sign-changing descent keeps the L2 direction -g/h, the
   Riesz representative in h * sum u_i v_i.  The set it searches holds no
   critical point, so it can only end on a stalled line search; along the
@@ -74,7 +77,9 @@ class SolveResult:
     stop_reason says why the descent ended: ``converged`` (residual below
     tolerance), ``stalled`` (the line search found no acceptable step) or
     ``budget`` (the iteration or restart budget ran out first).
-    armijo_trials counts the projected line-search trials over all starts.
+    armijo_trials counts the projected line-search trials over all starts,
+    cg_steps the conjugate-gradient steps of every H^s direction over all
+    starts (0 for the two-part descent, which steps along the L2 one).
     """
 
     u: GridFunction
@@ -87,6 +92,7 @@ class SolveResult:
     converged: bool
     stop_reason: str
     armijo_trials: int
+    cg_steps: int
     restarts: int = 0
     plus_class: NehariClass | None = None
     minus_class: NehariClass | None = None
@@ -201,6 +207,7 @@ def solve_positive(
     restarts_used = 0
     iterations = 0
     trials = 0
+    cg_steps = 0
     stalled = False
     u = None
     for attempt in range(max_restarts + 1):
@@ -210,12 +217,13 @@ def solve_positive(
             candidate = _project_ray(start, params)[0]
         except (NoRootsError, DegenerateInputError):
             continue
-        u, made, stalled, start_trials = _descend(
+        u, made, stalled, start_trials, start_cg = _descend(
             candidate, params, max_iters - iterations, tol_res,
             sobolev=True, project=lambda v: _project_cone(v, params),
         )
         iterations += made
         trials += start_trials
+        cg_steps += start_cg
         # only a stall with budget left is worth a restart
         if not stalled or iterations >= max_iters:
             break
@@ -239,55 +247,59 @@ def solve_positive(
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
         armijo_trials=trials,
+        cg_steps=cg_steps,
         restarts=restarts_used,
     )
 
 
-def _riesz_direction(grid: Grid, g: np.ndarray) -> np.ndarray:
-    """Approximate A^{-1} g, A the grid's p = 2 seminorm operator.
+def _riesz_direction(grid: Grid, g: np.ndarray):
+    """(x, steps): x approximates A^{-1} g, A the grid's p = 2 seminorm operator.
 
-    Jacobi-preconditioned conjugate gradients from x = 0, stopped once
-    |A x - g| <= RIESZ_RTOL |g| or after n steps.  Every iterate is the
-    A-orthogonal projection of A^{-1} g onto a Krylov space, so
-    g . x = x . A x > 0 and -x is a descent direction however early the
-    iteration stops.
+    Conjugate gradients from x = 0, preconditioned by the Strang circulant
+    C of A (grid.strang_eigs; Chan & Jin, Iterative Toeplitz Solvers,
+    SIAM 2007), applied as C^{-1} r = irfft(rfft(r) / eigs), and stopped
+    once |A x - g| <= RIESZ_RTOL |g| or after n steps.  A is a Toeplitz
+    matrix plus a diagonal that varies little, so C^{-1} A clusters near 1
+    and about two steps suffice at every n.  steps counts the matvecs.
+    Every iterate is the A-orthogonal projection of A^{-1} g onto a Krylov
+    space, so g . x = x . A x > 0 and -x is a descent direction however
+    early the iteration stops.
     """
-    # the diagonal of A; the kernel's own diagonal is zero
-    diag = 2.0 * grid.h ** 2 * grid.row_sums + 2.0 * grid.h * grid.tail
+    n = grid.n
     x = np.zeros_like(g)
     r = g.copy()
-    z = r / diag
-    d = z.copy()
-    rz = float(np.dot(r, z))
     stop = RIESZ_RTOL * float(np.linalg.norm(g))
-    for _ in range(grid.n):
-        if float(np.linalg.norm(r)) <= stop:
-            break
+    steps = 0
+    while steps < n and float(np.linalg.norm(r)) > stop:
+        z = np.fft.irfft(np.fft.rfft(r) / grid.strang_eigs, n)
+        rz = float(np.dot(r, z))
+        d = z if steps == 0 else z + (rz / rz_old) * d
+        steps += 1
         ad = stiffness_action(grid, d)
         step = rz / float(np.dot(d, ad))
         x += step * d
         r -= step * ad
-        z = r / diag
-        rz, rz_old = float(np.dot(r, z)), rz
-        d = z + (rz / rz_old) * d
-    return x
+        rz_old = rz
+    return x, steps
 
 
 def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
-    """Shared projected-descent loop; returns (u, iterations, stalled, trials).
+    """Shared projected-descent loop; returns (u, iterations, stalled, trials, cg_steps).
 
     sobolev selects the direction: -A^{-1} g (the H^s Riesz representative,
     see _riesz_direction) for the one-sign solve, or -g/h (the L2 one) for
     the two-part descent, which stalls sooner along it (module docstring).
     project(v) returns the projected trial and its energy.  iterations
     counts the gradient steps of this run, trials its projected
-    line-search trials.  stalled is False only when the run converged or
-    spent its budget.
+    line-search trials, cg_steps the conjugate-gradient steps of its H^s
+    directions (0 along the L2 one).  stalled is False only when the run
+    converged or spent its budget.
     """
     h = u.grid.h
     e_total = energy(u, params).total
     iterations = 0
     trials = 0
+    cg_steps = 0
     stalled = False
     for _ in range(max(budget, 0)):
         iterations += 1
@@ -295,7 +307,12 @@ def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
         if float(np.max(np.abs(g))) <= tol_res * (1.0 + abs(e_total)):
             iterations -= 1
             break
-        d = -_riesz_direction(u.grid, g) if sobolev else -g / h
+        if sobolev:
+            x, steps = _riesz_direction(u.grid, g)
+            d = -x
+            cg_steps += steps
+        else:
+            d = -g / h
         slope = float(np.dot(g, d))
         alpha = 1.0
         accepted = False
@@ -316,7 +333,7 @@ def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
         u, e_total = trial, e_trial
         if on_accept is not None:
             on_accept(u)
-    return u, iterations, stalled, trials
+    return u, iterations, stalled, trials, cg_steps
 
 
 def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
@@ -509,7 +526,7 @@ def solve_sign_changing(
         w = _project_parts(v, params)
         return w, energy(w, params).total
 
-    u, iterations, stalled, trials = _descend(
+    u, iterations, stalled, trials, cg_steps = _descend(
         u, params, max_iters, tol_res, sobolev=False, project=project, on_accept=check_parts,
     )
 
@@ -535,6 +552,7 @@ def solve_sign_changing(
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
         armijo_trials=trials,
+        cg_steps=cg_steps,
         restarts=restarts_used,
         plus_class=classify(plus, params, tol_manifold),
         minus_class=classify(minus, params, tol_manifold),

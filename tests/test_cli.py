@@ -29,6 +29,19 @@ def test_constants_writes_report(tmp_path):
             assert len(ln.split("\t")) == 3
 
 
+@pytest.mark.parametrize("p, s", [(2.0, 0.4), (3.0, 0.3)])
+def test_constants_reports_exact_sobolev_at_p2_only(tmp_path, p, s):
+    argv = ["constants", "--out", str(tmp_path), "--set", "grid.n=48"]
+    code = main(argv + ["--set", f"params.p={p}", "--set", f"params.s={s}"])
+    assert code == 0
+    tags = [ln.split("\t")[0] for ln in _read(tmp_path / "constants.report.txt").decode().splitlines()]
+    start = tags.index("sobolev.estimate")
+    if p == 2.0:
+        assert tags[start + 1] == "sobolev.exact"
+    else:
+        assert "sobolev.exact" not in tags
+
+
 def test_energy_check_passes(tmp_path):
     code = main(["energy-check", "--out", str(tmp_path), "--set", "checks.n=32"])
     assert code == 0
@@ -93,6 +106,16 @@ def test_solve_positive_outputs(tmp_path):
     head = _read(tmp_path / "solution.csv").decode().splitlines()
     assert head[0] == "node,value"
     assert len(head) == 1 + 48
+
+
+def test_solve_positive_reports_cg_steps(tmp_path):
+    assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
+    rows = [ln.split("\t") for ln in _read(tmp_path / "solve-positive.report.txt").decode().splitlines()]
+    tags = [row[0] for row in rows]
+    at = tags.index("solve.cg_steps")
+    assert tags[at - 1] == "solve.armijo_trials"
+    # one CG step at least per descent iteration
+    assert int(rows[at][2]) >= int(rows[tags.index("solve.iterations")][2]) >= 1
 
 
 def test_fiber_requires_input(tmp_path):

@@ -16,6 +16,7 @@ from nehari_fpl import (
     mu_tilde,
     regime_report,
     seminorm_p,
+    sobolev_exact,
     solve_positive,
 )
 
@@ -136,6 +137,15 @@ def test_sobolev_estimate_rejects_foreign_grid(params):
     grid = build_grid(-1.0, 1.0, 32, other)
     with pytest.raises(ParameterError, match="p\\*s"):
         estimate_sobolev(grid, params, iters=10, seed=0)
+
+
+@pytest.mark.parametrize("s, value", [(0.4, 3.466370116051), (0.1, 21.471825108959)])
+def test_sobolev_exact_pins(s, value):
+    # 2 S_CT / C(N, s) at N = 1; the lattice estimate at s = 0.4 lies above
+    # it and at s = 0.1 below it
+    assert sobolev_exact(Params(s=s, p=2.0, q=0.5, mu=0.05, N=1)) == pytest.approx(value, rel=1e-12)
+    with pytest.raises(ParameterError, match="p = 2"):
+        sobolev_exact(Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1))
 
 
 def test_regime_report_rejects_bad_inputs():

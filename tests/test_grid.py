@@ -58,6 +58,26 @@ def test_tail_column_positive_and_boundary_heavy(params, grid48):
     assert t[-1] > t[grid48.n // 2]
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 48, 384])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_strang_eigenvalues_match_dense_circulant(n, p):
+    # the column c_0 = max_i A_ii, c_k = c_(n-k) = -2h^2 K_0k for k <= n/2,
+    # against the spectrum of the assembled circulant
+    prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
+    g = build_grid(-1.0, 1.0, n, prm)
+    h = g.h
+    col = np.empty(n)
+    col[0] = np.max(2.0 * h ** 2 * g.row_sums + 2.0 * h * g.tail)
+    for k in range(1, n // 2 + 1):
+        col[k] = col[n - k] = -2.0 * h ** 2 * g.kernel[0, k]
+    dense = np.array([[col[(i - j) % n] for j in range(n)] for i in range(n)])
+    full = g.strang_eigs[np.minimum(np.arange(n), n - np.arange(n))]
+    np.testing.assert_allclose(np.sort(full), np.linalg.eigvalsh(dense), rtol=1e-9, atol=0.0)
+    assert g.strang_eigs.shape == (n // 2 + 1,)
+    assert np.all(g.strang_eigs > 0.0)
+    assert not g.strang_eigs.flags.writeable
+
+
 def test_build_grid_rejects_bad_domain(params):
     with pytest.raises(ParameterError):
         build_grid(1.0, -1.0, 16, params)

@@ -100,9 +100,20 @@ def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
     dense = 2.0 * h ** 2 * (np.diag(grid.row_sums) - grid.kernel) + 2.0 * h * np.diag(grid.tail)
     for _ in range(5):
         g = rng.standard_normal(grid.n)
-        x = _riesz_direction(grid, g)
+        x, steps = _riesz_direction(grid, g)
         assert np.linalg.norm(dense @ x - g) <= 0.1 * np.linalg.norm(g)
         assert float(np.dot(g, x)) > 0.0
+        assert 1 <= steps <= grid.n
+
+
+@pytest.mark.parametrize("n", [384, 1024])
+def test_strang_preconditioned_cg_steps_stay_flat(params, n):
+    # the Strang circulant keeps about two CG steps per direction at every
+    # n; a diagonal (Jacobi) preconditioner needs 7.3 and 9.3 here, so the
+    # bound tells the two apart
+    res = solve_positive(build_grid(-1.0, 1.0, n, params), params, seed=0)
+    assert res.converged
+    assert res.cg_steps <= 3 * res.iterations
 
 
 def test_sup_over_fiber_identity(params, grid48):

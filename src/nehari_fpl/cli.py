@@ -263,6 +263,7 @@ def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.cg_steps", "conjugate-gradient steps, all directions", res.cg_steps),
+        ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
         ("solve.restarts", "fresh starts used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
@@ -299,6 +300,7 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
         ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
+        ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
         ("solve.restarts", "bubble retries used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),

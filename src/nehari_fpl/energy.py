@@ -26,6 +26,12 @@ W.sum(1) * u - W @ u.  The p = 2 seminorm is u . A u with the symmetric
 positive definite operator A = 2h^2 L + 2h diag(tail) (stiffness_action),
 which the one-sign descent also uses as its metric at every p.
 
+The gradient is assembled from three pieces (GradientPieces), each
+homogeneous along the ray t -> t u, and each pairs with u to give one
+coefficient of the ray energy; a descent that carries them along the ray
+needs no pair action to read the fiber map or the next gradient.
+pair_actions() counts the pair actions made, a machine-independent cost.
+
 Reduction order: the pair sums are a BLAS matrix-vector product,
 deterministic for a fixed BLAS thread count (checked at 1 and 2
 threads); every other sum is a single-threaded numpy reduction over an
@@ -35,6 +41,7 @@ given platform and thread count.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +72,26 @@ def _check_ps(grid: Grid, params: Params):
         )
 
 
+_tally = threading.local()
+
+
+def pair_actions() -> int:
+    """Pair actions made so far by the calling thread.
+
+    Each is one O(n^2) kernel pass (_pair_action); a solve reports the
+    difference across its run.  The count is kept per thread, so solves
+    running in other threads do not enter it.
+    """
+    return getattr(_tally, "pair_actions", 0)
+
+
 def _pair_action(grid: Grid, x: np.ndarray, p: float) -> np.ndarray:
     """(L_W x)_i = sum_j W_ij (x_i - x_j) with W_ij = K_ij |x_i - x_j|^(p-2).
 
     At p = 2, W = K and this is r_i x_i - (K x)_i, one matvec.  Any other p
     (p > 2, as Params requires) builds W in place in one n x n array.
     """
+    _tally.pair_actions = pair_actions() + 1
     if p == 2.0:
         return grid.row_sums * x - grid.kernel @ x
     w = np.subtract.outer(x, x)
@@ -175,19 +196,60 @@ def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
     return pair_part + 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
 
 
+@dataclass(frozen=True)
+class GradientPieces:
+    """The three pieces of the nodal gradient at u.
+
+    sem = G u is the seminorm gradient divided by p (the stiffness action
+    A u at p = 2), concave = sign(u)|u|^q and critical = sign(u)|u|^(p*-1),
+    so that g = sem - mu h concave - h critical.  Along the ray t -> t u
+    they are homogeneous of degrees p-1, q and p*-1, and paired with u
+    they give the ray coefficients (ray_coefficients).
+    """
+
+    u: GridFunction
+    sem: np.ndarray
+    concave: np.ndarray
+    critical: np.ndarray
+
+    @classmethod
+    def of(cls, u: GridFunction, params: Params, sem: np.ndarray | None = None) -> "GradientPieces":
+        """Pieces at u; G u costs one pair action unless sem supplies it."""
+        if sem is None:
+            sem = _seminorm_gradient_over_p(u, params)
+        vals = u.values
+        return cls(u, sem, signed_power(vals, params.q), signed_power(vals, params.pstar - 1.0))
+
+    def scaled(self, t: float, params: Params) -> "GradientPieces":
+        """Pieces at t u, by homogeneity: no pair action and no power of u."""
+        return GradientPieces(
+            self.u.with_values(t * self.u.values),
+            t ** (params.p - 1.0) * self.sem,
+            t ** params.q * self.concave,
+            t ** (params.pstar - 1.0) * self.critical,
+        )
+
+    def gradient(self, params: Params) -> np.ndarray:
+        h = self.u.grid.h
+        return self.sem - params.mu * h * self.concave - h * self.critical
+
+    def ray_coefficients(self) -> tuple[float, float, float]:
+        """(seminorm_p(u), int |u|^(q+1), int |u|^p*) as u . G u, h u . concave, h u . critical."""
+        vals, h = self.u.values, self.u.grid.h
+        return (
+            float(np.dot(vals, self.sem)),
+            h * float(np.dot(vals, self.concave)),
+            h * float(np.dot(vals, self.critical)),
+        )
+
+
 def gradient(u: GridFunction, params: Params) -> GridFunction:
     """Nodal gradient g with g_k = residual(u, e_k).
 
     Assembled directly from the seminorm gradient divided by p (see
     _seminorm_gradient_over_p) and the two Lebesgue derivative terms.
     """
-    h = u.grid.h
-    vals = u.values
-    sem = _seminorm_gradient_over_p(u, params)
-    concave = signed_power(vals, params.q)
-    critical = signed_power(vals, params.pstar - 1.0)
-    g = sem - params.mu * h * concave - h * critical
-    return GridFunction(u.grid, g)
+    return GridFunction(u.grid, GradientPieces.of(u, params).gradient(params))
 
 
 def split_parts(u: GridFunction) -> tuple[GridFunction, GridFunction]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import form_a, lebesgue_mass, seminorm_p, signed_power
+from .energy import GradientPieces, form_a, lebesgue_mass, seminorm_p, signed_power
 from .errors import (
     BisectionError,
     DegenerateDenominatorError,
@@ -109,6 +109,13 @@ class FiberMap:
             params.pstar,
             params.mu,
         )
+
+    @classmethod
+    def of_pieces(cls, pieces: GradientPieces, params: Params) -> "FiberMap":
+        """The fiber map of pieces.u, read off its gradient pieces with no pair action."""
+        if not np.any(pieces.u.values):
+            raise DegenerateInputError("nonzero function required")
+        return cls(*pieces.ray_coefficients(), params.p, params.q, params.pstar, params.mu)
 
     @property
     def concave_mass(self) -> float:
@@ -214,6 +221,39 @@ class FiberMap:
         """
         return self._upper_root(*self._peak_above_level())
 
+    def classify(self, tol_manifold: float = 1e-8) -> NehariClass:
+        """Classify the map's function against the manifold at relative tolerance tol_manifold.
+
+        Also evaluates the four equivalent on-manifold expressions for
+        phi''(1) (their pairwise differences are exact multiples of phi'(1),
+        hence vanish on the manifold) and records their spread:
+
+            (p-1)   ||u||^p - q mu m_q      - (p*-1)   m_*
+            (p-p*)  m_*     + (p-1-q) mu m_q
+            (p-1-q) ||u||^p - (p*-1-q) m_*
+            (p-p*)  ||u||^p + (p*-1-q) mu m_q
+        """
+        first = float(self.dphi(1.0))
+        second = float(self.ddphi(1.0))
+        p, q, pstar = self.p, self.q, self.pstar
+        exprs = (
+            (p - 1.0) * self.norm_p - q * self.mu * self.mass_q - (pstar - 1.0) * self.mass_star,
+            (p - pstar) * self.mass_star + (p - 1.0 - q) * self.mu * self.mass_q,
+            (p - 1.0 - q) * self.norm_p - (pstar - 1.0 - q) * self.mass_star,
+            (p - pstar) * self.norm_p + (pstar - 1.0 - q) * self.mu * self.mass_q,
+        )
+        spread = max(abs(x - y) for x in exprs for y in exprs)
+        tol = tol_manifold * self.scale
+        if abs(first) > tol:
+            tag = NehariTag.OFF
+        elif abs(second) <= tol:
+            tag = NehariTag.ZERO
+        elif second > 0.0:
+            tag = NehariTag.PLUS
+        else:
+            tag = NehariTag.MINUS
+        return NehariClass(tag, first, second, spread)
+
 
 def _bisect(g, lo: float, hi: float) -> float:
     """Bisection on [lo, hi] assuming a sign change; relative width 1e-12."""
@@ -255,38 +295,8 @@ def psi_and_t0(u: GridFunction, params: Params) -> tuple[float, float]:
 
 
 def classify(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> NehariClass:
-    """Classify u against the manifold at relative tolerance tol_manifold.
-
-    Also evaluates the four equivalent on-manifold expressions for
-    phi''(1) (their pairwise differences are exact multiples of phi'(1),
-    hence vanish on the manifold) and records their spread:
-
-        (p-1)   ||u||^p - q mu m_q      - (p*-1)   m_*
-        (p-p*)  m_*     + (p-1-q) mu m_q
-        (p-1-q) ||u||^p - (p*-1-q) m_*
-        (p-p*)  ||u||^p + (p*-1-q) mu m_q
-    """
-    fm = FiberMap.of(u, params)
-    first = float(fm.dphi(1.0))
-    second = float(fm.ddphi(1.0))
-    p, q, pstar = fm.p, fm.q, fm.pstar
-    exprs = (
-        (p - 1.0) * fm.norm_p - q * fm.mu * fm.mass_q - (pstar - 1.0) * fm.mass_star,
-        (p - pstar) * fm.mass_star + (p - 1.0 - q) * fm.mu * fm.mass_q,
-        (p - 1.0 - q) * fm.norm_p - (pstar - 1.0 - q) * fm.mass_star,
-        (p - pstar) * fm.norm_p + (pstar - 1.0 - q) * fm.mu * fm.mass_q,
-    )
-    spread = max(abs(x - y) for x in exprs for y in exprs)
-    tol = tol_manifold * fm.scale
-    if abs(first) > tol:
-        tag = NehariTag.OFF
-    elif abs(second) <= tol:
-        tag = NehariTag.ZERO
-    elif second > 0.0:
-        tag = NehariTag.PLUS
-    else:
-        tag = NehariTag.MINUS
-    return NehariClass(tag, first, second, spread)
+    """Classify u against the manifold at relative tolerance tol_manifold (FiberMap.classify)."""
+    return FiberMap.of(u, params).classify(tol_manifold)
 
 
 def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> FiberingReport:

@@ -26,6 +26,21 @@ in an inner product, and the two solves use different ones:
   critical point, so it can only end on a stalled line search; along the
   L2 direction it stalls within a few dozen iterations, while along the
   H^s direction it keeps creeping and spends its whole budget.
+
+The descent carries the gradient pieces of its iterate u
+(energy.GradientPieces): G u, the seminorm gradient over p, and
+sign(u)|u|^q and sign(u)|u|^(p*-1).  Paired with u they give the fiber
+map, and combined they give g, so neither costs a pair action.  The
+accepted trial t+ v inherits v's pieces scaled by t+^(p-1), t+^q and
+t+^(p*-1).  At p = 2, G = A is linear and the CG returns A x along with
+x, so the one-sign trial u + step has G = G u + A step and costs two
+powers and no pair action.  A trial the clip changes, and every trial at
+p != 2, costs one direct evaluation of G.  So a one-sign iteration at
+p = 2 makes its CG matvecs (about two) and no other O(n^2) work, and at
+p != 2 one pair action per trial on top.  A two-part trial evaluates G on
+both parts and on their sum.  Each solve adds one evaluation per start
+and one fresh evaluation at the returned u, from which every reported
+number comes.  SolveResult.pair_actions counts them all.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ import numpy as np
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
 from .constants import compactness_gap
-from .energy import energy, form_a, gradient, seminorm_p, split_parts, stiffness_action
+from .energy import GradientPieces, energy, pair_actions, seminorm_p, split_parts, stiffness_action
 from .errors import (
     CollapseError,
     DegenerateInputError,
@@ -80,6 +95,9 @@ class SolveResult:
     armijo_trials counts the projected line-search trials over all starts,
     cg_steps the conjugate-gradient steps of every H^s direction over all
     starts (0 for the two-part descent, which steps along the L2 one).
+    pair_actions counts the O(n^2) pair actions of the whole call
+    (energy.pair_actions): the CG matvecs plus every direct evaluation of
+    G u or of a seminorm, the final one included.
     """
 
     u: GridFunction
@@ -93,6 +111,7 @@ class SolveResult:
     stop_reason: str
     armijo_trials: int
     cg_steps: int
+    pair_actions: int
     restarts: int = 0
     plus_class: NehariClass | None = None
     minus_class: NehariClass | None = None
@@ -142,11 +161,15 @@ class SupScanResult:
     b_at: float
 
 
-def _project_ray(u: GridFunction, params: Params):
-    """(t+ u, I(t+ u)), the energy read off the closed form phi(t+)."""
-    fm = FiberMap.of(u, params)
+def _project_ray(v: GradientPieces, params: Params):
+    """(pieces at t+ v, I(t+ v)): the fiber map read off v's pieces, no pair action.
+
+    The energy is the closed form phi(t+), and the pieces are v's scaled
+    along the ray (GradientPieces.scaled).
+    """
+    fm = FiberMap.of_pieces(v, params)
     tplus = fm.tplus()
-    return u.with_values(tplus * u.values), float(fm.phi(tplus))
+    return v.scaled(tplus, params), float(fm.phi(tplus))
 
 
 def _stop_reason(converged: bool, stalled: bool) -> str:
@@ -157,25 +180,41 @@ def _stop_reason(converged: bool, stalled: bool) -> str:
 
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
     """Rescale u onto the fiber maximum t+(u) * u."""
-    return _project_ray(u, params)[0]
+    return _project_ray(GradientPieces.of(u, params), params)[0].u
 
 
-def _project_parts(u: GridFunction, params: Params) -> GridFunction:
-    """Rescale each sign part onto its own fiber maximum."""
-    plus, minus = split_parts(u)
-    plus_scaled = _project_ray(plus, params)[0]
-    minus_scaled = _project_ray(minus, params)[0]
-    return u.with_values(plus_scaled.values - minus_scaled.values)
+def _project_parts(u: GridFunction, params: Params):
+    """Rescale each sign part onto its own fiber maximum.
 
-
-def _project_cone(v: GridFunction, params: Params):
-    """Ray projection of the clip max(v, 0), the one-sign solve's projection.
-
-    The clip keeps every trial in the cone u >= 0, which the truncated CG
-    direction alone does not guarantee.  On the descents measured no trial
-    left the cone, so there the clip changes no bit.
+    Returns the pieces of the result w and I(w).  The parts interact, so
+    I(w) is not the sum of the part energies; it is read off G w, which the
+    next gradient reuses.
     """
-    return _project_ray(v.with_values(np.maximum(v.values, 0.0)), params)
+    plus, minus = split_parts(u)
+    plus_scaled = _project_ray(GradientPieces.of(plus, params), params)[0]
+    minus_scaled = _project_ray(GradientPieces.of(minus, params), params)[0]
+    w = GradientPieces.of(u.with_values(plus_scaled.u.values - minus_scaled.u.values), params)
+    return w, float(FiberMap.of_pieces(w, params).phi(1.0))
+
+
+def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, params: Params):
+    """Ray projection of the clipped trial v = max(u + step, 0), u = state.u.
+
+    The one-sign solve's projection.  The clip keeps every trial in the
+    cone u >= 0, which the truncated CG direction alone does not
+    guarantee; on the descents measured no trial left the cone.  At p = 2,
+    G is the linear stiffness action A, so while the clip changes nothing
+    G v = G u + a_step with a_step = A step, and the trial costs no pair
+    action.  Otherwise (p != 2, or a clipped node) G v is evaluated
+    directly, one pair action.
+    """
+    u = state.u
+    trial = u.values + step
+    sem = None
+    if params.p == 2.0 and not np.any(trial < 0.0):
+        sem = state.sem + a_step
+    clipped = u.with_values(np.maximum(trial, 0.0))
+    return _project_ray(GradientPieces.of(clipped, params, sem), params)
 
 
 def _positive_bump(grid: Grid, rng) -> GridFunction:
@@ -204,22 +243,23 @@ def solve_positive(
     minimization (constants.estimate_sobolev).
     """
     rng = np.random.default_rng(seed)
+    start_actions = pair_actions()
     restarts_used = 0
     iterations = 0
     trials = 0
     cg_steps = 0
     stalled = False
-    u = None
+    state = None
     for attempt in range(max_restarts + 1):
         restarts_used = attempt
         start = _positive_bump(grid, rng)
         try:
-            candidate = _project_ray(start, params)[0]
+            candidate, e_start = _project_ray(GradientPieces.of(start, params), params)
         except (NoRootsError, DegenerateInputError):
             continue
-        u, made, stalled, start_trials, start_cg = _descend(
-            candidate, params, max_iters - iterations, tol_res,
-            sobolev=True, project=lambda v: _project_cone(v, params),
+        state, made, stalled, start_trials, start_cg = _descend(
+            candidate, e_start, params, max_iters - iterations, tol_res,
+            sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
         )
         iterations += made
         trials += start_trials
@@ -227,43 +267,50 @@ def solve_positive(
         # only a stall with budget left is worth a restart
         if not stalled or iterations >= max_iters:
             break
-    if u is None:
+    if state is None:
         raise SolverError(
             f"no start projects onto the fiber maximum in {max_restarts + 1} tries: "
             f"mu = {params.mu} is above the two-root threshold for these starts"
         )
-    e_total = energy(u, params).total
-    res = float(np.max(np.abs(gradient(u, params).values)))
+    # every reported number comes from one fresh G u at the returned u, not
+    # from the pieces carried through the descent
+    final = GradientPieces.of(state.u, params)
+    fm = FiberMap.of_pieces(final, params)
+    e_total = float(fm.phi(1.0))
+    res = float(np.max(np.abs(final.gradient(params))))
     converged = res <= tol_res * (1.0 + abs(e_total))
-    plus, minus = split_parts(u)
     return SolveResult(
-        u=u,
+        u=final.u,
         energy=e_total,
         residual_norm=res,
         iterations=iterations,
-        nehari=classify(u, params, tol_manifold),
-        plus_part_norm=seminorm_p(plus, params),
-        minus_part_norm=seminorm_p(minus, params),
+        nehari=fm.classify(tol_manifold),
+        # u >= 0 (every trial is clipped), so u+ = u and u- = 0
+        plus_part_norm=fm.norm_p,
+        minus_part_norm=0.0,
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
         armijo_trials=trials,
         cg_steps=cg_steps,
+        pair_actions=pair_actions() - start_actions,
         restarts=restarts_used,
     )
 
 
 def _riesz_direction(grid: Grid, g: np.ndarray):
-    """(x, steps): x approximates A^{-1} g, A the grid's p = 2 seminorm operator.
+    """(x, steps, ax): x approximates A^{-1} g, A the grid's p = 2 seminorm operator.
 
     Conjugate gradients from x = 0, preconditioned by the Strang circulant
     C of A (grid.strang_eigs; Chan & Jin, Iterative Toeplitz Solvers,
     SIAM 2007), applied as C^{-1} r = irfft(rfft(r) / eigs), and stopped
     once |A x - g| <= RIESZ_RTOL |g| or after n steps.  A is a Toeplitz
     matrix plus a diagonal that varies little, so C^{-1} A clusters near 1
-    and about two steps suffice at every n.  steps counts the matvecs.
-    Every iterate is the A-orthogonal projection of A^{-1} g onto a Krylov
-    space, so g . x = x . A x > 0 and -x is a descent direction however
-    early the iteration stops.
+    and about two steps suffice at every n.  steps counts the matvecs, the
+    direction's only pair actions.  ax = A x = g - r comes from the CG
+    residual r at no further cost; at p = 2 it carries G along the step
+    (_project_cone).  Every iterate is the A-orthogonal projection of
+    A^{-1} g onto a Krylov space, so g . x = x . A x > 0 and -x is a
+    descent direction however early the iteration stops.
     """
     n = grid.n
     x = np.zeros_like(g)
@@ -280,46 +327,51 @@ def _riesz_direction(grid: Grid, g: np.ndarray):
         x += step * d
         r -= step * ad
         rz_old = rz
-    return x, steps
+    return x, steps, g - r
 
 
-def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
-    """Shared projected-descent loop; returns (u, iterations, stalled, trials, cg_steps).
+def _descend(state, e_total, params, budget, tol_res, *, sobolev, project, on_accept=None):
+    """Shared projected-descent loop; returns (state, iterations, stalled, trials, cg_steps).
 
+    state holds the GradientPieces of the start and e_total its energy;
+    the returned state holds the pieces of the last accepted iterate.  Each
+    iteration reads g off the carried pieces (no pair action, no power).
     sobolev selects the direction: -A^{-1} g (the H^s Riesz representative,
     see _riesz_direction) for the one-sign solve, or -g/h (the L2 one) for
     the two-part descent, which stalls sooner along it (module docstring).
-    project(v) returns the projected trial and its energy.  iterations
-    counts the gradient steps of this run, trials its projected
-    line-search trials, cg_steps the conjugate-gradient steps of its H^s
-    directions (0 along the L2 one).  stalled is False only when the run
-    converged or spent its budget.
+    project(state, step, a_step) projects the trial u + step and returns the
+    trial's pieces and energy; a_step is A step along the H^s direction and
+    None along the L2 one.  An accepted trial's pieces, already scaled onto
+    its fiber maximum, are the next iterate's.  iterations counts the
+    gradient steps of this run, trials its projected line-search trials,
+    cg_steps the conjugate-gradient steps of its H^s directions (0 along
+    the L2 one).  stalled is False only when the run converged or spent
+    its budget.
     """
-    h = u.grid.h
-    e_total = energy(u, params).total
+    grid = state.u.grid
     iterations = 0
     trials = 0
     cg_steps = 0
     stalled = False
     for _ in range(max(budget, 0)):
         iterations += 1
-        g = gradient(u, params).values
+        g = state.gradient(params)
         if float(np.max(np.abs(g))) <= tol_res * (1.0 + abs(e_total)):
             iterations -= 1
             break
         if sobolev:
-            x, steps = _riesz_direction(u.grid, g)
-            d = -x
+            x, steps, ax = _riesz_direction(grid, g)
+            d, ad = -x, -ax
             cg_steps += steps
         else:
-            d = -g / h
+            d, ad = -g / grid.h, None
         slope = float(np.dot(g, d))
         alpha = 1.0
         accepted = False
         while alpha >= ALPHA_FLOOR:
             trials += 1
             try:
-                trial, e_trial = project(u.with_values(u.values + alpha * d))
+                trial, e_trial = project(state, alpha * d, None if ad is None else alpha * ad)
             except (NoRootsError, DegenerateInputError):
                 alpha *= ARMIJO_SHRINK
                 continue
@@ -330,10 +382,10 @@ def _descend(u, params, budget, tol_res, *, sobolev, project, on_accept=None):
         if not accepted:
             stalled = True
             break
-        u, e_total = trial, e_trial
+        state, e_total = trial, e_trial
         if on_accept is not None:
-            on_accept(u)
-    return u, iterations, stalled, trials, cg_steps
+            on_accept(state)
+    return state, iterations, stalled, trials, cg_steps
 
 
 def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
@@ -478,6 +530,7 @@ def solve_sign_changing(
     the crossing fails for the configured bubble the search retries with a
     geometrically shrunken concentration scale, at most max_restarts times.
     """
+    start_actions = pair_actions()
     alpha_minus = None
     if w1 is None:
         pos = solve_positive(
@@ -511,30 +564,35 @@ def solve_sign_changing(
             f"crossing search failed for every bubble scale after {restarts_used} restarts"
         )
 
-    u = _project_parts(cross.ansatz, params)
+    state, e_start = _project_parts(cross.ansatz, params)
 
     def check_parts(v):
-        scale_norm = seminorm_p(v, params)
-        plus, minus = split_parts(v)
+        scale_norm = v.ray_coefficients()[0]
+        plus, minus = split_parts(v.u)
         for name, part in (("plus", plus), ("minus", minus)):
             norm = seminorm_p(part, params)
             if norm < COLLAPSE_FACTOR * scale_norm:
                 raise CollapseError(name, norm, scale_norm)
 
-    def project(v):
-        # the parts interact, so I(v) is not the sum of the part energies
-        w = _project_parts(v, params)
-        return w, energy(w, params).total
+    def project(v, step, a_step):
+        return _project_parts(v.u.with_values(v.u.values + step), params)
 
-    u, iterations, stalled, trials, cg_steps = _descend(
-        u, params, max_iters, tol_res, sobolev=False, project=project, on_accept=check_parts,
+    state, iterations, stalled, trials, cg_steps = _descend(
+        state, e_start, params, max_iters, tol_res, sobolev=False, project=project,
+        on_accept=check_parts,
     )
 
-    e_total = energy(u, params).total
-    res = float(np.max(np.abs(gradient(u, params).values)))
-    plus, minus = split_parts(u)
-    e_plus = energy(plus, params).total
-    e_minus = energy(minus, params).total
+    # every reported number comes from fresh pieces at the returned u and
+    # at its two parts, not from the pieces carried through the descent
+    final = GradientPieces.of(state.u, params)
+    fm = FiberMap.of_pieces(final, params)
+    e_total = float(fm.phi(1.0))
+    res = float(np.max(np.abs(final.gradient(params))))
+    plus, minus = split_parts(final.u)
+    fm_plus = FiberMap.of_pieces(GradientPieces.of(plus, params), params)
+    fm_minus = FiberMap.of_pieces(GradientPieces.of(minus, params), params)
+    e_plus = float(fm_plus.phi(1.0))
+    e_minus = float(fm_minus.phi(1.0))
     converged = res <= tol_res * (1.0 + abs(e_total))
     ps_gap_bound = None
     ps_gap_ok = None
@@ -542,28 +600,29 @@ def solve_sign_changing(
         ps_gap_bound = alpha_minus + compactness_gap(params, s_est)
         ps_gap_ok = e_total < ps_gap_bound
     return SolveResult(
-        u=u,
+        u=final.u,
         energy=e_total,
         residual_norm=res,
         iterations=iterations,
-        nehari=classify(u, params, tol_manifold),
-        plus_part_norm=seminorm_p(plus, params),
-        minus_part_norm=seminorm_p(minus, params),
+        nehari=fm.classify(tol_manifold),
+        plus_part_norm=fm_plus.norm_p,
+        minus_part_norm=fm_minus.norm_p,
         converged=converged,
         stop_reason=_stop_reason(converged, stalled),
         armijo_trials=trials,
         cg_steps=cg_steps,
+        pair_actions=pair_actions() - start_actions,
         restarts=restarts_used,
-        plus_class=classify(plus, params, tol_manifold),
-        minus_class=classify(minus, params, tol_manifold),
+        plus_class=fm_plus.classify(tol_manifold),
+        minus_class=fm_minus.classify(tol_manifold),
         crossing=cross,
         c2_split_lower=e_plus + e_minus,
         split_ok=e_total >= e_plus + e_minus - 1e-12 * max(1.0, abs(e_total)),
         ps_gap_bound=ps_gap_bound,
         ps_gap_ok=ps_gap_ok,
-        cross_plus=form_a(u, plus, params) - seminorm_p(plus, params),
-        cross_minus=form_a(u, minus.with_values(-minus.values), params)
-        - seminorm_p(minus, params),
+        # <A(u), u+> - ||u+||^p and <A(u), -u-> - ||u-||^p, with <A(u), phi> = phi . G u
+        cross_plus=float(np.dot(plus.values, final.sem)) - fm_plus.norm_p,
+        cross_minus=-float(np.dot(minus.values, final.sem)) - fm_minus.norm_p,
     )
 
 

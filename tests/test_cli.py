@@ -116,6 +116,9 @@ def test_solve_positive_reports_cg_steps(tmp_path):
     assert tags[at - 1] == "solve.armijo_trials"
     # one CG step at least per descent iteration
     assert int(rows[at][2]) >= int(rows[tags.index("solve.iterations")][2]) >= 1
+    # the pair actions hold the CG matvecs
+    assert tags[at + 1] == "solve.pair_actions"
+    assert int(rows[at + 1][2]) > int(rows[at][2])
 
 
 def test_fiber_requires_input(tmp_path):

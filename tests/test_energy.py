@@ -18,7 +18,7 @@ from nehari_fpl import (
     split_parts,
     tail_weight,
 )
-from nehari_fpl.energy import _seminorm_gradient_over_p
+from nehari_fpl.energy import GradientPieces, _seminorm_gradient_over_p, stiffness_action
 from nehari_fpl.grid import pair_kernel
 
 
@@ -174,3 +174,32 @@ def test_kernel_strength_mismatch_raises(params, grid48, rng):
         gradient(u, other_s)
     with pytest.raises(ParameterError):
         form_a(u, u, other_s)
+
+
+@pytest.mark.parametrize("key", ["p2", "p3"])
+def test_seminorm_gradient_identities_along_the_ray(key):
+    # the identities the projected descent leans on to carry G u instead of
+    # re-evaluating it: u . G u is the seminorm, G is (p-1)-homogeneous, and
+    # at p = 2 it is the linear stiffness action
+    prm = PAIR_PARAMS[key]
+    grid = build_grid(-1.0, 1.0, 64, prm)
+    rng = np.random.default_rng(7)
+    u = _random_fn(grid, rng)
+    assert np.any(u.values > 0.0) and np.any(u.values < 0.0)
+    gu = _seminorm_gradient_over_p(u, prm)
+    assert float(np.dot(u.values, gu)) == pytest.approx(seminorm_p(u, prm), rel=1e-13)
+    t = 1.7
+    gtu = _seminorm_gradient_over_p(u.with_values(t * u.values), prm)
+    assert np.max(np.abs(gtu - t ** (prm.p - 1.0) * gu)) <= 1e-13 * np.max(np.abs(gtu))
+    # the scaled pieces give the gradient and ray coefficients at t u
+    pieces = GradientPieces.of(u, prm).scaled(t, prm)
+    direct = GradientPieces.of(u.with_values(t * u.values), prm)
+    g_direct = direct.gradient(prm)
+    assert np.max(np.abs(pieces.gradient(prm) - g_direct)) <= 1e-13 * np.max(np.abs(g_direct))
+    np.testing.assert_allclose(pieces.ray_coefficients(), direct.ray_coefficients(), rtol=1e-13)
+    if prm.p == 2.0:
+        d = _random_fn(grid, rng).values
+        alpha = 0.3
+        gv = _seminorm_gradient_over_p(u.with_values(u.values + alpha * d), prm)
+        carried = gu + alpha * stiffness_action(grid, d)
+        assert np.max(np.abs(gv - carried)) <= 1e-13 * np.max(np.abs(gv))

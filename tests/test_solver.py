@@ -18,6 +18,7 @@ from nehari_fpl import (
     energy,
     estimate_sobolev,
     form_a,
+    gradient,
     lebesgue_mass,
     make_u_eps,
     project_minus,
@@ -30,6 +31,7 @@ from nehari_fpl import (
     sup_scan_ab,
 )
 from nehari_fpl import solver as solver_module
+from nehari_fpl.energy import GradientPieces, stiffness_action
 from nehari_fpl.solver import _project_cone, _project_ray, _riesz_direction
 
 
@@ -71,13 +73,26 @@ def test_positive_solve_facts(params, grid48):
 
 def test_cone_projection_clips_then_projects(params, grid48, rng):
     # the one-sign solve's projection: the ray projection of v+ = max(v, 0)
-    v = _random_fn(grid48, rng)
-    assert np.any(v.values < 0.0) and np.any(v.values > 0.0)
-    got, e_got = _project_cone(v, params)
-    want, e_want = _project_ray(v.with_values(np.maximum(v.values, 0.0)), params)
-    assert np.all(got.values >= 0.0)
-    assert got.values.tobytes() == want.values.tobytes()
+    # for the trial v = u + step
+    base = _random_fn(grid48, rng)
+    w = project_minus(base.with_values(np.abs(base.values)), params)
+    u = GradientPieces.of(w, params)
+    step = 3.0 * _random_fn(grid48, rng).values * np.max(w.values)
+    v = w.values + step
+    assert np.any(v < 0.0) and np.any(v > 0.0)
+    got, e_got = _project_cone(u, step, stiffness_action(grid48, step), params)
+    want, e_want = _project_ray(GradientPieces.of(w.with_values(np.maximum(v, 0.0)), params), params)
+    assert np.all(got.u.values >= 0.0)
+    assert got.u.values.tobytes() == want.u.values.tobytes()
     assert e_got == e_want
+    # a trial the clip leaves alone carries G u + A step at p = 2 instead of
+    # evaluating G; it lands on the same point, to rounding
+    small = 0.1 * w.values * _random_fn(grid48, rng).values
+    assert np.all(w.values + small >= 0.0)
+    got, e_got = _project_cone(u, small, stiffness_action(grid48, small), params)
+    want, e_want = _project_ray(GradientPieces.of(w.with_values(w.values + small), params), params)
+    np.testing.assert_allclose(got.u.values, want.u.values, rtol=1e-12)
+    assert e_got == pytest.approx(e_want, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -100,8 +115,10 @@ def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
     dense = 2.0 * h ** 2 * (np.diag(grid.row_sums) - grid.kernel) + 2.0 * h * np.diag(grid.tail)
     for _ in range(5):
         g = rng.standard_normal(grid.n)
-        x, steps = _riesz_direction(grid, g)
+        x, steps, ax = _riesz_direction(grid, g)
         assert np.linalg.norm(dense @ x - g) <= 0.1 * np.linalg.norm(g)
+        # A x read off the CG residual, which the descent carries G along
+        assert np.max(np.abs(ax - dense @ x)) <= 1e-12 * np.max(np.abs(g))
         assert float(np.dot(g, x)) > 0.0
         assert 1 <= steps <= grid.n
 
@@ -114,6 +131,24 @@ def test_strang_preconditioned_cg_steps_stay_flat(params, n):
     res = solve_positive(build_grid(-1.0, 1.0, n, params), params, seed=0)
     assert res.converged
     assert res.cg_steps <= 3 * res.iterations
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_positive_solve_reports_fresh_residual_and_few_pair_actions(params, seed):
+    # the descent carries G u along the ray, so at p = 2 a solve makes its CG
+    # matvecs plus one pair action per start and one for the final
+    # evaluation, from which the reported residual comes
+    res = solve_positive(build_grid(-1.0, 1.0, 384, params), params, seed=seed)
+    assert res.residual_norm == float(np.max(np.abs(gradient(res.u, params).values)))
+    assert res.pair_actions - res.cg_steps <= 2 * (res.restarts + 1)
+
+
+def test_positive_solve_pair_actions_at_p3():
+    # at p != 2, G v is evaluated once per trial, and the accepted trial's
+    # pieces serve the next gradient
+    prm = Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)
+    res = solve_positive(build_grid(-1.0, 1.0, 256, prm), prm, seed=0)
+    assert res.pair_actions - res.cg_steps <= res.armijo_trials + 2 * (res.restarts + 1)
 
 
 def test_sup_over_fiber_identity(params, grid48):

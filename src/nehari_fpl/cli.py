@@ -127,7 +127,7 @@ def _cmd_constants(cfg, out_dir, overrides) -> int:
         ("sobolev.iterations", "descent iterations used", est.iterations),
         ("const.mu_tilde", "uniform two-root threshold", rep.mu_tilde),
         ("const.big_m", "compactness drop prefactor", rep.big_m),
-        ("const.ps_level_at_mu", "compactness threshold at mu", rep.ps_level_at_mu),
+        ("const.ps_level_at_mu", "compactness threshold at mu, with S_est, not the sharp S", rep.ps_level_at_mu),
         ("const.q1", "exponent bound q1", rep.q1),
         ("const.q2", "exponent bound q2", rep.q2),
         ("const.q3", "exponent bound q3", rep.q3),
@@ -309,7 +309,7 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
         ("solve.positive_level", "one-sign level from the first stage", pos.energy),
         ("solve.split_lower", "sum of the projected part levels", res.c2_split_lower),
         ("solve.split_ok", "level at or above the split bound", res.split_ok),
-        ("solve.gap_bound", "compactness upper bound on the level", res.ps_gap_bound),
+        ("solve.gap_bound", "compactness upper bound on the level, with S_est, not the sharp S", res.ps_gap_bound),
         ("solve.gap_ok", "level below the compactness bound", res.ps_gap_ok),
         ("solve.cross_plus", "gradient pairing with the positive part", res.cross_plus),
         ("solve.cross_minus", "gradient pairing with the negative part", res.cross_minus),
@@ -349,7 +349,7 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         ("scan.value", "max of the two-bump energy", scan.value),
         ("scan.a_at", "one-sign amplitude at the max", scan.a_at),
         ("scan.b_at", "bubble amplitude at the max", scan.b_at),
-        ("scan.bound", "one-sign level plus the compactness gap", bound),
+        ("scan.bound", "one-sign level plus the compactness gap, with S_est, not the sharp S", bound),
         ("scan.below_bound", "scan max strictly below the bound", scan.value < bound),
         ("scan.hypothesis_ok", "(q, N) inside the window", rep.hypothesis_ok),
         ("scan.sobolev", "quotient of the mu = 0 one-sign solution", est.value),

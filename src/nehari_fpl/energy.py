@@ -11,26 +11,32 @@ and the full energy is
 
 with Lebesgue integrals approximated by the rectangle rule h * sum.
 
-Every pair sum goes through one pair action.  With the weighted kernel
+Every scalar here is a pairing with the gradient pieces at u
+(GradientPieces): G u, the nodal seminorm gradient divided by p, and
+sign(u)|u|^q and sign(u)|u|^(p*-1).  The seminorm is u . G u, the pairing
+<A(u), phi> is phi . G u, the weak residual is phi . g with the nodal
+gradient g = G u - mu h sign(u)|u|^q - h sign(u)|u|^(p*-1), and the three
+pieces of the energy are the ray coefficients u . G u, h u . sign(u)|u|^q
+and h u . sign(u)|u|^(p*-1).  Only lebesgue_mass, for general exponents,
+sums a power of u on its own.  Each piece is homogeneous along the ray
+t -> t u, so a descent that carries them needs no pair action to read the
+fiber map or the next gradient.
+
+G u costs one pair action.  With the weighted kernel
 W_ij = K_ij |u_i - u_j|^(p-2) (W = K at p = 2) and
 (L_W u)_i = sum_j W_ij (u_i - u_j),
 
     h^2 * sum_{i != j} |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) K_ij
         = 2 h^2 * phi . L_W u,
 
-so the seminorm (phi = u), the pairing and the gradient (2h^2 L_W u) each
-need one pair action.  At p = 2 it is one matrix-vector product K u with
-the kernel row sums r_i = sum_j K_ij stored on the grid,
-(L u)_i = r_i u_i - (K u)_i; at any other p it builds W once and takes
-W.sum(1) * u - W @ u.  The p = 2 seminorm is u . A u with the symmetric
-positive definite operator A = 2h^2 L + 2h diag(tail) (stiffness_action),
-which the one-sign descent also uses as its metric at every p.
-
-The gradient is assembled from three pieces (GradientPieces), each
-homogeneous along the ray t -> t u, and each pairs with u to give one
-coefficient of the ray energy; a descent that carries them along the ray
-needs no pair action to read the fiber map or the next gradient.
-pair_actions() counts the pair actions made, a machine-independent cost.
+so G u = 2h^2 L_W u + 2h sign(u)|u|^(p-1) tail.  At p = 2 the pair action
+is one matrix-vector product K u with the kernel row sums
+r_i = sum_j K_ij stored on the grid, (L u)_i = r_i u_i - (K u)_i; at any
+other p it builds W once and takes W.sum(1) * u - W @ u.  At p = 2, G is
+the symmetric positive definite operator A = 2h^2 L + 2h diag(tail)
+(stiffness_action), which the one-sign descent also uses as its metric at
+every p.  pair_actions() counts the pair actions made, a
+machine-independent cost.
 
 Reduction order: the pair sums are a BLAS matrix-vector product,
 deterministic for a fixed BLAS thread count (checked at 1 and 2
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .grid import Grid, GridFunction, Params
+from .grid import Grid, GridFunction, Params, _check_ps
 
 
 @dataclass(frozen=True)
@@ -63,13 +69,6 @@ class EnergyBreakdown:
 def signed_power(x, e: float):
     """sign(x) * |x|^e, continuously extended by 0 at x = 0."""
     return np.sign(x) * np.abs(x) ** e
-
-
-def _check_ps(grid: Grid, params: Params):
-    if params.ps != grid.ps:
-        raise ParameterError(
-            f"grid kernel was built for p*s = {grid.ps}, parameters have p*s = {params.ps}"
-        )
 
 
 _tally = threading.local()
@@ -112,16 +111,8 @@ def _same_grid(u: GridFunction, v: GridFunction):
 
 
 def seminorm_p(u: GridFunction, params: Params) -> float:
-    """Nonlocal p-th power seminorm, interior double sum plus exterior tail.
-
-    The double sum is 2h^2 * u . L_W u.
-    """
-    grid = u.grid
-    _check_ps(grid, params)
-    vals = u.values
-    inner = 2.0 * grid.h ** 2 * float(np.dot(vals, _pair_action(grid, vals, params.p)))
-    outer = 2.0 * grid.h * float(np.sum(np.abs(vals) ** params.p * grid.tail))
-    return inner + outer
+    """Nonlocal p-th power seminorm, interior double sum plus exterior tail: u . G u."""
+    return float(np.dot(u.values, _seminorm_gradient_over_p(u, params)))
 
 
 def lebesgue_mass(u: GridFunction, r: float) -> float:
@@ -132,43 +123,31 @@ def lebesgue_mass(u: GridFunction, r: float) -> float:
 
 
 def energy(u: GridFunction, params: Params) -> EnergyBreakdown:
-    """Energy breakdown at u."""
-    sem = seminorm_p(u, params)
-    lq = lebesgue_mass(u, params.q + 1.0)
-    lps = lebesgue_mass(u, params.pstar)
+    """Energy breakdown at u, from the ray coefficients of its gradient pieces."""
+    sem, lq, lps = GradientPieces.of(u, params).ray_coefficients()
     total = sem / params.p - params.mu / (params.q + 1.0) * lq - lps / params.pstar
     return EnergyBreakdown(sem, lq, lps, total)
 
 
 def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:
-    """Monotone operator pairing <A(u), phi>.
+    """Monotone operator pairing <A(u), phi> = phi . G u.
 
     Double sum of |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) against the
-    kernel, plus the exterior tail 2h * sum |u_i|^(p-2) u_i phi_i tail_i.
-    Satisfies form_a(u, u) == seminorm_p(u).  The double sum is
-    2h^2 * phi . L_W u.
+    kernel, plus the exterior tail 2h * sum |u_i|^(p-2) u_i phi_i tail_i;
+    form_a(u, u) == seminorm_p(u).
     """
     _same_grid(u, phi)
-    grid = u.grid
-    _check_ps(grid, params)
-    inner = 2.0 * grid.h ** 2 * float(np.dot(phi.values, _pair_action(grid, u.values, params.p)))
-    outer = 2.0 * grid.h * float(
-        np.sum(signed_power(u.values, params.p - 1.0) * phi.values * grid.tail)
-    )
-    return inner + outer
+    return float(np.dot(phi.values, _seminorm_gradient_over_p(u, params)))
 
 
 def residual(u: GridFunction, phi: GridFunction, params: Params) -> float:
-    """Weak-form defect <A(u), phi> - mu int |u|^(q-1) u phi - int |u|^(p*-2) u phi.
+    """Weak-form defect <A(u), phi> - mu int |u|^(q-1) u phi - int |u|^(p*-2) u phi = phi . g.
 
     The singular factor |u|^(q-1) u is taken as sign(u)|u|^q, which extends
     continuously by 0 through u = 0.
     """
     _same_grid(u, phi)
-    h = u.grid.h
-    concave = h * float(np.sum(signed_power(u.values, params.q) * phi.values))
-    critical = h * float(np.sum(signed_power(u.values, params.pstar - 1.0) * phi.values))
-    return form_a(u, phi, params) - params.mu * concave - critical
+    return float(np.dot(phi.values, GradientPieces.of(u, params).gradient(params)))
 
 
 def stiffness_action(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -244,11 +223,7 @@ class GradientPieces:
 
 
 def gradient(u: GridFunction, params: Params) -> GridFunction:
-    """Nodal gradient g with g_k = residual(u, e_k).
-
-    Assembled directly from the seminorm gradient divided by p (see
-    _seminorm_gradient_over_p) and the two Lebesgue derivative terms.
-    """
+    """Nodal gradient g with g_k = residual(u, e_k), from the pieces at u."""
     return GridFunction(u.grid, GradientPieces.of(u, params).gradient(params))
 
 

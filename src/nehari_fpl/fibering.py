@@ -18,6 +18,13 @@ two crossings t- < t0 < t+: the smaller is a local minimum of phi (stable,
 "Plus" side of the manifold), the larger a local maximum ("Minus" side).
 At mu = 0 the level is zero, psi(0) = 0 takes the place of t-, and t+ is
 the ray's only critical point.
+
+Every coefficient is a pairing with the gradient pieces at u
+(energy.GradientPieces): ||u||^p = u . G u, m_q = h u . sign(u)|u|^q and
+m_* = h u . sign(u)|u|^(p*-1) (FiberMap.of_pieces).  The perturbation
+derivative pairs its direction with the same pieces, and fiber_roots
+classifies t- u and t+ u from the pieces scaled along the ray, so each
+analysis of one function costs one pair action.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import GradientPieces, form_a, lebesgue_mass, seminorm_p, signed_power
+from .energy import GradientPieces, _same_grid
 from .errors import (
     BisectionError,
     DegenerateDenominatorError,
@@ -98,17 +105,8 @@ class FiberMap:
 
     @classmethod
     def of(cls, u: GridFunction, params: Params) -> "FiberMap":
-        if not np.any(u.values):
-            raise DegenerateInputError("nonzero function required")
-        return cls(
-            seminorm_p(u, params),
-            lebesgue_mass(u, params.q + 1.0),
-            lebesgue_mass(u, params.pstar),
-            params.p,
-            params.q,
-            params.pstar,
-            params.mu,
-        )
+        """The fiber map of u, read off its gradient pieces: one pair action."""
+        return cls.of_pieces(GradientPieces.of(u, params), params)
 
     @classmethod
     def of_pieces(cls, pieces: GradientPieces, params: Params) -> "FiberMap":
@@ -300,22 +298,22 @@ def classify(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> Neh
 
 
 def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> FiberingReport:
-    """Full two-root ray analysis of u, with both projections classified."""
-    fm = FiberMap.of(u, params)
+    """Full two-root ray analysis of u, with both projections classified.
+
+    t- u and t+ u are classified from u's gradient pieces scaled along the
+    ray, so the whole analysis costs one pair action.
+    """
+    pieces = GradientPieces.of(u, params)
+    fm = FiberMap.of_pieces(pieces, params)
     t0 = fm.t0()
     psi_t0 = float(fm.psi(t0))
     tminus, tplus = fm.roots()
-    class_minus = classify(u.with_values(tminus * u.values), params, tol_manifold)
-    class_plus = classify(u.with_values(tplus * u.values), params, tol_manifold)
+    class_minus = FiberMap.of_pieces(pieces.scaled(tminus, params), params).classify(tol_manifold)
+    class_plus = FiberMap.of_pieces(pieces.scaled(tplus, params), params).classify(tol_manifold)
     return FiberingReport(t0, psi_t0, fm.concave_mass, tminus, tplus, class_minus, class_plus)
 
 
-def perturbation_derivative(
-    u: GridFunction,
-    phi: GridFunction,
-    params: Params,
-    tol_degenerate: float | None = None,
-) -> float:
+def perturbation_derivative(u: GridFunction, phi: GridFunction, params: Params) -> float:
     """Derivative of the fiber-maximum rescaling under a perturbation of u.
 
     For u on the unstable side (phi''(1) < 0), perturbing u to u + w moves
@@ -326,28 +324,30 @@ def perturbation_derivative(
         / [(p-1-q) ||u||^p - (p*-q-1) m_*],
 
     where the denominator equals phi''(1) on the manifold and is strictly
-    negative exactly on that side.
+    negative exactly on that side; it counts as degenerate within
+    1e-10 * scale of zero.  The numerator is phi paired with the gradient
+    pieces at u, so the whole derivative costs one pair action.
     """
-    fm = FiberMap.of(u, params)
+    _same_grid(u, phi)
+    pieces = GradientPieces.of(u, params)
+    fm = FiberMap.of_pieces(pieces, params)
     den = (fm.p - 1.0 - fm.q) * fm.norm_p - (fm.pstar - fm.q - 1.0) * fm.mass_star
     if den >= 0.0:
         raise NotMinusConeError(
             f"denominator {den:.6g} is nonnegative: point is not strictly on the unstable side"
         )
-    tol = 1e-10 * fm.scale if tol_degenerate is None else tol_degenerate
+    tol = 1e-10 * fm.scale
     if -den < tol:
         raise DegenerateDenominatorError(
             f"denominator {den:.6g} within {tol:.3g} of zero: derivative unreliable"
         )
     h = u.grid.h
-    concave = h * float(np.sum(signed_power(u.values, params.q) * phi.values))
-    critical = h * float(np.sum(signed_power(u.values, params.pstar - 1.0) * phi.values))
     num = (
-        params.p * form_a(u, phi, params)
-        - params.pstar * critical
-        - (params.q + 1.0) * params.mu * concave
+        params.p * pieces.sem
+        - params.pstar * h * pieces.critical
+        - (params.q + 1.0) * params.mu * h * pieces.concave
     )
-    return -num / den
+    return -float(np.dot(phi.values, num)) / den
 
 
 def psi_mu(u: GridFunction, params: Params) -> float:

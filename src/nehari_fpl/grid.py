@@ -81,17 +81,23 @@ class Params:
         return self.N * self.p / (self.N - self.p * self.s)
 
 
-def tail_weight(x: float, grid: "Grid", params: Params) -> float:
-    """Exterior kernel mass seen from an interior point x.
+def _check_ps(grid: "Grid", params: Params):
+    if params.ps != grid.ps:
+        raise ParameterError(
+            f"grid kernel was built for p*s = {grid.ps}, parameters have p*s = {params.ps}"
+        )
 
-    Closed form of int_{y outside (a,b)} |x - y|^(-(1+p*s)) dy; diverges as
-    x approaches either endpoint, hence the strict interiority requirement.
+
+def tail_weight(x: float, grid: "Grid", params: Params) -> float:
+    """Exterior kernel mass seen from an interior point x (tail_vector at one node).
+
+    Diverges as x approaches either endpoint, hence the strict interiority
+    requirement; raises ParameterError unless params has the grid's p*s.
     """
-    a, b = grid.a, grid.b
-    ps = params.ps
-    if not a < x < b:
-        raise ParameterError(f"x must lie strictly inside ({a}, {b}), got {x}")
-    return ((x - a) ** (-ps) + (b - x) ** (-ps)) / ps
+    _check_ps(grid, params)
+    if not grid.a < x < grid.b:
+        raise ParameterError(f"x must lie strictly inside ({grid.a}, {grid.b}), got {x}")
+    return tail_vector(x, grid.a, grid.b, grid.ps)
 
 
 def tail_vector(nodes: np.ndarray, a: float, b: float, ps: float) -> np.ndarray:

@@ -178,6 +178,19 @@ def _stop_reason(converged: bool, stalled: bool) -> str:
     return "stalled" if stalled else "budget"
 
 
+def _fresh(u: GridFunction, params: Params, tol_res: float):
+    """(pieces, fiber map, energy, residual norm, converged) from one fresh G u.
+
+    Every number a solve reports comes from here, at the returned u, and
+    not from the pieces carried through the descent.
+    """
+    pieces = GradientPieces.of(u, params)
+    fm = FiberMap.of_pieces(pieces, params)
+    e_total = float(fm.phi(1.0))
+    res = float(np.max(np.abs(pieces.gradient(params))))
+    return pieces, fm, e_total, res, res <= tol_res * (1.0 + abs(e_total))
+
+
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
     """Rescale u onto the fiber maximum t+(u) * u."""
     return _project_ray(GradientPieces.of(u, params), params)[0].u
@@ -272,13 +285,7 @@ def solve_positive(
             f"no start projects onto the fiber maximum in {max_restarts + 1} tries: "
             f"mu = {params.mu} is above the two-root threshold for these starts"
         )
-    # every reported number comes from one fresh G u at the returned u, not
-    # from the pieces carried through the descent
-    final = GradientPieces.of(state.u, params)
-    fm = FiberMap.of_pieces(final, params)
-    e_total = float(fm.phi(1.0))
-    res = float(np.max(np.abs(final.gradient(params))))
-    converged = res <= tol_res * (1.0 + abs(e_total))
+    final, fm, e_total, res, converged = _fresh(state.u, params, tol_res)
     return SolveResult(
         u=final.u,
         energy=e_total,
@@ -409,14 +416,10 @@ def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
 
 def part_scales(w1: GridFunction, u_eps: GridFunction, params: Params, r: float):
     """Fiber-maximum scalings (s+, s-) of the parts of w1 - r * u_eps."""
-    v = w1.values - r * u_eps.values
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    if not vp.any() or not vm.any():
+    plus, minus = split_parts(w1.with_values(w1.values - r * u_eps.values))
+    if not plus.values.any() or not minus.values.any():
         raise DegenerateInputError(f"w1 - r*u_eps has no sign change at r = {r}")
-    s_plus = FiberMap.of(w1.with_values(vp), params).tplus()
-    s_minus = FiberMap.of(w1.with_values(vm), params).tplus()
-    return s_plus, s_minus
+    return FiberMap.of(plus, params).tplus(), FiberMap.of(minus, params).tplus()
 
 
 def crossing_search(
@@ -582,18 +585,13 @@ def solve_sign_changing(
         on_accept=check_parts,
     )
 
-    # every reported number comes from fresh pieces at the returned u and
-    # at its two parts, not from the pieces carried through the descent
-    final = GradientPieces.of(state.u, params)
-    fm = FiberMap.of_pieces(final, params)
-    e_total = float(fm.phi(1.0))
-    res = float(np.max(np.abs(final.gradient(params))))
+    # the parts' numbers also come from fresh maps at the returned u's parts
+    final, fm, e_total, res, converged = _fresh(state.u, params, tol_res)
     plus, minus = split_parts(final.u)
-    fm_plus = FiberMap.of_pieces(GradientPieces.of(plus, params), params)
-    fm_minus = FiberMap.of_pieces(GradientPieces.of(minus, params), params)
+    fm_plus = FiberMap.of(plus, params)
+    fm_minus = FiberMap.of(minus, params)
     e_plus = float(fm_plus.phi(1.0))
     e_minus = float(fm_minus.phi(1.0))
-    converged = res <= tol_res * (1.0 + abs(e_total))
     ps_gap_bound = None
     ps_gap_ok = None
     if s_est is not None:

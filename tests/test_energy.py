@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from nehari_fpl import (
+    FiberMap,
     GridFunction,
     GridMismatchError,
     ParameterError,
     Params,
     build_grid,
     energy,
+    fiber_roots,
     form_a,
     gradient,
     lebesgue_mass,
+    perturbation_derivative,
+    project_minus,
     residual,
     seminorm_p,
     split_parts,
     tail_weight,
 )
-from nehari_fpl.energy import GradientPieces, _seminorm_gradient_over_p, stiffness_action
+from nehari_fpl.energy import GradientPieces, _seminorm_gradient_over_p, pair_actions, stiffness_action
 from nehari_fpl.grid import pair_kernel
 
 
@@ -163,6 +167,41 @@ def test_pair_sums_match_dense_reference(key, n):
     assert gradient(u, prm).values.tobytes() == g.tobytes()
     assert seminorm_p(u, prm) == seminorm_p(u, prm)
     assert form_a(u, phi, prm) == form_a(u, phi, prm)
+    # every other scalar read off G u: the weak residual, the energy and
+    # the fiber map's coefficients, against rectangle-rule sums
+    weak = pairing - prm.mu * h * np.sum(concave * phi.values) - h * np.sum(critical * phi.values)
+    assert residual(u, phi, prm) == pytest.approx(weak, rel=1e-13)
+    lq = h * np.sum(np.abs(vals) ** (prm.q + 1.0))
+    lps = h * np.sum(np.abs(vals) ** prm.pstar)
+    total = sem / p - prm.mu * lq / (prm.q + 1.0) - lps / prm.pstar
+    br = energy(u, prm)
+    np.testing.assert_allclose(
+        [br.seminorm_p, br.lq_mass, br.lpstar_mass, br.total], [sem, lq, lps, total], rtol=1e-13
+    )
+    fm = FiberMap.of(u, prm)
+    np.testing.assert_allclose([fm.norm_p, fm.mass_q, fm.mass_star], [sem, lq, lps], rtol=1e-13)
+
+
+def test_each_scalar_costs_one_pair_action(params, grid48, rng):
+    # every scalar is read off one evaluation of G u: a second formula, or a
+    # fresh evaluation at a rescaled copy of u, is a second pair action
+    u = project_minus(_random_fn(grid48, rng), params)
+    phi = _random_fn(grid48, rng)
+    calls = {
+        "seminorm_p": lambda: seminorm_p(u, params),
+        "form_a": lambda: form_a(u, phi, params),
+        "residual": lambda: residual(u, phi, params),
+        "energy": lambda: energy(u, params),
+        "FiberMap.of": lambda: FiberMap.of(u, params),
+        "perturbation_derivative": lambda: perturbation_derivative(u, phi, params),
+        "fiber_roots": lambda: fiber_roots(u, params),
+    }
+    made = {}
+    for name, call in calls.items():
+        before = pair_actions()
+        call()
+        made[name] = pair_actions() - before
+    assert made == dict.fromkeys(calls, 1)
 
 
 def test_kernel_strength_mismatch_raises(params, grid48, rng):

@@ -34,6 +34,14 @@ def test_tail_weight_symmetric(params):
         assert tail_weight(x, g, params) == pytest.approx(tail_weight(-x, g, params), rel=1e-13)
 
 
+def test_tail_weight_rejects_other_kernel_strength(params):
+    # the grid's tail belongs to its own p*s; another p*s is another kernel
+    g = build_grid(0.0, 1.0, 3, params)
+    other = Params(0.3, params.p, params.q, params.mu, params.N)
+    with pytest.raises(ParameterError, match="p\\*s = 0.8.*p\\*s = 0.6"):
+        tail_weight(0.25, g, other)
+
+
 def test_kernel_symmetric_with_empty_diagonal(params, grid48):
     k = grid48.kernel
     assert k.shape == (grid48.n, grid48.n)

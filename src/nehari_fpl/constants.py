@@ -91,7 +91,6 @@ class ConstantsReport:
     s_est: float
     mu_tilde: float
     big_m: float
-    ps_level_at_mu: float
     q1: float
     q2: float
     q3: float
@@ -104,6 +103,11 @@ class ConstantsReport:
     hypothesis_ok: bool
     params: Params
     domain_measure: float
+
+    @property
+    def ps_level_at_mu(self) -> float:
+        """Compactness threshold at the report's own mu."""
+        return self.ps_level(self.params.mu)
 
     def ps_level(self, mu: float) -> float:
         """Compactness threshold c*(mu), strictly decreasing in mu."""
@@ -174,11 +178,10 @@ def regime_report(params: Params, domain_measure: float, s_const) -> ConstantsRe
         q0, n0, regime = max(q1, q3), n0_small, "small-p"
     mt = mu_tilde(params, domain_measure, s_val)
     bm = big_m(params, domain_measure)
-    report = ConstantsReport(
+    return ConstantsReport(
         s_est=s_val,
         mu_tilde=mt,
         big_m=bm,
-        ps_level_at_mu=0.0,
         q1=q1,
         q2=q2,
         q3=q3,
@@ -192,5 +195,3 @@ def regime_report(params: Params, domain_measure: float, s_const) -> ConstantsRe
         params=params,
         domain_measure=float(domain_measure),
     )
-    object.__setattr__(report, "ps_level_at_mu", report.ps_level(params.mu))
-    return report

@@ -22,23 +22,18 @@ sums a power of u on its own.  Each piece is homogeneous along the ray
 t -> t u, so a descent that carries them needs no pair action to read the
 fiber map or the next gradient.
 
-G u costs one pair action.  With the weighted kernel
-W_ij = K_ij |u_i - u_j|^(p-2) (W = K at p = 2) and
-(L_W u)_i = sum_j W_ij (u_i - u_j),
+G u costs one pair action, a pass over the grid's stiffness matrix A,
+the p = 2 seminorm operator (grid.Grid).  At p = 2, G u = A u is one
+matrix-vector product (stiffness_action); A is symmetric positive
+definite, and the one-sign descent uses it as its metric at every p.  At
+p > 2 the pair sum is weighted by W_ij = A_ij |u_i - u_j|^(p-2), zero on
+the diagonal and built once per call in one n x n array:
 
-    h^2 * sum_{i != j} |u_i - u_j|^(p-2) (u_i - u_j)(phi_i - phi_j) K_ij
-        = 2 h^2 * phi . L_W u,
+    G u = W u - W.sum(1) o u + 2h sign(u)|u|^(p-1) tail.
 
-so G u = 2h^2 L_W u + 2h sign(u)|u|^(p-1) tail.  At p = 2 the pair action
-is one matrix-vector product K u with the kernel row sums
-r_i = sum_j K_ij stored on the grid, (L u)_i = r_i u_i - (K u)_i; at any
-other p it builds W once and takes W.sum(1) * u - W @ u.  At p = 2, G is
-the symmetric positive definite operator A = 2h^2 L + 2h diag(tail)
-(stiffness_action), which the one-sign descent also uses as its metric at
-every p.  pair_actions() counts the pair actions made, a
-machine-independent cost.
+pair_actions() counts the pair actions made, a machine-independent cost.
 
-Reduction order: the pair sums are a BLAS matrix-vector product,
+Reduction order: the pair sums are BLAS matrix-vector products,
 deterministic for a fixed BLAS thread count (checked at 1 and 2
 threads); every other sum is a single-threaded numpy reduction over an
 array of fixed shape.  Identical inputs give bit-identical results on a
@@ -77,27 +72,11 @@ _tally = threading.local()
 def pair_actions() -> int:
     """Pair actions made so far by the calling thread.
 
-    Each is one O(n^2) kernel pass (_pair_action); a solve reports the
+    Each is one O(n^2) pass over the stiffness matrix; a solve reports the
     difference across its run.  The count is kept per thread, so solves
     running in other threads do not enter it.
     """
     return getattr(_tally, "pair_actions", 0)
-
-
-def _pair_action(grid: Grid, x: np.ndarray, p: float) -> np.ndarray:
-    """(L_W x)_i = sum_j W_ij (x_i - x_j) with W_ij = K_ij |x_i - x_j|^(p-2).
-
-    At p = 2, W = K and this is r_i x_i - (K x)_i, one matvec.  Any other p
-    (p > 2, as Params requires) builds W in place in one n x n array.
-    """
-    _tally.pair_actions = pair_actions() + 1
-    if p == 2.0:
-        return grid.row_sums * x - grid.kernel @ x
-    w = np.subtract.outer(x, x)
-    np.abs(w, out=w)
-    w **= p - 2.0
-    w *= grid.kernel
-    return w.sum(axis=1) * x - w @ x
 
 
 def _same_grid(u: GridFunction, v: GridFunction):
@@ -123,10 +102,12 @@ def lebesgue_mass(u: GridFunction, r: float) -> float:
 
 
 def energy(u: GridFunction, params: Params) -> EnergyBreakdown:
-    """Energy breakdown at u, from the ray coefficients of its gradient pieces."""
-    sem, lq, lps = GradientPieces.of(u, params).ray_coefficients()
-    total = sem / params.p - params.mu / (params.q + 1.0) * lq - lps / params.pstar
-    return EnergyBreakdown(sem, lq, lps, total)
+    """Energy breakdown at u: its ray coefficients, and the fiber map's phi(1) as total."""
+    from .fibering import FiberMap  # fibering imports GradientPieces from here
+
+    pieces = GradientPieces.of(u, params).ray_coefficients()
+    total = float(FiberMap(*pieces, params.p, params.q, params.pstar, params.mu).phi(1.0))
+    return EnergyBreakdown(*pieces, total)
 
 
 def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:
@@ -151,28 +132,25 @@ def residual(u: GridFunction, phi: GridFunction, params: Params) -> float:
 
 
 def stiffness_action(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """A x = 2h^2 (r o x - K x) + 2h tail o x, the grid's p = 2 seminorm operator.
-
-    seminorm_2(u) = u . A u, and A is symmetric positive definite.  Built on
-    any grid's kernel, so at p != 2 it is the p = 2 operator of order p*s/2.
-    """
-    h = grid.h
-    return 2.0 * h ** 2 * _pair_action(grid, x, 2.0) + 2.0 * h * x * grid.tail
+    """A x with the grid's p = 2 seminorm operator A (of order p*s/2 at p != 2): one pair action."""
+    _tally.pair_actions = pair_actions() + 1
+    return grid.stiffness @ x
 
 
 def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
-    """Nodal gradient of seminorm_p divided by p: 2h^2 L_W u plus the tail part.
-
-    The pair (i, j) appears twice in the double sum, so each kernel row
-    contributes with a factor 2h^2, and the tail with 2h.  At p = 2 it is
-    the stiffness action A u.
-    """
+    """G u, the nodal gradient of seminorm_p divided by p: one pair action (module docstring)."""
     grid = u.grid
     _check_ps(grid, params)
     vals = u.values
-    h = grid.h
-    pair_part = 2.0 * h ** 2 * _pair_action(grid, vals, params.p)
-    return pair_part + 2.0 * h * signed_power(vals, params.p - 1.0) * grid.tail
+    if params.p == 2.0:
+        return stiffness_action(grid, vals)
+    _tally.pair_actions = pair_actions() + 1
+    w = np.subtract.outer(vals, vals)
+    np.abs(w, out=w)
+    w **= params.p - 2.0
+    w *= grid.stiffness
+    tail_part = 2.0 * grid.h * signed_power(vals, params.p - 1.0) * grid.tail
+    return w @ vals - w.sum(axis=1) * vals + tail_part
 
 
 @dataclass(frozen=True)

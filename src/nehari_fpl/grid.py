@@ -10,9 +10,10 @@ exterior is not truncated; its kernel mass is folded into a per-node
 
 the exact integral of |x - y|^(-(1 + p*s)) over y outside (a, b).
 
-The grid also stores the eigenvalues of the Strang circulant of its p = 2
-seminorm operator A (strang_circulant), the one-sign descent's
-preconditioner.
+The grid stores its p = 2 seminorm operator seminorm_2(u) = u . A u, the
+stiffness matrix A = 2h^2 (diag(r) - K) + 2h diag(tail) with the pair
+kernel K and r_i = sum_j K_ij, and the eigenvalues of A's Strang
+circulant (strang_circulant), the one-sign descent's preconditioner.
 """
 
 from __future__ import annotations
@@ -106,28 +107,29 @@ def tail_vector(nodes: np.ndarray, a: float, b: float, ps: float) -> np.ndarray:
 
 
 def pair_kernel(nodes: np.ndarray, ps: float) -> np.ndarray:
-    """Pairwise kernel matrix |x_i - x_j|^(-(1+p*s)) with zero diagonal."""
-    diff = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diff, 1.0)  # placeholder, masked right after
-    kernel = diff ** (-(1.0 + ps))
+    """Pairwise kernel matrix |x_i - x_j|^(-(1+p*s)) with zero diagonal, in one n x n array."""
+    kernel = np.subtract.outer(nodes, nodes)
+    np.abs(kernel, out=kernel)
+    np.fill_diagonal(kernel, 1.0)  # placeholder, masked right after
+    kernel **= -(1.0 + ps)
     np.fill_diagonal(kernel, 0.0)
     return kernel
 
 
-def strang_circulant(kernel: np.ndarray, row_sums: np.ndarray, tail: np.ndarray, h: float) -> np.ndarray:
-    """Eigenvalues of the Strang circulant C of A = 2h^2 (diag(r) - K) + 2h diag(tail).
+def strang_circulant(stiffness: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Strang circulant C of the stiffness matrix A.
 
     Off the diagonal A is Toeplitz, A_ij = -2h^2 K_0|i-j|, and its diagonal
     varies only through the row sums and the tail.  C has the column
-    c_0 = max_i A_ii, c_k = c_(n-k) = -2h^2 K_0k for 1 <= k <= n/2 (Strang,
+    c_0 = max_i A_ii, c_k = c_(n-k) = A_0k for 1 <= k <= n/2 (Strang,
     Stud. Appl. Math. 74, 1986), so C x = irfft(rfft(c) rfft(x)) and its
     eigenvalues are rfft(c).real, one per frequency 0..n//2.  Raises
     ParameterError unless all are positive: conjugate gradients need a
     symmetric positive definite preconditioner.
     """
-    k = np.arange(kernel.shape[0])
-    col = -2.0 * h ** 2 * kernel[0, np.minimum(k, k.size - k)]
-    col[0] = np.max(2.0 * h ** 2 * row_sums + 2.0 * h * tail)
+    k = np.arange(stiffness.shape[0])
+    col = stiffness[0, np.minimum(k, k.size - k)]
+    col[0] = np.max(np.diagonal(stiffness))
     eig = np.fft.rfft(col).real
     if not np.all(eig > 0.0):
         raise ParameterError(
@@ -139,12 +141,10 @@ def strang_circulant(kernel: np.ndarray, row_sums: np.ndarray, tail: np.ndarray,
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid with precomputed kernel data.
+    """Uniform interior grid with its stiffness matrix A, the only n x n array.
 
-    The kernel matrix, its row sums, the tail weights and the Strang
-    circulant's eigenvalues are built for the p*s the grid was constructed
-    with; energy routines raise ParameterError when called with parameters
-    of a different p*s.
+    A, the tail weights and the Strang eigenvalues are built for the grid's
+    p*s; energy routines raise ParameterError for parameters of another p*s.
     """
 
     a: float
@@ -154,8 +154,7 @@ class Grid:
     nodes: np.ndarray
     tail: np.ndarray
     ps: float
-    kernel: np.ndarray
-    row_sums: np.ndarray
+    stiffness: np.ndarray
     strang_eigs: np.ndarray
 
     @property
@@ -164,7 +163,7 @@ class Grid:
 
 
 def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
-    """Build the n-node uniform grid on (a, b) with kernel data for params."""
+    """Build the n-node uniform grid on (a, b) with its stiffness matrix for params."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ParameterError(f"interval endpoints must be finite, got ({a}, {b})")
     if not a < b:
@@ -175,12 +174,14 @@ def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
     h = (b - a) / (n + 1)
     nodes = a + h * np.arange(1, n + 1, dtype=np.float64)
     tail = tail_vector(nodes, a, b, params.ps)
-    kernel = pair_kernel(nodes, params.ps)
-    row_sums = kernel.sum(axis=1)
-    strang_eigs = strang_circulant(kernel, row_sums, tail, h)
-    for arr in (nodes, tail, kernel, row_sums, strang_eigs):
+    stiffness = pair_kernel(nodes, params.ps)
+    diagonal = 2.0 * h ** 2 * stiffness.sum(axis=1) + 2.0 * h * tail
+    stiffness *= -2.0 * h ** 2
+    np.fill_diagonal(stiffness, diagonal)
+    strang_eigs = strang_circulant(stiffness)
+    for arr in (nodes, tail, stiffness, strang_eigs):
         arr.setflags(write=False)
-    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, kernel, row_sums, strang_eigs)
+    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, stiffness, strang_eigs)
 
 
 @dataclass(frozen=True)

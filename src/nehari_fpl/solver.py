@@ -20,7 +20,7 @@ in an inner product, and the two solves use different ones:
   (numpy's FFT is deterministic, so repeated solves keep their bits).
   The full step is usually accepted, and neither the iteration count nor
   the CG steps per direction (about two) grow with n.  At p != 2 the
-  same operator on that grid's kernel serves as the metric.
+  grid's stored A (grid.Grid.stiffness) serves as the metric all the same.
 * The two-part sign-changing descent keeps the L2 direction -g/h, the
   Riesz representative in h * sum u_i v_i.  The set it searches holds no
   critical point, so it can only end on a stalled line search; along the
@@ -58,6 +58,7 @@ from .errors import (
     DegenerateInputError,
     NoCrossingError,
     NoRootsError,
+    ParameterError,
     SolverError,
 )
 from .fibering import FiberMap, NehariClass, classify
@@ -172,6 +173,17 @@ def _project_ray(v: GradientPieces, params: Params):
     return v.scaled(tplus, params), float(fm.phi(tplus))
 
 
+def _check_settings(max_iters: int = 1, max_restarts: int = 0, **tols: float):
+    """Raise ParameterError on a budget no solve can spend or a tolerance (<= 0) it cannot meet."""
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    if max_restarts < 0:
+        raise ParameterError(f"max_restarts must be >= 0, got {max_restarts}")
+    for name, value in tols.items():
+        if not value > 0.0:
+            raise ParameterError(f"{name} must be positive, got {value}")
+
+
 def _stop_reason(converged: bool, stalled: bool) -> str:
     if converged:
         return "converged"
@@ -253,8 +265,10 @@ def solve_positive(
     projection (_project_cone), so the result is nonnegative and its
     minus_part_norm is zero.  A stalled descent restarts from a fresh bump
     while budget is left.  At mu = 0 it is the Sobolev quotient's
-    minimization (constants.estimate_sobolev).
+    minimization (constants.estimate_sobolev).  Raises ParameterError on
+    an out-of-range budget or tolerance (_check_settings).
     """
+    _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold)
     rng = np.random.default_rng(seed)
     start_actions = pair_actions()
     restarts_used = 0
@@ -434,8 +448,10 @@ def crossing_search(
     rbar2 = max(w1/u_eps) over nodes carrying bubble mass.  As r falls to
     rbar1 the negative part vanishes and s- blows up; as r rises to rbar2
     the positive part vanishes and s+ blows up.  Continuity in between
-    forces a crossing, located here by bisection on s+ - s-.
+    forces a crossing, located here by bisection on s+ - s-.  Raises
+    ParameterError unless tol_cross > 0.
     """
+    _check_settings(tol_cross=tol_cross)
     uv = u_eps.values
     peak = float(np.max(np.abs(uv)))
     if peak <= 0.0:
@@ -532,7 +548,9 @@ def solve_sign_changing(
     the full energy while keeping both parts on their fiber maxima.  If
     the crossing fails for the configured bubble the search retries with a
     geometrically shrunken concentration scale, at most max_restarts times.
+    Raises ParameterError on an out-of-range budget or tolerance first.
     """
+    _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
     alpha_minus = None
     if w1 is None:

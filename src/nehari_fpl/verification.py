@@ -30,7 +30,7 @@ from .bubble import (
 from .constants import estimate_sobolev, regime_report
 from .energy import energy, form_a, gradient, lebesgue_mass, seminorm_p, split_parts
 from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_derivative, psi_mu
-from .grid import GridFunction, Params, build_grid, tail_weight
+from .grid import GridFunction, Params, build_grid, pair_kernel, tail_weight
 from .solver import (
     crossing_search,
     part_scales,
@@ -99,7 +99,7 @@ def check_grid() -> list[CheckResult]:
     out.append(_run("grid.node-layout", "nodes at a + i*h", layout))
 
     def kernel_sym():
-        k = g01.kernel
+        k = pair_kernel(g01.nodes, g01.ps)
         asym = float(np.max(np.abs(k - k.T)))
         diag = float(np.max(np.abs(np.diag(k))))
         return asym == 0.0 and diag == 0.0, "%.3g/%.3g" % (asym, diag), ""

@@ -72,6 +72,25 @@ def test_verify_reports_known_failures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("solve-positive", "solver.max_restarts=-1"),
+        ("solve-positive", "solver.max_iters=0"),
+        ("solve-positive", "solver.max_iters=-3"),
+        ("solve-positive", "solver.tol_res=-1"),
+        ("solve-positive", "solver.tol_manifold=-1"),
+        ("solve-sign-changing", "solver.tol_cross=0"),
+    ],
+)
+def test_out_of_range_solver_setting_exits_2(tmp_path, capsys, command, setting):
+    # a budget or tolerance no solve can honour is a parameter error, not a
+    # failed or unconverged solve
+    code = main([command, "--out", str(tmp_path), *FAST, "--set", setting])
+    assert code == 2
+    assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "key", ["nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts"]
 )
 def test_unknown_config_key_exits_2(tmp_path, key):

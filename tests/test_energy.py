@@ -103,6 +103,11 @@ def test_energy_breakdown_identity(params, grid48, rng):
     assert br.seminorm_p == pytest.approx(seminorm_p(u, params), rel=1e-14)
     assert br.lq_mass == pytest.approx(lebesgue_mass(u, params.q + 1.0), rel=1e-14)
     assert br.lpstar_mass == pytest.approx(lebesgue_mass(u, params.pstar), rel=1e-14)
+    # total is the expression every solve level is read from, to the bit;
+    # a rearranged formula misses it in the last bit for about one u in five
+    for _ in range(20):
+        u = _random_fn(grid48, rng)
+        assert energy(u, params).total == float(FiberMap.of(u, params).phi(1.0))
 
 
 def test_split_parts_structure(grid48, rng):

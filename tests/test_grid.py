@@ -1,4 +1,6 @@
-"""Grid construction, tail quadrature, and kernel structure."""
+"""Grid construction, tail quadrature, kernel structure and the stored operator."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from nehari_fpl import (
     ParameterError,
     Params,
     build_grid,
+    gradient,
     tail_weight,
 )
+from nehari_fpl.grid import pair_kernel, tail_vector
 
 
 def test_refinement_embeds_nodes(params):
@@ -43,7 +47,7 @@ def test_tail_weight_rejects_other_kernel_strength(params):
 
 
 def test_kernel_symmetric_with_empty_diagonal(params, grid48):
-    k = grid48.kernel
+    k = pair_kernel(grid48.nodes, grid48.ps)
     assert k.shape == (grid48.n, grid48.n)
     np.testing.assert_array_equal(k, k.T)
     np.testing.assert_array_equal(np.diag(k), 0.0)
@@ -55,7 +59,7 @@ def test_kernel_entries_match_distance_power(params, grid48):
     i, j = 3, 17
     d = abs(grid48.nodes[i] - grid48.nodes[j])
     expect = d ** -(params.N + params.ps)
-    assert grid48.kernel[i, j] == pytest.approx(expect, rel=1e-14)
+    assert pair_kernel(grid48.nodes, params.ps)[i, j] == pytest.approx(expect, rel=1e-14)
 
 
 def test_tail_column_positive_and_boundary_heavy(params, grid48):
@@ -69,21 +73,56 @@ def test_tail_column_positive_and_boundary_heavy(params, grid48):
 @pytest.mark.parametrize("n", [2, 3, 17, 48, 384])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_strang_eigenvalues_match_dense_circulant(n, p):
-    # the column c_0 = max_i A_ii, c_k = c_(n-k) = -2h^2 K_0k for k <= n/2,
-    # against the spectrum of the assembled circulant
+    # the column c_0 = max_i A_ii, c_k = c_(n-k) = A_0k for k <= n/2 of
+    # the stored A, against the spectrum of the assembled circulant
     prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
     g = build_grid(-1.0, 1.0, n, prm)
-    h = g.h
     col = np.empty(n)
-    col[0] = np.max(2.0 * h ** 2 * g.row_sums + 2.0 * h * g.tail)
+    col[0] = np.max(np.diag(g.stiffness))
     for k in range(1, n // 2 + 1):
-        col[k] = col[n - k] = -2.0 * h ** 2 * g.kernel[0, k]
+        col[k] = col[n - k] = g.stiffness[0, k]
     dense = np.array([[col[(i - j) % n] for j in range(n)] for i in range(n)])
     full = g.strang_eigs[np.minimum(np.arange(n), n - np.arange(n))]
     np.testing.assert_allclose(np.sort(full), np.linalg.eigvalsh(dense), rtol=1e-9, atol=0.0)
     assert g.strang_eigs.shape == (n // 2 + 1,)
     assert np.all(g.strang_eigs > 0.0)
     assert not g.strang_eigs.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 17, 48, 384])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_stiffness_matches_dense_assembly(n, p):
+    # A = 2h^2 (diag(r) - K) + 2h diag(tail), assembled from the reference
+    # kernel and tail; its rows sum to the tail part alone, A 1 = 2h tail
+    prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
+    g = build_grid(-1.0, 1.0, n, prm)
+    h = g.h
+    kernel = pair_kernel(g.nodes, prm.ps)
+    tail = tail_vector(g.nodes, g.a, g.b, prm.ps)
+    dense = 2.0 * h ** 2 * (np.diag(kernel.sum(axis=1)) - kernel) + 2.0 * h * np.diag(tail)
+    assert g.stiffness.shape == (n, n)
+    assert np.max(np.abs(g.stiffness - dense)) <= 1e-13 * np.max(np.abs(dense))
+    np.testing.assert_array_equal(g.stiffness, g.stiffness.T)
+    assert not g.stiffness.flags.writeable
+    ones = g.stiffness @ np.ones(n)
+    assert np.max(np.abs(ones - 2.0 * h * tail)) <= 1e-13 * np.max(2.0 * h * tail)
+
+
+def test_grid_holds_one_square_array(params):
+    # the stiffness matrix is the grid's only n x n array, and a p = 2
+    # gradient is one matvec with it, with no n x n temporary
+    n = 1024
+    g = build_grid(-1.0, 1.0, n, params)
+    square = [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.shape == (n, n)]
+    assert square == ["stiffness"]
+    u = GridFunction(g, np.sin(np.pi * (g.nodes - g.a) / (g.b - g.a)))
+    tracemalloc.start()
+    try:
+        gradient(u, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.stiffness.nbytes
 
 
 def test_build_grid_rejects_bad_domain(params):

@@ -109,10 +109,9 @@ def test_positive_descent_is_mesh_independent(params, n):
     "prm", [None, Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)], ids=["p2", "p3"]
 )
 def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
-    # the p = 2 seminorm operator A, assembled densely on the grid's kernel
+    # the p = 2 seminorm operator A the grid stores
     grid = grid48 if prm is None else build_grid(-1.0, 1.0, 48, prm)
-    h = grid.h
-    dense = 2.0 * h ** 2 * (np.diag(grid.row_sums) - grid.kernel) + 2.0 * h * np.diag(grid.tail)
+    dense = grid.stiffness
     for _ in range(5):
         g = rng.standard_normal(grid.n)
         x, steps, ax = _riesz_direction(grid, g)

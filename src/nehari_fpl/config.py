@@ -54,9 +54,12 @@ def _coerce(key: str, raw: str):
     raw = raw.strip()
     if want is int:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
+        if key.endswith(".seed") and value < 0:
+            raise ConfigError(f"{key} expects a non-negative integer, got {raw!r}")
+        return value
     if want is float:
         try:
             return float(raw)

@@ -132,9 +132,9 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
         for _ in range(10):
             u = _random_function(grid, rng)
             worst = max(worst, _rel(form_a(u, u, params), seminorm_p(u, params)))
-        return worst <= 1e-11, "%.3g" % worst, ""
+        return worst <= 1e-12, "%.3g" % worst, ""
 
-    out.append(_run("energy.pairing-diagonal", "form_a(u,u) = seminorm, rel <= 1e-11", pairing_diag))
+    out.append(_run("energy.pairing-diagonal", "form_a(u,u) = seminorm, rel <= 1e-12", pairing_diag))
 
     def gradient_fd():
         worst = 0.0
@@ -149,9 +149,9 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
                 em = energy(u.with_values(u.values - eps * d), params).total
                 fd = (ep - em) / (2.0 * eps)
                 worst = max(worst, _rel(fd, float(np.dot(g, d))))
-        return worst <= 1e-5, "%.3g" % worst, ""
+        return worst <= 1e-6, "%.3g" % worst, ""
 
-    out.append(_run("energy.gradient-fd", "directional rel err <= 1e-5", gradient_fd))
+    out.append(_run("energy.gradient-fd", "directional rel err <= 1e-6", gradient_fd))
 
     def superadd():
         worst = math.inf
@@ -348,7 +348,7 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
             ok = ok and tminus < prev_tminus
             prev_tminus = tminus
             last_gap = _rel(tplus, tbar)
-        return ok and last_gap <= 1e-4, "%.3g" % last_gap, "t+ gap to the mu = 0 root"
+        return ok and last_gap <= 1e-6, "%.3g" % last_gap, "t+ gap to the mu = 0 root"
 
     out.append(_run("fibering.small-mu-limit", "t- shrinks, t+ -> zero-mass root", mu_zero_limit))
     return out
@@ -391,7 +391,7 @@ def check_constants() -> list[CheckResult]:
             sp = s * p
             worst = max(worst, abs((rep.q2 - rep.q3) - sp / (N - sp)))
             worst = max(worst, abs((p - p / (p - 1.0)) - ((p - 1.0) - (p - 1.0) / p)))
-        return worst <= 1e-9, "%.3g" % worst, ""
+        return worst <= 1e-10, "%.3g" % worst, ""
 
     out.append(_run("constants.branch-identity", "q2 - q3 = sp/(N-sp) at the branch p", branch_identity))
 
@@ -445,7 +445,7 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
         r = np.linspace(1.0, 40.0, 20001)
         ratio = profile_u(r * theta, model_params, "model") / profile_u(r, model_params, "model")
         worst = float(np.max(np.abs(ratio - 0.5)))
-        return worst <= 1e-12, "%.3g" % worst, "theta = %.6g" % theta
+        return worst <= 1e-15, "%.3g" % worst, "theta = %.6g" % theta
 
     out.append(_run("bubble.model-halving", "U(r*theta)/U(r) = 1/2 on the tail", model_halving))
 
@@ -547,9 +547,9 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
         left = project_minus(u.with_values(-u.values), params).values
         right = -project_minus(u, params).values
         err = float(np.max(np.abs(left - right))) / float(np.max(np.abs(right)))
-        return err <= 1e-12, "%.3g" % err, ""
+        return err == 0.0, "%.3g" % err, ""
 
-    out.append(_run("solver.projection-sign-flip", "projection is odd", projection_sign_flip))
+    out.append(_run("solver.projection-sign-flip", "projection is odd, bitwise", projection_sign_flip))
 
     pos = solve_positive(grid, params, seed=seed, max_iters=solver_budget)
     scale_norm = seminorm_p(pos.u, params)

@@ -38,10 +38,10 @@ def test_exact_profile_requires_p2():
 
 
 def test_profiles_monotone(params):
+    # the exact-p2 profile at these params, and the model at p = 3, N = 11,
+    # are the bubble.profile-monotone check
     r = np.linspace(0.0, 20.0, 400)
-    for kind in ("exact-p2", "model"):
-        vals = profile_u(r, params, kind)
-        assert np.all(np.diff(vals) <= 0.0)
+    assert np.all(np.diff(profile_u(r, params, "model")) <= 0.0)
 
 
 def test_model_profile_halving_exact(params):
@@ -64,14 +64,15 @@ def test_cutoff_shape(params):
 
 
 def test_collar_identity_bitwise(params, grid48):
-    # the grid sample is exactly cutoff * amplitude * profile, no hidden
-    # renormalization
+    # in the collar the grid sample is exactly cutoff * amplitude * profile,
+    # no hidden renormalization; inside it, the bubble.collar-identity check
     spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
     u = make_u_eps(grid48, params, spec)
+    collar = np.abs(grid48.nodes) > grid48.halfwidth - spec.delta
+    x = grid48.nodes[collar]
     amp = spec.eps ** (-(params.N - params.ps) / params.p)
-    r = np.abs(grid48.nodes - 0.0) / spec.eps
-    expect = cutoff(grid48.nodes, grid48.a, grid48.b, spec.delta) * amp * profile_u(r, params)
-    np.testing.assert_array_equal(u.values, expect)
+    expect = cutoff(x, grid48.a, grid48.b, spec.delta) * amp * profile_u(np.abs(x) / spec.eps, params)
+    np.testing.assert_array_equal(u.values[collar], expect)
 
 
 def test_make_u_eps_guards(params, grid48):

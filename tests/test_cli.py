@@ -1,7 +1,5 @@
 """Command line interface: exit codes, report format, determinism."""
 
-import os
-
 import pytest
 
 from nehari_fpl.cli import main
@@ -88,6 +86,16 @@ def test_out_of_range_solver_setting_exits_2(tmp_path, capsys, command, setting)
     code = main([command, "--out", str(tmp_path), *FAST, "--set", setting])
     assert code == 2
     assert setting.split("=")[0].split(".")[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("solve-positive", "solver.seed"), ("constants", "sobolev.seed"), ("verify", "checks.seed")],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, command, key):
+    # numpy refuses a negative seed; the config rejects it first, by name
+    assert main([command, "--out", str(tmp_path), *FAST, "--set", f"{key}=-1"]) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Fiber map analysis: roots, classification, and perturbation response."""
+"""Fiber map analysis: peak, roots, their projections and the edge cases."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,11 @@ from nehari_fpl import (
     DegenerateInputError,
     FiberMap,
     GridFunction,
-    NehariTag,
     NoRootsError,
     Params,
-    build_grid,
     classify,
     fiber_derivatives,
     fiber_roots,
-    perturbation_derivative,
-    project_minus,
     psi_and_t0,
     psi_mu,
 )
@@ -32,6 +28,7 @@ def test_psi_peak_closed_form_unit_inputs():
 
 
 def test_t0_is_the_peak(params, grid48, rng):
+    # psi'(t0) = 0 is the fibering.peak-stationarity check; this is maximality
     for _ in range(10):
         u = _random_fn(grid48, rng)
         t0, psi_t0 = psi_and_t0(u, params)
@@ -49,17 +46,6 @@ def test_roots_solve_the_scalar_equation(params, grid48, rng):
         scale = max(abs(rep.psi_t0), abs(target))
         assert abs(fm.psi(rep.tminus) - target) <= 1e-9 * scale
         assert abs(fm.psi(rep.tplus) - target) <= 1e-9 * scale
-
-
-def test_root_classification_sides(params, grid48, rng):
-    # the small root is the stable stratum, the large root the unstable one
-    for _ in range(25):
-        u = _random_fn(grid48, rng)
-        rep = fiber_roots(u, params)
-        assert rep.class_minus.tag is NehariTag.PLUS
-        assert rep.class_plus.tag is NehariTag.MINUS
-        assert rep.class_minus.second_deriv > 0.0
-        assert rep.class_plus.second_deriv < 0.0
 
 
 def test_projected_point_sits_on_manifold(params, grid48, rng):
@@ -92,21 +78,6 @@ def test_psi_mu_sign_tracks_solvability(params, grid48, rng):
     assert psi_mu(u, above) < 0.0
 
 
-def test_small_mu_limit_of_roots(params, grid48, rng):
-    # as mu -> 0 the small root collapses and the large root approaches the
-    # zero-mass stationary ray (norm/m_*)^(1/(p*-p))
-    u = _random_fn(grid48, rng)
-    fm = FiberMap.of(u, params)
-    tbar = (fm.norm_p / fm.mass_star) ** (1.0 / (params.pstar - params.p))
-    last_tminus = np.inf
-    for mu in (1e-2, 1e-4, 1e-6, 1e-8):
-        small = Params(params.s, params.p, params.q, mu, params.N)
-        rep = fiber_roots(u, small)
-        assert rep.tminus < last_tminus
-        last_tminus = rep.tminus
-    assert rep.tplus == pytest.approx(tbar, rel=1e-6)
-
-
 def test_fiber_derivatives_match_fd(params, grid48, rng):
     u = _random_fn(grid48, rng)
     t = 0.9
@@ -116,21 +87,6 @@ def test_fiber_derivatives_match_fd(params, grid48, rng):
     vm = fiber_derivatives(u, t - eps, params)[0]
     assert (vp - vm) / (2.0 * eps) == pytest.approx(d1, rel=1e-7)
     assert (vp - 2.0 * val + vm) / eps ** 2 == pytest.approx(d2, rel=1e-4)
-
-
-def test_perturbation_derivative_matches_fd(params, grid48, rng):
-    # implicit derivative of the unstable rescaling under u -> u + eps phi
-    for _ in range(10):
-        u = project_minus(_random_fn(grid48, rng), params)
-        d = _random_fn(grid48, rng)
-        scale = float(np.max(np.abs(u.values))) / float(np.max(np.abs(d.values)))
-        phi = d.with_values(scale * d.values)
-        analytic = perturbation_derivative(u, phi, params)
-        eps = 1e-5
-        tp = FiberMap.of(u.with_values(u.values + eps * phi.values), params).roots()[1]
-        tm = FiberMap.of(u.with_values(u.values - eps * phi.values), params).roots()[1]
-        fd = (tp - tm) / (2.0 * eps)
-        assert fd == pytest.approx(analytic, rel=1e-3)
 
 
 def test_rescaling_scale_invariance(params, grid48, rng):

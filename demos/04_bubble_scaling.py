@@ -35,7 +35,9 @@ def main():
     base = default_bubble(g, params)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
     eps = [sp.eps for sp in specs]
+    bubbles = [make_u_eps(g, params, sp) for sp in specs]
     w = GridFunction(g, np.ones(g.n))
+    integrals = [interaction_integrals(w, u, params) for u in bubbles]
 
     print("eps ladder:", ", ".join(f"{e:g}" for e in eps))
     print(f"collar width delta = {base.delta:g} (every rung below delta/2)")
@@ -43,7 +45,7 @@ def main():
     print("\n-- interaction integrals against w = 1 --")
     for which in ("A1", "A4"):
         theory = interaction_exponent(params, which)
-        vals = [interaction_integrals(w, g, params, sp, which) for sp in specs]
+        vals = [a[which] for a in integrals]
         fit = fit_exponent(eps, vals, theory=theory)
         comp = ", ".join(f"{v / e ** theory:.4f}" for v, e in zip(vals, eps))
         print(f"{which}: slope {fit.slope:.4f}  theory {theory:.2f}")
@@ -56,8 +58,7 @@ def main():
     print(f"    value / eps^theory per rung: {comp}")
 
     print("\n-- Rayleigh quotient of the bubble along the ladder --")
-    for sp in specs:
-        u = make_u_eps(g, params, sp)
+    for sp, u in zip(specs, bubbles):
         quot = seminorm_p(u, params) / lebesgue_mass(u, params.pstar) ** (params.p / params.pstar)
         print(f"  eps {sp.eps:8.5f}: quotient {quot:.6f}")
     print("the quotient decreases along the ladder toward the Sobolev")

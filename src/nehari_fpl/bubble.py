@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import lebesgue_mass
+from .energy import _same_grid, lebesgue_mass
 from .errors import ParameterError
 from .grid import Grid, GridFunction, Params
 
@@ -111,28 +111,25 @@ def make_u_eps(grid: Grid, params: Params, spec: BubbleSpec) -> GridFunction:
 INTERACTION_NAMES = ("A1", "A2", "A3", "A4")
 
 
-def interaction_integrals(
-    w1: GridFunction, grid: Grid, params: Params, spec: BubbleSpec, which: str
-) -> float:
-    """Mixed integral of a fixed nonnegative w1 against the bubble.
+def interaction_integrals(w1: GridFunction, u_eps: GridFunction, params: Params) -> dict[str, float]:
+    """Mixed integrals of a fixed nonnegative w1 against one bubble, keyed by INTERACTION_NAMES.
 
     A1 = int w1^(p*-1) u_eps     A2 = int w1^q u_eps
     A3 = int w1 u_eps^q          A4 = int w1 u_eps^(p*-1)
+
+    Raises GridMismatchError when u_eps lives on another grid than w1.
     """
-    if which not in INTERACTION_NAMES:
-        raise ParameterError(f"which must be one of {INTERACTION_NAMES}, got {which!r}")
+    _same_grid(w1, u_eps)
     w = w1.values
     if np.any(w < 0.0):
         raise ParameterError("w1 must be nonnegative")
-    u = make_u_eps(grid, params, spec).values
-    h = grid.h
-    if which == "A1":
-        return h * float(np.sum(w ** (params.pstar - 1.0) * u))
-    if which == "A2":
-        return h * float(np.sum(w ** params.q * u))
-    if which == "A3":
-        return h * float(np.sum(w * u ** params.q))
-    return h * float(np.sum(w * u ** (params.pstar - 1.0)))
+    u, h = u_eps.values, w1.grid.h
+    return {
+        "A1": h * float(np.sum(w ** (params.pstar - 1.0) * u)),
+        "A2": h * float(np.sum(w ** params.q * u)),
+        "A3": h * float(np.sum(w * u ** params.q)),
+        "A4": h * float(np.sum(w * u ** (params.pstar - 1.0))),
+    }
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,6 @@ def lq_mass_scaling(grid: Grid, params: Params, spec_ladder: Sequence[BubbleSpec
     if len(specs) < 4:
         raise ParameterError(f"ladder too short: need >= 4 points, got {len(specs)}")
     eps = np.array([sp.eps for sp in specs], dtype=np.float64)
-    if not np.all(np.diff(eps) < 0.0):
-        raise ParameterError("eps ladder must be strictly decreasing")
     delta = specs[0].delta
     if np.any(eps >= 0.5 * delta):
         raise ParameterError(

@@ -192,7 +192,7 @@ def _cmd_fiber(cfg, out_dir, overrides) -> int:
     if not path:
         raise ConfigError("fiber.input must point to a node,value csv file")
     u = _read_csv(path, grid)
-    rep = fiber_roots(u, params)
+    rep = fiber_roots(u, params, float(cfg["solver.tol_manifold"]))
     rows = [
         ("fiber.t0", "peak location of psi", rep.t0),
         ("fiber.psi_t0", "peak value of psi", rep.psi_t0),
@@ -212,9 +212,10 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
     specs = ladder_from(cfg, grid, params)
     eps = [sp.eps for sp in specs]
     w_one = GridFunction(grid, np.ones(grid.n))
+    integrals = [interaction_integrals(w_one, make_u_eps(grid, params, sp), params) for sp in specs]
     rows = [("scaling.eps_ladder", "concentration scales", ",".join(_fmt(e) for e in eps))]
     for which in INTERACTION_NAMES:
-        vals = [interaction_integrals(w_one, grid, params, sp, which) for sp in specs]
+        vals = [a[which] for a in integrals]
         fit = fit_exponent(eps, vals, theory=interaction_exponent(params, which))
         key = which.lower()
         rows.append((f"scaling.{key}.slope", "fitted log-log slope", fit.slope))

@@ -52,7 +52,7 @@ import numpy as np
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
 from .constants import compactness_gap
-from .energy import GradientPieces, energy, pair_actions, seminorm_p, split_parts, stiffness_action
+from .energy import GradientPieces, energy, pair_actions, split_parts, stiffness_action
 from .errors import (
     CollapseError,
     DegenerateInputError,
@@ -98,7 +98,7 @@ class SolveResult:
     starts (0 for the two-part descent, which steps along the L2 one).
     pair_actions counts the O(n^2) pair actions of the whole call
     (energy.pair_actions): the CG matvecs plus every direct evaluation of
-    G u or of a seminorm, the final one included.
+    G u, the final one included.
     """
 
     u: GridFunction
@@ -213,13 +213,18 @@ def _project_parts(u: GridFunction, params: Params):
 
     Returns the pieces of the result w and I(w).  The parts interact, so
     I(w) is not the sum of the part energies; it is read off G w, which the
-    next gradient reuses.
+    next gradient reuses.  Raises CollapseError when a projected part's
+    seminorm falls below COLLAPSE_FACTOR times w's; both are read off the
+    pieces at hand, no pair action.
     """
-    plus, minus = split_parts(u)
-    plus_scaled = _project_ray(GradientPieces.of(plus, params), params)[0]
-    minus_scaled = _project_ray(GradientPieces.of(minus, params), params)[0]
-    w = GradientPieces.of(u.with_values(plus_scaled.u.values - minus_scaled.u.values), params)
-    return w, float(FiberMap.of_pieces(w, params).phi(1.0))
+    parts = [_project_ray(GradientPieces.of(part, params), params)[0] for part in split_parts(u)]
+    w = GradientPieces.of(u.with_values(parts[0].u.values - parts[1].u.values), params)
+    fm = FiberMap.of_pieces(w, params)
+    for name, part in zip(("plus", "minus"), parts):
+        norm = part.ray_coefficients()[0]
+        if norm < COLLAPSE_FACTOR * fm.norm_p:
+            raise CollapseError(name, norm, fm.norm_p)
+    return w, float(fm.phi(1.0))
 
 
 def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, params: Params):
@@ -351,7 +356,7 @@ def _riesz_direction(grid: Grid, g: np.ndarray):
     return x, steps, g - r
 
 
-def _descend(state, e_total, params, budget, tol_res, *, sobolev, project, on_accept=None):
+def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     """Shared projected-descent loop; returns (state, iterations, stalled, trials, cg_steps).
 
     state holds the GradientPieces of the start and e_total its energy;
@@ -404,8 +409,6 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project, on_ac
             stalled = True
             break
         state, e_total = trial, e_trial
-        if on_accept is not None:
-            on_accept(state)
     return state, iterations, stalled, trials, cg_steps
 
 
@@ -548,7 +551,8 @@ def solve_sign_changing(
     the full energy while keeping both parts on their fiber maxima.  If
     the crossing fails for the configured bubble the search retries with a
     geometrically shrunken concentration scale, at most max_restarts times.
-    Raises ParameterError on an out-of-range budget or tolerance first.
+    Raises ParameterError on an out-of-range budget or tolerance first, and
+    CollapseError when a projection loses a part (_project_parts).
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
@@ -587,20 +591,11 @@ def solve_sign_changing(
 
     state, e_start = _project_parts(cross.ansatz, params)
 
-    def check_parts(v):
-        scale_norm = v.ray_coefficients()[0]
-        plus, minus = split_parts(v.u)
-        for name, part in (("plus", plus), ("minus", minus)):
-            norm = seminorm_p(part, params)
-            if norm < COLLAPSE_FACTOR * scale_norm:
-                raise CollapseError(name, norm, scale_norm)
-
     def project(v, step, a_step):
         return _project_parts(v.u.with_values(v.u.values + step), params)
 
     state, iterations, stalled, trials, cg_steps = _descend(
         state, e_start, params, max_iters, tol_res, sobolev=False, project=project,
-        on_accept=check_parts,
     )
 
     # the parts' numbers also come from fresh maps at the returned u's parts

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import (
-    DEFAULT_DELTA_FRAC,
     DEFAULT_EPS_FRACS,
     INTERACTION_NAMES,
-    BubbleSpec,
     fit_exponent,
     interaction_exponent,
     interaction_integrals,
@@ -33,6 +31,7 @@ from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_d
 from .grid import GridFunction, Params, build_grid, pair_kernel, tail_weight
 from .solver import (
     crossing_search,
+    default_bubble,
     part_scales,
     project_minus,
     solve_positive,
@@ -249,12 +248,13 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
             tminus, tplus = fm.roots()
             ok = ok and (tminus < t0 < tplus)
             c = fm.concave_mass
+            scale = max(abs(float(fm.psi(t0))), c)
             worst = max(
                 worst,
-                abs(float(fm.psi(tminus)) - c) / fm.scale,
-                abs(float(fm.psi(tplus)) - c) / fm.scale,
+                abs(float(fm.psi(tminus)) - c) / scale,
+                abs(float(fm.psi(tplus)) - c) / scale,
             )
-        return ok and worst <= 1e-9, "%.3g" % worst, "root residual over scale"
+        return ok and worst <= 1e-9, "%.3g" % worst, "root residual over max(|psi(t0)|, mu m_q)"
 
     out.append(_run("fibering.roots-bracket-order", "t- < t0 < t+, residual <= 1e-9", roots_order))
 
@@ -425,9 +425,9 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, bubble_n, params)
     hw = grid.halfwidth
-    base = BubbleSpec(DEFAULT_EPS_FRACS[0] * hw, DEFAULT_DELTA_FRAC * hw)
-    specs = ladder(base, [f * hw for f in DEFAULT_EPS_FRACS])
+    specs = ladder(default_bubble(grid, params), [f * hw for f in DEFAULT_EPS_FRACS])
     eps = [sp.eps for sp in specs]
+    bubbles = [make_u_eps(grid, params, sp) for sp in specs]
     out = []
 
     def profile_monotone():
@@ -450,17 +450,16 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
     out.append(_run("bubble.model-halving", "U(r*theta)/U(r) = 1/2 on the tail", model_halving))
 
     def cutoff_collar():
-        u = make_u_eps(grid, params, specs[0])
         inside = np.abs(grid.nodes - 0.0) <= hw - specs[0].delta
         amp = specs[0].eps ** (-(params.N - params.ps) / params.p)
         want = amp * profile_u(np.abs(grid.nodes[inside]) / specs[0].eps, params, "exact-p2")
-        err = float(np.max(np.abs(u.values[inside] - want)))
+        err = float(np.max(np.abs(bubbles[0].values[inside] - want)))
         return err == 0.0, "%.3g" % err, "cutoff exactly one away from the collar"
 
     out.append(_run("bubble.collar-identity", "u_eps = profile inside the collar-free region", cutoff_collar))
 
     def pstar_mass_trend():
-        masses = [lebesgue_mass(make_u_eps(grid, params, sp), params.pstar) for sp in specs]
+        masses = [lebesgue_mass(u, params.pstar) for u in bubbles]
         ok = all(m2 >= m1 * 0.99 for m1, m2 in zip(masses, masses[1:]))
         return ok, "%.6g -> %.6g" % (masses[0], masses[-1]), "critical mass along the ladder"
 
@@ -470,7 +469,7 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
         s_est = estimate_sobolev(grid, params, iters=600, seed=seed).value
         quotients = [
             seminorm_p(u, params) / lebesgue_mass(u, params.pstar) ** (params.p / params.pstar)
-            for u in (make_u_eps(grid, params, sp) for sp in specs)
+            for u in bubbles
         ]
         monotone = all(b <= a * 1.01 for a, b in zip(quotients, quotients[1:]))
         gap = abs(quotients[-1] - s_est) / s_est
@@ -492,9 +491,10 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
     out.append(_run("bubble.fit-selfcheck", "exact power law recovers slope 2", fit_selfcheck))
 
     w_one = GridFunction(grid, np.ones(grid.n))
+    integrals = [interaction_integrals(w_one, u, params) for u in bubbles]
     for which in INTERACTION_NAMES:
         def interaction_fit(which=which):
-            vals = [interaction_integrals(w_one, grid, params, sp, which) for sp in specs]
+            vals = [a[which] for a in integrals]
             fit = fit_exponent(eps, vals, theory=interaction_exponent(params, which))
             # decay-rate laws are one sided: decaying faster than theory is
             # consistent, decaying slower is the failure direction
@@ -594,7 +594,7 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
 
     out.append(_run("solver.fiber-sup-identity", "ray sup = energy, attained at t = 1", supfiber_identity))
 
-    u_eps = make_u_eps(grid, params, BubbleSpec(0.1 * grid.halfwidth, 0.25 * grid.halfwidth))
+    u_eps = make_u_eps(grid, params, default_bubble(grid, params))
     cross = crossing_search(pos.u, u_eps, params)
 
     def crossing_classes():

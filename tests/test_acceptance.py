@@ -227,8 +227,8 @@ def test_criterion_7_bubble_scaling_exponents():
     specs = ladder(base, [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)])
     eps = [sp.eps for sp in specs]
     w = GridFunction(grid, np.ones(grid.n))
-    a1 = [interaction_integrals(w, grid, PARAMS, sp, "A1") for sp in specs]
-    a4 = [interaction_integrals(w, grid, PARAMS, sp, "A4") for sp in specs]
+    integrals = [interaction_integrals(w, make_u_eps(grid, PARAMS, sp), PARAMS) for sp in specs]
+    a1, a4 = [a["A1"] for a in integrals], [a["A4"] for a in integrals]
     mass = lq_mass_scaling(grid, PARAMS, specs)
     regime, _ = mass_regime(PARAMS)
     assert regime == 1

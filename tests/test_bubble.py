@@ -8,6 +8,7 @@ from nehari_fpl import (
     DEFAULT_EPS_FRACS,
     BubbleSpec,
     GridFunction,
+    GridMismatchError,
     ParameterError,
     Params,
     build_grid,
@@ -22,6 +23,7 @@ from nehari_fpl import (
     mass_regime,
     profile_u,
 )
+from nehari_fpl.bubble import INTERACTION_NAMES
 
 
 def test_exact_profile_closed_form(params):
@@ -113,23 +115,29 @@ def test_interaction_integrals_coincide_for_flat_weight(params):
     # w = 1 makes w^(p*-1) and w^q identical, so A1 = A2 exactly
     g = build_grid(-1.0, 1.0, 128, params)
     w = GridFunction(g, np.ones(g.n))
-    spec = BubbleSpec(eps=0.05, delta=0.25, center=0.0)
-    a1 = interaction_integrals(w, g, params, spec, "A1")
-    a2 = interaction_integrals(w, g, params, spec, "A2")
-    assert a1 == a2
-    assert a1 > 0.0
+    u_eps = make_u_eps(g, params, BubbleSpec(eps=0.05, delta=0.25, center=0.0))
+    vals = interaction_integrals(w, u_eps, params)
+    assert tuple(vals) == INTERACTION_NAMES
+    assert vals["A1"] == vals["A2"]
+    assert vals["A1"] > 0.0
 
 
 def test_interaction_integrals_reject_signed_weight(params, grid48, rng):
     w = GridFunction(grid48, rng.standard_normal(grid48.n))
-    spec = BubbleSpec(eps=0.05, delta=0.25, center=0.0)
+    u_eps = make_u_eps(grid48, params, BubbleSpec(eps=0.05, delta=0.25, center=0.0))
     with pytest.raises(ParameterError):
-        interaction_integrals(w, grid48, params, spec, "A1")
-    wpos = GridFunction(grid48, np.ones(grid48.n))
-    with pytest.raises(ParameterError):
-        interaction_integrals(wpos, grid48, params, spec, "A5")
+        interaction_integrals(w, u_eps, params)
     with pytest.raises(ParameterError):
         interaction_exponent(params, "A5")
+
+
+def test_interaction_integrals_reject_mismatched_grids(params, grid48):
+    # same n on another interval: the bubble's nodes are not w1's
+    other = build_grid(0.0, 3.0, 48, params)
+    w = GridFunction(grid48, np.ones(grid48.n))
+    u_eps = make_u_eps(other, params, BubbleSpec(eps=0.1, delta=0.25))
+    with pytest.raises(GridMismatchError):
+        interaction_integrals(w, u_eps, params)
 
 
 def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
@@ -140,16 +148,10 @@ def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
     w = GridFunction(g, np.ones(g.n))
     base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    a1 = fit_exponent(
-        [sp.eps for sp in specs],
-        [interaction_integrals(w, g, params, sp, "A1") for sp in specs],
-        theory=interaction_exponent(params, "A1"),
-    )
-    a4 = fit_exponent(
-        [sp.eps for sp in specs],
-        [interaction_integrals(w, g, params, sp, "A4") for sp in specs],
-        theory=interaction_exponent(params, "A4"),
-    )
+    eps = [sp.eps for sp in specs]
+    integrals = [interaction_integrals(w, make_u_eps(g, params, sp), params) for sp in specs]
+    a1 = fit_exponent(eps, [a["A1"] for a in integrals], theory=interaction_exponent(params, "A1"))
+    a4 = fit_exponent(eps, [a["A4"] for a in integrals], theory=interaction_exponent(params, "A4"))
     assert a1.theory == pytest.approx(0.1, rel=1e-12)
     assert a4.theory == pytest.approx(0.1, rel=1e-12)
     assert a1.slope == pytest.approx(0.081, abs=0.01)
@@ -194,8 +196,9 @@ def test_concave_mass_regimes_two_and_three(q, regime, theory):
 
 
 def test_lq_mass_scaling_rejects_wide_rungs(params):
+    # four rungs pass the length check; the first is above delta/2
     g = build_grid(-1.0, 1.0, 64, params)
     base = BubbleSpec(eps=0.2, delta=0.25, center=0.0)
-    specs = ladder(base, (0.2, 0.1))
-    with pytest.raises(ParameterError):
+    specs = ladder(base, (0.2, 0.1, 0.05, 0.025))
+    with pytest.raises(ParameterError, match="delta/2"):
         lq_mass_scaling(g, params, specs)

@@ -162,6 +162,17 @@ def test_fiber_reads_solution_csv(tmp_path):
     assert "minus.tag\t" in report and "plus.tag\t" in report
 
 
+def test_fiber_reads_the_manifold_tolerance(tmp_path):
+    # at a tolerance below rounding neither projection classifies on a stratum
+    assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
+    csv = tmp_path / "solution.csv"
+    argv = ["fiber", "--out", str(tmp_path), "--set", f"fiber.input={csv}", "--set", "solver.tol_manifold=1e-30"]
+    assert main(argv + FAST) == 0
+    rows = [ln.split("\t") for ln in _read(tmp_path / "fiber.report.txt").decode().splitlines()]
+    tags = {row[0]: row[2] for row in rows if row[0].endswith(".tag")}
+    assert tags == {"fiber.minus.tag": "off", "fiber.plus.tag": "off"}
+
+
 def test_fiber_grid_mismatch_exits_2(tmp_path):
     assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
     csv = tmp_path / "solution.csv"

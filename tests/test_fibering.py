@@ -37,17 +37,6 @@ def test_t0_is_the_peak(params, grid48, rng):
             assert fm.psi(bump * t0) < psi_t0
 
 
-def test_roots_solve_the_scalar_equation(params, grid48, rng):
-    for _ in range(25):
-        u = _random_fn(grid48, rng)
-        rep = fiber_roots(u, params)
-        fm = FiberMap.of(u, params)
-        target = params.mu * fm.mass_q
-        scale = max(abs(rep.psi_t0), abs(target))
-        assert abs(fm.psi(rep.tminus) - target) <= 1e-9 * scale
-        assert abs(fm.psi(rep.tplus) - target) <= 1e-9 * scale
-
-
 def test_projected_point_sits_on_manifold(params, grid48, rng):
     for _ in range(10):
         u = _random_fn(grid48, rng)

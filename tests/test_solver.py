@@ -7,6 +7,7 @@ import pytest
 
 from nehari_fpl import (
     BubbleSpec,
+    CollapseError,
     GridFunction,
     NehariTag,
     NoCrossingError,
@@ -273,6 +274,15 @@ def test_sign_changing_failure_counts_bubble_retries(params, grid48, monkeypatch
     # the first bubble scale plus five retries
     with pytest.raises(SolverError, match="after 5 restarts"):
         solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
+
+
+def test_sign_changing_raises_on_collapsed_part(params, grid48, monkeypatch):
+    # the smaller projected part carries at most half of the whole
+    # seminorm, so a collapse threshold of one half trips the projection
+    monkeypatch.setattr(solver_module, "COLLAPSE_FACTOR", 0.5)
+    w1 = solve_positive(grid48, params, seed=0).u
+    with pytest.raises(CollapseError):
+        solve_sign_changing(grid48, params, w1=w1)
 
 
 def test_stop_reason_says_why_descent_ended(params, grid48):

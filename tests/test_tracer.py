@@ -6,6 +6,7 @@ from pathlib import Path
 
 import nehari_fpl
 from nehari_fpl import build_grid
+from nehari_fpl.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +48,32 @@ def test_tracer_counts_sobolev_iterations(params):
     finally:
         tracer.uninstall()
     assert tracer.counts["constants.sobolev.iterations"] == est.iterations
+
+
+def test_tracer_counts_one_bubble_per_rung(tmp_path):
+    # four rungs: each bubble is built once for the interaction integrals
+    # and once for the concave-mass fit, and its A1-A4 come from one call
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        assert main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["bubble.make_u_eps.calls"] == 8
+    assert tracer.counts["bubble.interaction_integrals.calls"] == 4
+
+
+def test_tracer_two_part_solve_makes_no_seminorm_call(params):
+    # the collapse test reads the part seminorms off the projected pieces
+    grid = build_grid(-1.0, 1.0, 48, params)
+    w1 = nehari_fpl.solve_positive(grid, params, seed=0).u
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        nehari_fpl.solve_sign_changing(grid, params, w1=w1)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["solver.solve_sign_changing.calls"] == 1
+    assert tracer.counts["energy.seminorm_p.calls"] == 0

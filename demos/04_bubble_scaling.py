@@ -52,7 +52,7 @@ def main():
         print(f"    value / eps^theory per rung: {comp}")
 
     print("\n-- concave mass of the bubble itself --")
-    fit = lq_mass_scaling(g, params, specs)
+    fit = lq_mass_scaling(params, specs, bubbles)
     print(f"mass: slope {fit.slope:.4f}  theory {fit.theory:.2f}")
     comp = ", ".join(f"{v / e ** fit.theory:.4f}" for v, e in zip(fit.values, eps))
     print(f"    value / eps^theory per rung: {comp}")

@@ -203,9 +203,12 @@ def interaction_exponent(params: Params, which: str) -> float:
     return (N - ps) / (p * (p - 1.0))
 
 
-def lq_mass_scaling(grid: Grid, params: Params, spec_ladder: Sequence[BubbleSpec]) -> ScalingFit:
+def lq_mass_scaling(
+    params: Params, spec_ladder: Sequence[BubbleSpec], bubbles: Sequence[GridFunction]
+) -> ScalingFit:
     """Fit of the concave-term mass of the bubble family against eps.
 
+    bubbles holds make_u_eps of each rung of spec_ladder, in order.
     Regime-dependent theory slope:
       1: (N - ps)(q+1)/(p(p-1))
       2: N/p, after dividing the measured values by |log eps|
@@ -216,18 +219,15 @@ def lq_mass_scaling(grid: Grid, params: Params, spec_ladder: Sequence[BubbleSpec
     specs = list(spec_ladder)
     if len(specs) < 4:
         raise ParameterError(f"ladder too short: need >= 4 points, got {len(specs)}")
+    if len(bubbles) != len(specs):
+        raise ParameterError(f"need one bubble per rung: {len(specs)} rungs, {len(bubbles)} bubbles")
     eps = np.array([sp.eps for sp in specs], dtype=np.float64)
     delta = specs[0].delta
     if np.any(eps >= 0.5 * delta):
         raise ParameterError(
             f"every ladder eps must stay below delta/2 = {0.5 * delta}; got max {eps.max()}"
         )
-    masses = np.array(
-        [
-            lebesgue_mass(make_u_eps(grid, params, sp), params.q + 1.0)
-            for sp in specs
-        ]
-    )
+    masses = np.array([lebesgue_mass(u, params.q + 1.0) for u in bubbles])
     regime, threshold = mass_regime(params)
     N, p, q, ps = params.N, params.p, params.q, params.ps
     if regime == 1:

@@ -212,7 +212,8 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
     specs = ladder_from(cfg, grid, params)
     eps = [sp.eps for sp in specs]
     w_one = GridFunction(grid, np.ones(grid.n))
-    integrals = [interaction_integrals(w_one, make_u_eps(grid, params, sp), params) for sp in specs]
+    bubbles = [make_u_eps(grid, params, sp) for sp in specs]
+    integrals = [interaction_integrals(w_one, u, params) for u in bubbles]
     rows = [("scaling.eps_ladder", "concentration scales", ",".join(_fmt(e) for e in eps))]
     for which in INTERACTION_NAMES:
         vals = [a[which] for a in integrals]
@@ -223,7 +224,7 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
         rows.append((f"scaling.{key}.rel_err", "relative slope error", fit.rel_err))
         for i, v in enumerate(vals):
             rows.append((f"scaling.{key}.v{i}", f"value at eps = {_fmt(eps[i])}", v))
-    mfit = lq_mass_scaling(grid, params, specs)
+    mfit = lq_mass_scaling(params, specs, bubbles)
     rows.append(("scaling.mass.slope", "fitted log-log slope", mfit.slope))
     rows.append(("scaling.mass.theory", f"theory exponent, {mfit.label}", mfit.theory))
     rows.append(("scaling.mass.rel_err", "relative slope error", mfit.rel_err))

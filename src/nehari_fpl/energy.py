@@ -62,8 +62,8 @@ class EnergyBreakdown:
 
 
 def signed_power(x, e: float):
-    """sign(x) * |x|^e, continuously extended by 0 at x = 0."""
-    return np.sign(x) * np.abs(x) ** e
+    """sign(x) * |x|^e, continuously extended by 0 at x = 0 (a zero keeps its sign)."""
+    return np.copysign(np.abs(x) ** e, x)
 
 
 _tally = threading.local()
@@ -162,6 +162,13 @@ class GradientPieces:
     so that g = sem - mu h concave - h critical.  Along the ray t -> t u
     they are homogeneous of degrees p-1, q and p*-1, and paired with u
     they give the ray coefficients (ray_coefficients).
+
+    Nothing here validates values.  The pieces of a validated u are
+    finite unless a power overflows, and the descent's trials are
+    wrapped without a scan (grid.GridFunction._wrap).  Any non-finite
+    entry of u, G u or either power makes a ray coefficient non-finite,
+    so FiberMap.of_pieces, which rejects those, checks a trial's values
+    and pieces once, on three floats.
     """
 
     u: GridFunction
@@ -180,7 +187,7 @@ class GradientPieces:
     def scaled(self, t: float, params: Params) -> "GradientPieces":
         """Pieces at t u, by homogeneity: no pair action and no power of u."""
         return GradientPieces(
-            self.u.with_values(t * self.u.values),
+            GridFunction._wrap(self.u.grid, t * self.u.values),
             t ** (params.p - 1.0) * self.sem,
             t ** params.q * self.concave,
             t ** (params.pstar - 1.0) * self.critical,
@@ -209,4 +216,4 @@ def split_parts(u: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Positive and negative parts (u+, u-), both nonnegative, u = u+ - u-."""
     plus = np.maximum(u.values, 0.0)
     minus = np.maximum(-u.values, 0.0)
-    return u.with_values(plus), u.with_values(minus)
+    return GridFunction._wrap(u.grid, plus), GridFunction._wrap(u.grid, minus)

@@ -19,6 +19,15 @@ two crossings t- < t0 < t+: the smaller is a local minimum of phi (stable,
 At mu = 0 the level is zero, psi(0) = 0 takes the place of t-, and t+ is
 the ray's only critical point.
 
+t- and t+ come from one root search (_root): Newton steps on psi - c from
+the end of a sign-change bracket where psi < c, each kept inside the
+bracket by bisection, to a few ulps.  t- is bracketed by t0 and a point
+below (c / ||u||^p)^(1/(p-1-q)), t+ by t0 and the zero-level root
+(||u||^p / m_*)^(1/(p*-p)), doubled while rounding leaves psi >= c
+there.  Plain Newton is not safe here: psi - c is concave past t0 only
+when p* - q - 1 >= 1.  The scalar maps phi, dphi, ddphi and psi take
+plain floats, or arrays of them for scans.
+
 Every coefficient is a pairing with the gradient pieces at u
 (energy.GradientPieces): ||u||^p = u . G u, m_q = h u . sign(u)|u|^q and
 m_* = h u . sign(u)|u|^(p*-1) (FiberMap.of_pieces).  The perturbation
@@ -46,8 +55,10 @@ from .errors import (
 )
 from .grid import GridFunction, Params
 
-BISECT_REL_WIDTH = 1e-12
-BISECT_MAX_ITER = 200
+# _root: at most ROOT_MAX_ITER evaluations, stopping once a step moves the
+# iterate by at most ROOT_ULPS ulps
+ROOT_MAX_ITER = 200
+ROOT_ULPS = 4.0
 
 
 class NehariTag(enum.Enum):
@@ -110,10 +121,18 @@ class FiberMap:
 
     @classmethod
     def of_pieces(cls, pieces: GradientPieces, params: Params) -> "FiberMap":
-        """The fiber map of pieces.u, read off its gradient pieces with no pair action."""
-        if not np.any(pieces.u.values):
+        """The fiber map of pieces.u, read off its gradient pieces with no pair action.
+
+        Raises DegenerateInputError for the zero function, and for pieces
+        with a non-finite ray coefficient, which any non-finite entry of u,
+        G u or either power makes (energy.GradientPieces).
+        """
+        if not pieces.u.values.any():
             raise DegenerateInputError("nonzero function required")
-        return cls(*pieces.ray_coefficients(), params.p, params.q, params.pstar, params.mu)
+        coefficients = pieces.ray_coefficients()
+        if not all(map(math.isfinite, coefficients)):
+            raise DegenerateInputError(f"ray coefficients must be finite, got {coefficients}")
+        return cls(*coefficients, params.p, params.q, params.pstar, params.mu)
 
     @property
     def concave_mass(self) -> float:
@@ -124,16 +143,19 @@ class FiberMap:
         """Natural magnitude of the three energy pieces, used for tolerances."""
         return self.norm_p + self.mass_star + self.concave_mass
 
+    # phi, dphi, ddphi and psi take a positive float, or an array of them
     def phi(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return (
-            t ** self.p / self.p * self.norm_p
-            - self.mu * t ** (self.q + 1.0) / (self.q + 1.0) * self.mass_q
-            - t ** self.pstar / self.pstar * self.mass_star
-        )
+        try:
+            return (
+                t ** self.p / self.p * self.norm_p
+                - self.mu * t ** (self.q + 1.0) / (self.q + 1.0) * self.mass_q
+                - t ** self.pstar / self.pstar * self.mass_star
+            )
+        except OverflowError:
+            # t^p* past the float range on a plain float: -inf, as the array form gives
+            return -math.inf
 
     def dphi(self, t):
-        t = np.asarray(t, dtype=np.float64)
         return (
             t ** (self.p - 1.0) * self.norm_p
             - self.mu * t ** self.q * self.mass_q
@@ -141,7 +163,6 @@ class FiberMap:
         )
 
     def ddphi(self, t):
-        t = np.asarray(t, dtype=np.float64)
         return (
             (self.p - 1.0) * t ** (self.p - 2.0) * self.norm_p
             - self.q * self.mu * t ** (self.q - 1.0) * self.mass_q
@@ -149,7 +170,6 @@ class FiberMap:
         )
 
     def psi(self, t):
-        t = np.asarray(t, dtype=np.float64)
         return t ** (self.p - 1.0 - self.q) * self.norm_p - t ** (
             self.pstar - self.q - 1.0
         ) * self.mass_star
@@ -168,38 +188,39 @@ class FiberMap:
         if c < 0.0:
             raise DegenerateInputError("concave mass must be nonnegative for the ray analysis")
         t0 = self.t0()
-        peak = float(self.psi(t0))
+        peak = self.psi(t0)
         if peak <= c:
             raise NoRootsError(peak, c)
         return c, t0
 
     def _level_gap(self, c: float):
-        """t -> psi(t) - c on plain floats, for the scalar root searches.
+        """t -> (psi(t) - c, psi'(t)) on plain floats, for the root search.
 
-        A power too large for a float is taken as psi = -inf, the value
-        the array form gives past the ray peak.
+        A power too large for a float is taken as psi = psi' = -inf, the
+        values the array form gives past the ray peak.
         """
         a, b = self.p - 1.0 - self.q, self.pstar - self.q - 1.0
         norm_p, mass_star = self.norm_p, self.mass_star
 
-        def gap(t: float) -> float:
+        def gap(t: float) -> tuple[float, float]:
             try:
-                return t ** a * norm_p - t ** b * mass_star - c
+                rise, fall = t ** a * norm_p, t ** b * mass_star
             except OverflowError:
-                return -math.inf
+                return -math.inf, -math.inf
+            # t = 0, a bracket end that underflowed, has no slope to step with
+            return rise - fall - c, (a * rise - b * fall) / t if t else math.nan
 
         return gap
 
     def _upper_root(self, c: float, t0: float) -> float:
         gap = self._level_gap(c)
-        hi = 2.0 * t0
-        for _ in range(BISECT_MAX_ITER):
-            if gap(hi) < 0.0:
-                break
+        # psi = 0 <= c at the zero-level root, which t+ cannot pass
+        hi = (self.norm_p / self.mass_star) ** (1.0 / (self.pstar - self.p))
+        for _ in range(ROOT_MAX_ITER):
+            if gap(hi)[0] < 0.0:
+                return _root(gap, hi, t0)
             hi *= 2.0
-        else:
-            raise BisectionError("failed to bracket the upper ray root")
-        return _bisect(gap, t0, hi)
+        raise BisectionError("failed to bracket the upper ray root")
 
     def roots(self) -> tuple[float, float]:
         """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
@@ -208,8 +229,7 @@ class FiberMap:
             raise DegenerateInputError("zero concave mass: the ray has no stable root")
         # psi(t) <= norm_p * t^(p-1-q), so psi < c strictly left of this point.
         lo = 0.999 * (c / self.norm_p) ** (1.0 / (self.p - 1.0 - self.q))
-        tminus = _bisect(self._level_gap(c), lo, t0)
-        return tminus, self._upper_root(c, t0)
+        return _root(self._level_gap(c), lo, t0), self._upper_root(c, t0)
 
     def tplus(self) -> float:
         """The upper crossing alone, the fiber maximum; equals roots()[1].
@@ -231,8 +251,8 @@ class FiberMap:
             (p-1-q) ||u||^p - (p*-1-q) m_*
             (p-p*)  ||u||^p + (p*-1-q) mu m_q
         """
-        first = float(self.dphi(1.0))
-        second = float(self.ddphi(1.0))
+        first = self.dphi(1.0)
+        second = self.ddphi(1.0)
         p, q, pstar = self.p, self.q, self.pstar
         exprs = (
             (p - 1.0) * self.norm_p - q * self.mu * self.mass_q - (pstar - 1.0) * self.mass_star,
@@ -253,28 +273,38 @@ class FiberMap:
         return NehariClass(tag, first, second, spread)
 
 
-def _bisect(g, lo: float, hi: float) -> float:
-    """Bisection on [lo, hi] assuming a sign change; relative width 1e-12."""
-    glo = g(lo)
-    ghi = g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo < 0.0) == (ghi < 0.0):
-        raise BisectionError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
+def _root(gap, neg: float, pos: float) -> float:
+    """The root of f between neg and pos, where f(neg) < 0 < f(pos); gap(t) = (f(t), f'(t)).
+
+    Safeguarded Newton (rtsafe; Press et al., Numerical Recipes, 3rd ed.,
+    sec. 9.4): the first step starts from neg, and every evaluation
+    moves one end of the sign-change bracket to the iterate.  A Newton
+    step that would leave the bracket, or that is more than half the step
+    before last, becomes a bisection of the bracket, so the search
+    converges whether or not f is concave there.  Where f = psi - c is
+    concave, Newton from the f < 0 side converges monotonically.  Stops
+    once a step is at most ROOT_ULPS ulps of the iterate.
+    """
+    x, last, before = neg, math.inf, math.inf
+    for _ in range(ROOT_MAX_ITER):
+        f, df = gap(x)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            neg = x
         else:
-            hi, ghi = mid, gm
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+            pos = x
+        lo, hi = (neg, pos) if neg < pos else (pos, neg)
+        tol = ROOT_ULPS * math.ulp(x)
+        step = f / df if df != 0.0 else math.inf
+        # a step within tol may round onto the bracket end x has just become
+        if not (abs(step) <= tol or lo < x - step < hi and abs(step) <= 0.5 * abs(before)):
+            step = x - 0.5 * (lo + hi)
+        before, last = last, step
+        x -= step
+        if abs(step) <= tol:
+            return x
+    raise BisectionError(f"ray root search did not converge on [{lo}, {hi}]")
 
 
 def fiber_derivatives(u: GridFunction, t: float, params: Params) -> tuple[float, float, float]:
@@ -289,7 +319,7 @@ def psi_and_t0(u: GridFunction, params: Params) -> tuple[float, float]:
     """Peak location t0 and peak value psi(t0) of the ray root function."""
     fm = FiberMap.of(u, params)
     t0 = fm.t0()
-    return t0, float(fm.psi(t0))
+    return t0, fm.psi(t0)
 
 
 def classify(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> NehariClass:
@@ -306,7 +336,7 @@ def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> 
     pieces = GradientPieces.of(u, params)
     fm = FiberMap.of_pieces(pieces, params)
     t0 = fm.t0()
-    psi_t0 = float(fm.psi(t0))
+    psi_t0 = fm.psi(t0)
     tminus, tplus = fm.roots()
     class_minus = FiberMap.of_pieces(pieces.scaled(tminus, params), params).classify(tol_manifold)
     class_plus = FiberMap.of_pieces(pieces.scaled(tplus, params), params).classify(tol_manifold)

@@ -186,7 +186,16 @@ def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Nodal values of a function on a grid, zero outside the interval."""
+    """Nodal values of a function on a grid, zero outside the interval.
+
+    The constructor validates: it copies the values into a read-only
+    float64 array of the grid's shape and raises ParameterError unless
+    every entry is finite.  Starts, results and user input are built
+    this way.  Arrays the package derives from such values inside one
+    computation are wrapped by _wrap instead, with no copy and no scan;
+    the descent checks each trial once, through the finiteness of its
+    ray coefficients (fibering.FiberMap.of_pieces).
+    """
 
     grid: Grid
     values: np.ndarray
@@ -201,6 +210,15 @@ class GridFunction:
             raise ParameterError("values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """values, a fresh float64 array of the grid's shape, made read-only and wrapped as is."""
+        values.setflags(write=False)
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "grid", grid)
+        object.__setattr__(fn, "values", values)
+        return fn
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)

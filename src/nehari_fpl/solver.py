@@ -170,7 +170,7 @@ def _project_ray(v: GradientPieces, params: Params):
     """
     fm = FiberMap.of_pieces(v, params)
     tplus = fm.tplus()
-    return v.scaled(tplus, params), float(fm.phi(tplus))
+    return v.scaled(tplus, params), fm.phi(tplus)
 
 
 def _check_settings(max_iters: int = 1, max_restarts: int = 0, **tols: float):
@@ -194,18 +194,20 @@ def _fresh(u: GridFunction, params: Params, tol_res: float):
     """(pieces, fiber map, energy, residual norm, converged) from one fresh G u.
 
     Every number a solve reports comes from here, at the returned u, and
-    not from the pieces carried through the descent.
+    not from the pieces carried through the descent.  u is validated
+    again here (grid.GridFunction), as the solve's result.
     """
-    pieces = GradientPieces.of(u, params)
+    pieces = GradientPieces.of(GridFunction(u.grid, u.values), params)
     fm = FiberMap.of_pieces(pieces, params)
-    e_total = float(fm.phi(1.0))
-    res = float(np.max(np.abs(pieces.gradient(params))))
+    e_total = fm.phi(1.0)
+    res = float(np.abs(pieces.gradient(params)).max())
     return pieces, fm, e_total, res, res <= tol_res * (1.0 + abs(e_total))
 
 
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
     """Rescale u onto the fiber maximum t+(u) * u."""
-    return _project_ray(GradientPieces.of(u, params), params)[0].u
+    projected = _project_ray(GradientPieces.of(u, params), params)[0].u
+    return GridFunction(projected.grid, projected.values)
 
 
 def _project_parts(u: GridFunction, params: Params):
@@ -218,13 +220,13 @@ def _project_parts(u: GridFunction, params: Params):
     pieces at hand, no pair action.
     """
     parts = [_project_ray(GradientPieces.of(part, params), params)[0] for part in split_parts(u)]
-    w = GradientPieces.of(u.with_values(parts[0].u.values - parts[1].u.values), params)
+    w = GradientPieces.of(GridFunction._wrap(u.grid, parts[0].u.values - parts[1].u.values), params)
     fm = FiberMap.of_pieces(w, params)
     for name, part in zip(("plus", "minus"), parts):
         norm = part.ray_coefficients()[0]
         if norm < COLLAPSE_FACTOR * fm.norm_p:
             raise CollapseError(name, norm, fm.norm_p)
-    return w, float(fm.phi(1.0))
+    return w, fm.phi(1.0)
 
 
 def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, params: Params):
@@ -236,15 +238,15 @@ def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, p
     G is the linear stiffness action A, so while the clip changes nothing
     G v = G u + a_step with a_step = A step, and the trial costs no pair
     action.  Otherwise (p != 2, or a clipped node) G v is evaluated
-    directly, one pair action.
+    directly, one pair action.  The trial is wrapped without a copy or a
+    scan; _project_ray rejects it if a ray coefficient is not finite.
     """
-    u = state.u
-    trial = u.values + step
-    sem = None
-    if params.p == 2.0 and not np.any(trial < 0.0):
-        sem = state.sem + a_step
-    clipped = u.with_values(np.maximum(trial, 0.0))
-    return _project_ray(GradientPieces.of(clipped, params, sem), params)
+    trial = state.u.values + step
+    clip = bool((trial < 0.0).any())
+    if clip:
+        np.maximum(trial, 0.0, out=trial)
+    sem = state.sem + a_step if params.p == 2.0 and not clip else None
+    return _project_ray(GradientPieces.of(GridFunction._wrap(state.u.grid, trial), params, sem), params)
 
 
 def _positive_bump(grid: Grid, rng) -> GridFunction:
@@ -341,17 +343,23 @@ def _riesz_direction(grid: Grid, g: np.ndarray):
     n = grid.n
     x = np.zeros_like(g)
     r = g.copy()
-    stop = RIESZ_RTOL * float(np.linalg.norm(g))
+    rr = float(np.dot(r, r))
+    stop = RIESZ_RTOL * math.sqrt(rr)
     steps = 0
-    while steps < n and float(np.linalg.norm(r)) > stop:
+    while steps < n and math.sqrt(rr) > stop:
         z = np.fft.irfft(np.fft.rfft(r) / grid.strang_eigs, n)
         rz = float(np.dot(r, z))
-        d = z if steps == 0 else z + (rz / rz_old) * d
+        if steps == 0:
+            d = z
+        else:
+            d *= rz / rz_old
+            d += z
         steps += 1
         ad = stiffness_action(grid, d)
         step = rz / float(np.dot(d, ad))
         x += step * d
         r -= step * ad
+        rr = float(np.dot(r, r))
         rz_old = rz
     return x, steps, g - r
 
@@ -382,7 +390,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     for _ in range(max(budget, 0)):
         iterations += 1
         g = state.gradient(params)
-        if float(np.max(np.abs(g))) <= tol_res * (1.0 + abs(e_total)):
+        if float(np.abs(g).max()) <= tol_res * (1.0 + abs(e_total)):
             iterations -= 1
             break
         if sobolev:
@@ -399,6 +407,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
             try:
                 trial, e_trial = project(state, alpha * d, None if ad is None else alpha * ad)
             except (NoRootsError, DegenerateInputError):
+                # no fiber maximum, or a ray coefficient that is not finite
                 alpha *= ARMIJO_SHRINK
                 continue
             if e_trial <= e_total + ARMIJO_C * alpha * slope:
@@ -425,7 +434,7 @@ def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
         tplus = fm.tplus()
     except NoRootsError:
         return FiberSupremum(0.0, False, 0.0)
-    value = float(fm.phi(tplus))
+    value = fm.phi(tplus)
     if value <= 0.0:
         return FiberSupremum(0.0, True, 0.0)
     return FiberSupremum(value, True, tplus)
@@ -592,7 +601,7 @@ def solve_sign_changing(
     state, e_start = _project_parts(cross.ansatz, params)
 
     def project(v, step, a_step):
-        return _project_parts(v.u.with_values(v.u.values + step), params)
+        return _project_parts(GridFunction._wrap(v.u.grid, v.u.values + step), params)
 
     state, iterations, stalled, trials, cg_steps = _descend(
         state, e_start, params, max_iters, tol_res, sobolev=False, project=project,
@@ -603,8 +612,8 @@ def solve_sign_changing(
     plus, minus = split_parts(final.u)
     fm_plus = FiberMap.of(plus, params)
     fm_minus = FiberMap.of(minus, params)
-    e_plus = float(fm_plus.phi(1.0))
-    e_minus = float(fm_minus.phi(1.0))
+    e_plus = fm_plus.phi(1.0)
+    e_minus = fm_minus.phi(1.0)
     ps_gap_bound = None
     ps_gap_ok = None
     if s_est is not None:

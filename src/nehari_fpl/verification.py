@@ -254,9 +254,10 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
                 abs(float(fm.psi(tminus)) - c) / scale,
                 abs(float(fm.psi(tplus)) - c) / scale,
             )
-        return ok and worst <= 1e-9, "%.3g" % worst, "root residual over max(|psi(t0)|, mu m_q)"
+        # measured 8.5e-16 (checks.n = 32) and 7.5e-16 (48) at seed 0
+        return ok and worst <= 1e-13, "%.3g" % worst, "root residual over max(|psi(t0)|, mu m_q)"
 
-    out.append(_run("fibering.roots-bracket-order", "t- < t0 < t+, residual <= 1e-9", roots_order))
+    out.append(_run("fibering.roots-bracket-order", "t- < t0 < t+, residual <= 1e-13", roots_order))
 
     def roots_vs_scan():
         worst = 0.0
@@ -271,10 +272,10 @@ def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
             cell = ts[1] - ts[0]
             worst = max(worst, abs(ts[flips[0]] - tminus), abs(ts[flips[-1]] - tplus))
             if abs(ts[flips[0]] - tminus) > 2.0 * cell or abs(ts[flips[-1]] - tplus) > 2.0 * cell:
-                return False, "%.3g" % worst, "bisection root outside scan cell"
+                return False, "%.3g" % worst, "ray root outside scan cell"
         return True, "%.3g" % worst, "max distance to scan crossing"
 
-    out.append(_run("fibering.roots-vs-scan", "bisection roots inside scan cells", roots_vs_scan))
+    out.append(_run("fibering.roots-vs-scan", "ray roots inside scan cells", roots_vs_scan))
 
     def projection_classes():
         for _ in range(10):
@@ -515,7 +516,7 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
         )
 
     def mass_fit():
-        fit = lq_mass_scaling(grid, params, specs)
+        fit = lq_mass_scaling(params, specs, bubbles)
         ratios = [v / e ** fit.theory for v, e in zip(fit.values, fit.eps_ladder)]
         return (
             fit.slope >= fit.theory - 0.15 * abs(fit.theory),

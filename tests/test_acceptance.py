@@ -227,9 +227,10 @@ def test_criterion_7_bubble_scaling_exponents():
     specs = ladder(base, [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)])
     eps = [sp.eps for sp in specs]
     w = GridFunction(grid, np.ones(grid.n))
-    integrals = [interaction_integrals(w, make_u_eps(grid, PARAMS, sp), PARAMS) for sp in specs]
+    bubbles = [make_u_eps(grid, PARAMS, sp) for sp in specs]
+    integrals = [interaction_integrals(w, u, PARAMS) for u in bubbles]
     a1, a4 = [a["A1"] for a in integrals], [a["A4"] for a in integrals]
-    mass = lq_mass_scaling(grid, PARAMS, specs)
+    mass = lq_mass_scaling(PARAMS, specs, bubbles)
     regime, _ = mass_regime(PARAMS)
     assert regime == 1
     assert mass.theory == pytest.approx(0.15, rel=1e-12)

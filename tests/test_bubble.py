@@ -164,7 +164,7 @@ def test_concave_mass_trend_and_measured_slope(params):
     g = build_grid(-1.0, 1.0, 256, params)
     base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    fit = lq_mass_scaling(g, params, specs)
+    fit = lq_mass_scaling(params, specs, [make_u_eps(g, params, sp) for sp in specs])
     assert fit.theory == pytest.approx(0.15, rel=1e-12)
     # decreasing along the ladder, measured slope short of the limit rate
     assert all(b < a for a, b in zip(fit.values, fit.values[1:]))
@@ -187,10 +187,11 @@ def test_concave_mass_regimes_two_and_three(q, regime, theory):
     g = build_grid(-1.0, 1.0, 64, prm)
     base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    fit = lq_mass_scaling(g, prm, specs)
+    bubbles = [make_u_eps(g, prm, sp) for sp in specs]
+    fit = lq_mass_scaling(prm, specs, bubbles)
     assert fit.theory == pytest.approx(theory, rel=1e-12)
     assert fit.label.startswith(f"regime-{regime} ")
-    masses = [lebesgue_mass(make_u_eps(g, prm, sp), q + 1.0) for sp in specs]
+    masses = [lebesgue_mass(u, q + 1.0) for u in bubbles]
     divisor = np.abs(np.log(fit.eps_ladder)) if regime == 2 else 1.0
     np.testing.assert_allclose(np.multiply(fit.values, divisor), masses, rtol=1e-14)
 
@@ -200,5 +201,8 @@ def test_lq_mass_scaling_rejects_wide_rungs(params):
     g = build_grid(-1.0, 1.0, 64, params)
     base = BubbleSpec(eps=0.2, delta=0.25, center=0.0)
     specs = ladder(base, (0.2, 0.1, 0.05, 0.025))
+    bubbles = [make_u_eps(g, params, sp) for sp in specs]
     with pytest.raises(ParameterError, match="delta/2"):
-        lq_mass_scaling(g, params, specs)
+        lq_mass_scaling(params, specs, bubbles)
+    with pytest.raises(ParameterError, match="one bubble per rung"):
+        lq_mass_scaling(params, specs, bubbles[1:])

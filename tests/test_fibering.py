@@ -1,14 +1,18 @@
 """Fiber map analysis: peak, roots, their projections and the edge cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nehari_fpl import (
+    BisectionError,
     DegenerateInputError,
     FiberMap,
     GridFunction,
     NoRootsError,
     Params,
+    build_grid,
     classify,
     fiber_derivatives,
     fiber_roots,
@@ -119,3 +123,66 @@ def test_tplus_brackets_past_float_overflow():
     assert t0 < tplus < 2.0 * t0
     assert tplus == fm.roots()[1]
     assert tplus == pytest.approx(1.8418771244142063e36, rel=1e-11)
+
+
+def test_tminus_below_the_float_range_raises_bisection_error():
+    # (c / ||u||^p)^(1/(p-1-q)) = (1e-200)^2 underflows, so the lower
+    # bracket end is 0, where psi' has no value to step with; the search
+    # bisects toward t- ~ 1e-400 and stops with the package's own error
+    fm = FiberMap(norm_p=1.0, mass_q=1e-100, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=1e-100)
+    with pytest.raises(BisectionError, match="did not converge"):
+        fm.roots()
+
+
+def _bisect_reference(f, neg, pos):
+    # plain bisection down to adjacent floats; f(neg) < 0 < f(pos)
+    while True:
+        mid = 0.5 * (neg + pos)
+        if mid in (neg, pos):
+            return mid
+        if f(mid) < 0.0:
+            neg = mid
+        else:
+            pos = mid
+
+
+@pytest.mark.parametrize(
+    "prm",
+    [
+        Params(s=0.1, p=2.0, q=0.8, mu=20.0, N=1),
+        Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1),
+        Params(s=0.2, p=4.0, q=0.5, mu=0.05, N=1),
+        Params(s=0.4, p=2.0, q=0.5, mu=0.0, N=1),
+    ],
+    ids=["window", "p3", "p4", "mu0"],
+)
+def test_root_search_where_plain_newton_fails(prm, rng):
+    # psi - c is concave past t0 only when p* - q - 1 >= 1 (not at the
+    # window config, p* = 2.5); at p = 3, 4 plain Newton takes up to ~25
+    # steps, and with the level just below the peak it does not settle to
+    # a few ulps.  At mu = 0, t+ is the ray's only root.  Draws of every
+    # size put t0 on both sides of 1 by orders of magnitude.
+    grid = build_grid(-1.0, 1.0, 48, prm)
+    for _ in range(100):
+        size = 10.0 ** rng.uniform(-2.0, 2.0)
+        fm = FiberMap.of(GridFunction(grid, size * rng.standard_normal(grid.n)), prm)
+        maps = [fm]
+        if prm.mu > 0.0:
+            mu_crit = fm.psi(fm.t0()) / fm.mass_q
+            maps.append(replace(fm, mu=(1.0 - 10.0 ** -rng.uniform(1.0, 4.0)) * mu_crit))
+        for fm in maps:
+            t0, c = fm.t0(), fm.concave_mass
+            scale = max(abs(fm.psi(t0)), c)
+            tplus = fm.tplus()
+            hi = 2.0 * t0
+            while fm.psi(hi) >= c:
+                hi *= 2.0
+            found = [(tplus, _bisect_reference(lambda t: c - fm.psi(t), t0, hi))]
+            assert t0 < tplus
+            if c > 0.0:
+                tminus, upper = fm.roots()
+                assert tminus < t0 and upper == tplus
+                found.append((tminus, _bisect_reference(lambda t: fm.psi(t) - c, 0.0, t0)))
+            for got, want in found:
+                assert abs(fm.psi(got) - c) <= 1e-13 * scale
+                assert got == pytest.approx(want, rel=1e-11)

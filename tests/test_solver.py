@@ -8,6 +8,7 @@ import pytest
 from nehari_fpl import (
     BubbleSpec,
     CollapseError,
+    FiberMap,
     GridFunction,
     NehariTag,
     NoCrossingError,
@@ -47,6 +48,18 @@ def test_projection_lands_on_unstable_stratum(params, grid48, rng):
         assert cls.tag is NehariTag.MINUS
 
 
+def test_projection_far_below_unit_size(params, grid48, rng):
+    # at this size t+ ~ 8e30 puts t+^p* past the float range while m_* is
+    # still a normal float: phi(t+) reads -inf, as the array form gives,
+    # and the projected function is unaffected
+    u = _random_fn(grid48, rng)
+    small = u.with_values(1.2e-31 * u.values)
+    fm = FiberMap.of(small, params)
+    assert fm.mass_star > np.finfo(float).tiny
+    assert fm.phi(fm.tplus()) == -np.inf
+    np.testing.assert_allclose(project_minus(small, params).values, project_minus(u, params).values, rtol=1e-12)
+
+
 def test_positive_solve_facts(params, grid48):
     res = solve_positive(grid48, params, seed=0)
     assert res.converged
@@ -81,6 +94,45 @@ def test_cone_projection_clips_then_projects(params, grid48, rng):
     want, e_want = _project_ray(GradientPieces.of(w.with_values(w.values + small), params), params)
     np.testing.assert_allclose(got.u.values, want.u.values, rtol=1e-12)
     assert e_got == pytest.approx(e_want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [1e300, np.inf])
+def test_overlong_trial_halves_the_step(params, grid48, monkeypatch, bad):
+    # a trial with a non-finite ray coefficient is a rejected trial, as a
+    # ray without roots is: the step halves and the solve goes on
+    steps = []
+
+    def overlong_first(state, step, a_step, prm):
+        steps.append(step)
+        if len(steps) == 1:
+            step = step.copy()
+            step[grid48.n // 2] = bad
+            a_step = stiffness_action(grid48, step)
+        return _project_cone(state, step, a_step, prm)
+
+    monkeypatch.setattr(solver_module, "_project_cone", overlong_first)
+    # |1e300|^(p*-1) overflows, and an inf entry meets its opposite in u . G u
+    with pytest.warns(RuntimeWarning, match="overflow" if bad < np.inf else "invalid"):
+        res = solve_positive(grid48, params, seed=0)
+    assert steps[1].tobytes() == (0.5 * steps[0]).tobytes()
+    assert res.converged
+    assert res.armijo_trials > res.iterations
+
+
+def test_one_sign_solve_validates_only_its_starts_and_result(params, grid48, monkeypatch):
+    # trials and accepted steps are wrapped without a copy or a scan, and
+    # checked through their ray coefficients instead
+    validated = []
+    check = GridFunction.__post_init__
+
+    def spy(self):
+        validated.append(self)
+        check(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", spy)
+    res = solve_positive(grid48, params, seed=0)
+    assert len(validated) == res.restarts + 2
+    assert validated[-1] is res.u
 
 
 @pytest.mark.parametrize("n", [64, 256])

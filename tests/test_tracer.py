@@ -51,8 +51,8 @@ def test_tracer_counts_sobolev_iterations(params):
 
 
 def test_tracer_counts_one_bubble_per_rung(tmp_path):
-    # four rungs: each bubble is built once for the interaction integrals
-    # and once for the concave-mass fit, and its A1-A4 come from one call
+    # four rungs: each bubble is built once and serves the interaction
+    # integrals and the concave-mass fit, and its A1-A4 come from one call
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -60,7 +60,7 @@ def test_tracer_counts_one_bubble_per_rung(tmp_path):
         assert main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["bubble.make_u_eps.calls"] == 8
+    assert tracer.counts["bubble.make_u_eps.calls"] == 4
     assert tracer.counts["bubble.interaction_integrals.calls"] == 4
 
 

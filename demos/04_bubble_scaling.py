@@ -10,23 +10,21 @@ is a * eps^theta + c * eps^theta' with c < 0, the far field and the core
 (N - ps)/p = 0.1; the far-field rate 0.9 is the subleading term.
 """
 
-import numpy as np
-
 from nehari_fpl import (
     DEFAULT_EPS_FRACS,
-    GridFunction,
     Params,
     build_grid,
     default_bubble,
-    fit_exponent,
-    interaction_exponent,
-    interaction_integrals,
     ladder,
-    lq_mass_scaling,
-    make_u_eps,
-    seminorm_p,
+    ladder_fits,
     lebesgue_mass,
+    seminorm_p,
 )
+
+
+def per_rung(fit):
+    """value / eps^theory at each rung of a ladder fit."""
+    return ", ".join(f"{v / e ** fit.theory:.4f}" for v, e in zip(fit.values, fit.eps_ladder))
 
 
 def main():
@@ -34,28 +32,21 @@ def main():
     g = build_grid(-1.0, 1.0, 256, params)
     base = default_bubble(g, params)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    eps = [sp.eps for sp in specs]
-    bubbles = [make_u_eps(g, params, sp) for sp in specs]
-    w = GridFunction(g, np.ones(g.n))
-    integrals = [interaction_integrals(w, u, params) for u in bubbles]
+    bubbles, fits = ladder_fits(g, params, specs)
 
-    print("eps ladder:", ", ".join(f"{e:g}" for e in eps))
+    print("eps ladder:", ", ".join(f"{sp.eps:g}" for sp in specs))
     print(f"collar width delta = {base.delta:g} (every rung below delta/2)")
 
     print("\n-- interaction integrals against w = 1 --")
     for which in ("A1", "A4"):
-        theory = interaction_exponent(params, which)
-        vals = [a[which] for a in integrals]
-        fit = fit_exponent(eps, vals, theory=theory)
-        comp = ", ".join(f"{v / e ** theory:.4f}" for v, e in zip(vals, eps))
-        print(f"{which}: slope {fit.slope:.4f}  theory {theory:.2f}")
-        print(f"    value / eps^theory per rung: {comp}")
+        fit = fits[which]
+        print(f"{which}: slope {fit.slope:.4f}  theory {fit.theory:.2f}")
+        print(f"    value / eps^theory per rung: {per_rung(fit)}")
 
     print("\n-- concave mass of the bubble itself --")
-    fit = lq_mass_scaling(params, specs, bubbles)
+    fit = fits["mass"]
     print(f"mass: slope {fit.slope:.4f}  theory {fit.theory:.2f}")
-    comp = ", ".join(f"{v / e ** fit.theory:.4f}" for v, e in zip(fit.values, eps))
-    print(f"    value / eps^theory per rung: {comp}")
+    print(f"    value / eps^theory per rung: {per_rung(fit)}")
 
     print("\n-- Rayleigh quotient of the bubble along the ladder --")
     for sp, u in zip(specs, bubbles):

@@ -12,7 +12,9 @@ distance delta from the boundary.  Two profile shapes are available:
   model    : min(1, r^(-(N - s p)/(p - 1))), the generic decay envelope.
 
 Both decay like r^(-(N - s p)/(p - 1)) at infinity, which is what the
-interaction integrals and mass scaling laws probe.
+interaction integrals and mass scaling laws probe.  ladder_fits is the one
+place the concentration ladder is measured: one bubble per rung, A1-A4
+against w1 = 1 and the concave mass, each fitted against eps.
 """
 
 from __future__ import annotations
@@ -241,3 +243,24 @@ def lq_mass_scaling(
         fit_vals = masses
     label = f"regime-{regime} (threshold q = {threshold:.6g})"
     return fit_exponent(eps, fit_vals, theory=theory, label=label)
+
+
+def ladder_fits(
+    grid: Grid, params: Params, specs: Sequence[BubbleSpec]
+) -> tuple[list[GridFunction], dict[str, ScalingFit]]:
+    """The ladder's bubbles and their scaling fits against w1 = 1.
+
+    Builds each rung's bubble once and takes A1-A4 of it against w1 = 1.
+    fits maps each of INTERACTION_NAMES to its fit_exponent fit, with the
+    interaction_exponent theory attached, and "mass" to lq_mass_scaling.
+    """
+    eps = [sp.eps for sp in specs]
+    bubbles = [make_u_eps(grid, params, sp) for sp in specs]
+    w_one = GridFunction(grid, np.ones(grid.n))
+    integrals = [interaction_integrals(w_one, u, params) for u in bubbles]
+    fits = {
+        which: fit_exponent(eps, [a[which] for a in integrals], theory=interaction_exponent(params, which))
+        for which in INTERACTION_NAMES
+    }
+    fits["mass"] = lq_mass_scaling(params, specs, bubbles)
+    return bubbles, fits

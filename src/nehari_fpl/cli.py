@@ -9,7 +9,8 @@ identical files.  Solve commands additionally write the solution nodes as
 csv.
 
 Exit codes: 0 success, 1 numeric failure (an unconverged or collapsed
-run), 2 invalid input, 3 a failed check in verify / energy-check.
+run), 2 invalid input, 3 a failed check in verify / energy-check, which
+also name the failed checks on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -30,15 +32,7 @@ from .config import (
     params_from,
 )
 from .constants import compactness_gap, estimate_sobolev, regime_report, sobolev_exact
-from .bubble import (
-    INTERACTION_NAMES,
-    fit_exponent,
-    interaction_exponent,
-    interaction_integrals,
-    lq_mass_scaling,
-    make_u_eps,
-    mass_regime,
-)
+from .bubble import ladder_fits, make_u_eps, mass_regime
 from .errors import ConfigError, DegenerateInputError, GridMismatchError, NehariError, ParameterError
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
@@ -69,10 +63,8 @@ def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed=None) -
 
 def _write_csv(out_dir: str, stem: str, u: GridFunction) -> str:
     path = os.path.join(out_dir, f"{stem}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node,value\n")
-        for x, v in zip(u.grid.nodes, u.values):
-            fh.write("%.17g,%.17g\n" % (x, v))
+    table = np.column_stack([u.grid.nodes, u.values])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="node,value", comments="")
     return path
 
 
@@ -88,19 +80,16 @@ def _read_csv(path: str, grid: Grid) -> GridFunction:
         raise GridMismatchError(
             f"{path} has {len(lines)} rows but the configured grid has {grid.n} nodes"
         )
-    nodes = np.empty(grid.n)
-    vals = np.empty(grid.n)
-    for i, ln in enumerate(lines):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: expected 'node,value' rows, got {ln!r}")
-        try:
-            nodes[i], vals[i] = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(f"{path}: non-numeric row {ln!r}") from None
-    if float(np.max(np.abs(nodes - grid.nodes))) > 1e-8 * (grid.b - grid.a):
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # numpy's reason, without its hint about usecols
+        raise ConfigError(f"{path}: expected numeric 'node,value' rows: {str(exc).split(';')[0]}") from None
+    if table.shape[1] != 2:
+        raise ConfigError(f"{path}: expected 'node,value' rows, got {table.shape[1]} columns")
+    if float(np.max(np.abs(table[:, 0] - grid.nodes))) > 1e-8 * (grid.b - grid.a):
         raise GridMismatchError(f"{path}: node column does not match the configured grid")
-    return GridFunction(grid, vals)
+    return GridFunction(grid, table[:, 1])
 
 
 def _class_rows(prefix: str, label: str, cls) -> list:
@@ -144,41 +133,25 @@ def _cmd_constants(cfg, out_dir, overrides) -> int:
     return 0
 
 
-def _battery_rows(results) -> list:
+def _cmd_battery(command, groups, cfg, out_dir, overrides) -> int:
+    """verify and energy-check: run the named check groups, report, name the failures."""
+    seed = int(cfg["checks.seed"])
+    results = run_battery(
+        groups,
+        checks_n=int(cfg["checks.n"]),
+        seed=seed,
+        bubble_n=int(cfg["checks.bubble_n"]),
+        solver_budget=int(cfg["checks.solver_max_iters"]),
+    )
     rows = []
     for res in results:
         rows.append((f"check.{res.name}", res.target, "pass" if res.passed else "fail"))
         if not res.passed:
-            detail = res.detail or "-"
-            rows.append((f"check.{res.name}.measured", detail, res.value))
-    failed = sum(1 for r in results if not r.passed)
-    rows.append(("checks.total", "checks run", len(results)))
-    rows.append(("checks.failed", "checks failed", failed))
-    return rows
-
-
-def _cmd_energy_check(cfg, out_dir, overrides) -> int:
-    results = run_battery(
-        ("grid", "energy"), checks_n=int(cfg["checks.n"]), seed=int(cfg["checks.seed"])
-    )
-    _write_report(
-        out_dir, "energy-check", overrides, cfg, _battery_rows(results), seed=int(cfg["checks.seed"])
-    )
-    return 3 if any(not r.passed for r in results) else 0
-
-
-def _cmd_verify(cfg, out_dir, overrides) -> int:
-    results = run_battery(
-        None,
-        checks_n=int(cfg["checks.n"]),
-        seed=int(cfg["checks.seed"]),
-        bubble_n=int(cfg["checks.bubble_n"]),
-        solver_budget=int(cfg["checks.solver_max_iters"]),
-    )
-    _write_report(
-        out_dir, "verify", overrides, cfg, _battery_rows(results), seed=int(cfg["checks.seed"])
-    )
+            rows.append((f"check.{res.name}.measured", res.detail or "-", res.value))
     failed = [r.name for r in results if not r.passed]
+    rows.append(("checks.total", "checks run", len(results)))
+    rows.append(("checks.failed", "checks failed", len(failed)))
+    _write_report(out_dir, command, overrides, cfg, rows, seed=seed)
     if failed:
         print("failed checks: " + ", ".join(failed), file=sys.stderr)
         return 3
@@ -211,25 +184,16 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
     grid = grid_from(cfg, params)
     specs = ladder_from(cfg, grid, params)
     eps = [sp.eps for sp in specs]
-    w_one = GridFunction(grid, np.ones(grid.n))
-    bubbles = [make_u_eps(grid, params, sp) for sp in specs]
-    integrals = [interaction_integrals(w_one, u, params) for u in bubbles]
+    _, fits = ladder_fits(grid, params, specs)
     rows = [("scaling.eps_ladder", "concentration scales", ",".join(_fmt(e) for e in eps))]
-    for which in INTERACTION_NAMES:
-        vals = [a[which] for a in integrals]
-        fit = fit_exponent(eps, vals, theory=interaction_exponent(params, which))
+    for which, fit in fits.items():
         key = which.lower()
+        theory = "theory exponent" if fit.label is None else f"theory exponent, {fit.label}"
         rows.append((f"scaling.{key}.slope", "fitted log-log slope", fit.slope))
-        rows.append((f"scaling.{key}.theory", "theory exponent", fit.theory))
+        rows.append((f"scaling.{key}.theory", theory, fit.theory))
         rows.append((f"scaling.{key}.rel_err", "relative slope error", fit.rel_err))
-        for i, v in enumerate(vals):
+        for i, v in enumerate(fit.values):
             rows.append((f"scaling.{key}.v{i}", f"value at eps = {_fmt(eps[i])}", v))
-    mfit = lq_mass_scaling(params, specs, bubbles)
-    rows.append(("scaling.mass.slope", "fitted log-log slope", mfit.slope))
-    rows.append(("scaling.mass.theory", f"theory exponent, {mfit.label}", mfit.theory))
-    rows.append(("scaling.mass.rel_err", "relative slope error", mfit.rel_err))
-    for i, v in enumerate(mfit.values):
-        rows.append((f"scaling.mass.v{i}", f"value at eps = {_fmt(eps[i])}", v))
     _write_report(out_dir, "bubble-scaling", overrides, cfg, rows)
     return 0
 
@@ -362,13 +326,13 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
 
 _COMMANDS = {
     "constants": _cmd_constants,
-    "energy-check": _cmd_energy_check,
+    "energy-check": partial(_cmd_battery, "energy-check", ("grid", "energy")),
     "fiber": _cmd_fiber,
     "bubble-scaling": _cmd_bubble_scaling,
     "solve-positive": _cmd_solve_positive,
     "solve-sign-changing": _cmd_solve_sign_changing,
     "sup-scan": _cmd_sup_scan,
-    "verify": _cmd_verify,
+    "verify": partial(_cmd_battery, "verify", None),
 }
 
 

@@ -381,23 +381,10 @@ def perturbation_derivative(u: GridFunction, phi: GridFunction, params: Params) 
 
 
 def psi_mu(u: GridFunction, params: Params) -> float:
-    """Degeneracy functional of the two-root analysis.
+    """Degeneracy functional of the two-root analysis, psi(t0) - mu m_q.
 
     Vanishes exactly where the manifold point sits at the ray peak (merged
-    roots); bounded away from zero elsewhere.  Computed in log space to
-    keep the high powers of the norm from overflowing:
-
-        k0 * (||u||^(p(p*-1)) / m_*^(p-1))^(1/(p*-p)) - mu * m_q,
-        k0 = ((p-1-q)/(p*-q-1))^((p*-1)/(p*-p)) * (p*-p)/(p-1-q).
+    roots); bounded away from zero elsewhere.
     """
     fm = FiberMap.of(u, params)
-    if fm.mass_star <= 0.0:
-        raise DegenerateInputError("critical mass is zero")
-    p, q, pstar = fm.p, fm.q, fm.pstar
-    k0 = ((p - 1.0 - q) / (pstar - q - 1.0)) ** ((pstar - 1.0) / (pstar - p)) * (
-        (pstar - p) / (p - 1.0 - q)
-    )
-    log_term = ((pstar - 1.0) * math.log(fm.norm_p) - (p - 1.0) * math.log(fm.mass_star)) / (
-        pstar - p
-    )
-    return k0 * math.exp(log_term) - fm.mu * fm.mass_q
+    return fm.psi(fm.t0()) - fm.concave_mass

@@ -40,10 +40,9 @@ from nehari_fpl import (
     fiber_roots,
     form_a,
     gradient,
-    interaction_integrals,
     ladder,
+    ladder_fits,
     lebesgue_mass,
-    lq_mass_scaling,
     make_u_eps,
     mass_regime,
     mu_tilde,
@@ -226,23 +225,15 @@ def test_criterion_7_bubble_scaling_exponents():
     base = default_bubble(grid, PARAMS)
     specs = ladder(base, [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)])
     eps = [sp.eps for sp in specs]
-    w = GridFunction(grid, np.ones(grid.n))
-    bubbles = [make_u_eps(grid, PARAMS, sp) for sp in specs]
-    integrals = [interaction_integrals(w, u, PARAMS) for u in bubbles]
-    a1, a4 = [a["A1"] for a in integrals], [a["A4"] for a in integrals]
-    mass = lq_mass_scaling(PARAMS, specs, bubbles)
+    _, fits = ladder_fits(grid, PARAMS, specs)
     regime, _ = mass_regime(PARAMS)
     assert regime == 1
-    assert mass.theory == pytest.approx(0.15, rel=1e-12)
+    assert fits["mass"].theory == pytest.approx(0.15, rel=1e-12)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    for values, k in (
-        (a1, 1.0),
-        (a4, PARAMS.pstar - 1.0),
-        (list(mass.values), PARAMS.q + 1.0),
-    ):
+    for which, k in (("A1", 1.0), ("A4", PARAMS.pstar - 1.0), ("mass", PARAMS.q + 1.0)):
         lead, sub = _two_region_exponents(k)
-        slope = _leading_exponent(eps, values, sub)
+        slope = _leading_exponent(eps, fits[which].values, sub)
         assert abs(slope - lead) <= 0.15 * lead
 
 

@@ -17,6 +17,7 @@ from nehari_fpl import (
     interaction_exponent,
     interaction_integrals,
     ladder,
+    ladder_fits,
     lebesgue_mass,
     lq_mass_scaling,
     make_u_eps,
@@ -140,18 +141,19 @@ def test_interaction_integrals_reject_mismatched_grids(params, grid48):
         interaction_integrals(w, u_eps, params)
 
 
+def _default_ladder_fits(params):
+    # the scaling fits of the default ladder at n = 256
+    g = build_grid(-1.0, 1.0, 256, params)
+    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
+    return ladder_fits(g, params, ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS]))[1]
+
+
 def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
     # at reachable concentration scales the window still carries the slowly
     # decaying remainder of each integrand, so the measured slopes trail the
     # eps -> 0 rates; the values below pin the observed behavior at n = 256
-    g = build_grid(-1.0, 1.0, 256, params)
-    w = GridFunction(g, np.ones(g.n))
-    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
-    specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    eps = [sp.eps for sp in specs]
-    integrals = [interaction_integrals(w, make_u_eps(g, params, sp), params) for sp in specs]
-    a1 = fit_exponent(eps, [a["A1"] for a in integrals], theory=interaction_exponent(params, "A1"))
-    a4 = fit_exponent(eps, [a["A4"] for a in integrals], theory=interaction_exponent(params, "A4"))
+    fits = _default_ladder_fits(params)
+    a1, a4 = fits["A1"], fits["A4"]
     assert a1.theory == pytest.approx(0.1, rel=1e-12)
     assert a4.theory == pytest.approx(0.1, rel=1e-12)
     assert a1.slope == pytest.approx(0.081, abs=0.01)
@@ -161,10 +163,7 @@ def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
 
 
 def test_concave_mass_trend_and_measured_slope(params):
-    g = build_grid(-1.0, 1.0, 256, params)
-    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
-    specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
-    fit = lq_mass_scaling(params, specs, [make_u_eps(g, params, sp) for sp in specs])
+    fit = _default_ladder_fits(params)["mass"]
     assert fit.theory == pytest.approx(0.15, rel=1e-12)
     # decreasing along the ladder, measured slope short of the limit rate
     assert all(b < a for a, b in zip(fit.values, fit.values[1:]))

@@ -182,6 +182,41 @@ def test_fiber_grid_mismatch_exits_2(tmp_path):
     assert code == 2
 
 
+def _fiber_rows(tmp_path, csv):
+    code = main(["fiber", "--out", str(tmp_path), "--set", f"fiber.input={csv}"] + FAST)
+    assert code == 0
+    return [ln for ln in _read(tmp_path / "fiber.report.txt").decode().splitlines() if not ln.startswith("#")]
+
+
+def test_fiber_reads_csv_without_header(tmp_path):
+    assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
+    csv = tmp_path / "solution.csv"
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(csv.read_text().splitlines(keepends=True)[1:]))
+    assert _fiber_rows(tmp_path, bare) == _fiber_rows(tmp_path, csv)
+
+
+@pytest.mark.parametrize(
+    "edit, rows",
+    [
+        (lambda row: row.split(",")[0] + ",abc", slice(5, 6)),
+        (lambda row: row + ",1.0", slice(5, 6)),
+        (lambda row: row.split(",")[0], slice(5, 6)),
+        (lambda row: row.split(",")[0], slice(1, None)),
+    ],
+    ids=["non-numeric", "three-columns", "one-column", "every-row-one-column"],
+)
+def test_fiber_malformed_csv_exits_2(tmp_path, capsys, edit, rows):
+    assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
+    csv = tmp_path / "solution.csv"
+    lines = csv.read_text().splitlines()
+    lines[rows] = [edit(row) for row in lines[rows]]
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fiber", "--out", str(tmp_path), "--set", f"fiber.input={csv}"] + FAST) == 2
+    assert "'node,value' rows" in capsys.readouterr().err
+
+
 def test_bubble_scaling_reports_fits(tmp_path):
     code = main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=96"])
     assert code == 0

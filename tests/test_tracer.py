@@ -7,6 +7,7 @@ from pathlib import Path
 import nehari_fpl
 from nehari_fpl import build_grid
 from nehari_fpl.cli import main
+from nehari_fpl.verification import run_battery
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -51,17 +52,22 @@ def test_tracer_counts_sobolev_iterations(params):
 
 
 def test_tracer_counts_one_bubble_per_rung(tmp_path):
-    # four rungs: each bubble is built once and serves the interaction
-    # integrals and the concave-mass fit, and its A1-A4 come from one call
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        assert tracer.missing == []
-        assert main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["bubble.make_u_eps.calls"] == 4
-    assert tracer.counts["bubble.interaction_integrals.calls"] == 4
+    # four rungs, in bubble-scaling and in the battery's bubble group: each
+    # bubble is built once and serves the interaction integrals and the
+    # concave-mass fit, and its A1-A4 come from one call
+    for measure in (
+        lambda: main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0,
+        lambda: len(run_battery(("bubble",), bubble_n=48)) > 0,
+    ):
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            assert measure()
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["bubble.make_u_eps.calls"] == 4
+        assert tracer.counts["bubble.interaction_integrals.calls"] == 4
 
 
 def test_tracer_two_part_solve_makes_no_seminorm_call(params):

@@ -3,11 +3,16 @@
 run_battery() runs once, when this module is collected, with the config
 defaults the verify subcommand reads.  Each check then passes or fails
 under its own id, so a property the battery checks needs no unit test of
-its own.
+its own.  The tests after test_check feed a check an input that must fail
+it.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from nehari_fpl import solve_positive, verification
 from nehari_fpl.config import DEFAULTS
 from nehari_fpl.verification import run_battery
 
@@ -34,3 +39,17 @@ def test_check(name):
         assert not res.passed, shown
     else:
         assert res.passed, shown
+
+
+def test_positive_nonneg_measures_the_solution(monkeypatch):
+    # a one-sign result whose u has one negative node; minus_part_norm stays
+    # the solver's 0.0, so only a check that measures u itself can fail
+    def with_negative_node(*args, **kwargs):
+        res = solve_positive(*args, **kwargs)
+        values = res.u.values.copy()
+        values[len(values) // 2] = -0.1 * float(np.max(values))
+        return replace(res, u=res.u.with_values(values))
+
+    monkeypatch.setattr(verification, "solve_positive", with_negative_node)
+    res = {r.name: r for r in verification.check_solver(checks_n=32)}["solver.positive-nonneg"]
+    assert not res.passed, f"measured {res.value}"

@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Every subcommand reads one flat config (defaults, optional file, --set
-overrides, in that order), runs, and writes <subcommand>.report.txt into
---out: a few '#' header lines (command, config hash, seed), then
-one quantity per line as tag, name, value separated by tabs.  Reports
-carry no timestamps or paths, so identical configurations produce byte
-identical files.  Solve commands additionally write the solution nodes as
-csv.
+main reads one flat config (defaults, optional file, --set overrides, in
+that order) and hands it to the subcommand, which returns its report
+rows, its seed and its exit code.  main then writes
+<subcommand>.report.txt into --out: a few '#' header lines (command,
+config hash, seed), then one quantity per line as tag, name, value
+separated by tabs.  Reports carry no timestamps or paths, so identical
+configurations produce byte identical files.  Solve commands additionally
+write the solution nodes as csv.
 
 Exit codes: 0 success, 1 numeric failure (an unconverged or collapsed
-run), 2 invalid input, 3 a failed check in verify / energy-check, which
-also name the failed checks on stderr.
+run, or a first stage that did not converge, which writes no report), 2
+invalid input, 3 a failed check in verify / energy-check, which also name
+the failed checks on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .config import (
 )
 from .constants import compactness_gap, estimate_sobolev, regime_report, sobolev_exact
 from .bubble import ladder_fits, make_u_eps, mass_regime
-from .errors import ConfigError, DegenerateInputError, GridMismatchError, NehariError, ParameterError
+from .errors import ConfigError, DegenerateInputError, GridMismatchError, NehariError, ParameterError, SolverError
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
@@ -47,7 +49,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed=None) -> str:
+def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command}.report.txt")
     lines = [f"# command {command}" + "".join(f" --set {p}" for p in sorted(overrides))]
@@ -62,6 +64,7 @@ def _write_report(out_dir: str, command: str, overrides, cfg, rows, seed=None) -
 
 
 def _write_csv(out_dir: str, stem: str, u: GridFunction) -> str:
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.csv")
     table = np.column_stack([u.grid.nodes, u.values])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="node,value", comments="")
@@ -101,9 +104,13 @@ def _class_rows(prefix: str, label: str, cls) -> list:
     ]
 
 
-def _cmd_constants(cfg, out_dir, overrides) -> int:
+def _params_grid(cfg):
     params = params_from(cfg)
-    grid = grid_from(cfg, params)
+    return params, grid_from(cfg, params)
+
+
+def _cmd_constants(cfg, out_dir):
+    params, grid = _params_grid(cfg)
     est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
     rep = regime_report(params, grid.b - grid.a, est.value)
     regime, threshold = mass_regime(params)
@@ -129,12 +136,11 @@ def _cmd_constants(cfg, out_dir, overrides) -> int:
         ("const.mass_regime", "concave mass regime", regime),
         ("const.mass_threshold", "concave mass regime threshold", threshold),
     ]
-    _write_report(out_dir, "constants", overrides, cfg, rows, seed=int(cfg["sobolev.seed"]))
-    return 0
+    return rows, int(cfg["sobolev.seed"]), 0
 
 
-def _cmd_battery(command, groups, cfg, out_dir, overrides) -> int:
-    """verify and energy-check: run the named check groups, report, name the failures."""
+def _cmd_battery(groups, cfg, out_dir):
+    """verify and energy-check: run the named check groups, name the failures on stderr."""
     seed = int(cfg["checks.seed"])
     results = run_battery(
         groups,
@@ -151,16 +157,13 @@ def _cmd_battery(command, groups, cfg, out_dir, overrides) -> int:
     failed = [r.name for r in results if not r.passed]
     rows.append(("checks.total", "checks run", len(results)))
     rows.append(("checks.failed", "checks failed", len(failed)))
-    _write_report(out_dir, command, overrides, cfg, rows, seed=seed)
     if failed:
         print("failed checks: " + ", ".join(failed), file=sys.stderr)
-        return 3
-    return 0
+    return rows, seed, 3 if failed else 0
 
 
-def _cmd_fiber(cfg, out_dir, overrides) -> int:
-    params = params_from(cfg)
-    grid = grid_from(cfg, params)
+def _cmd_fiber(cfg, out_dir):
+    params, grid = _params_grid(cfg)
     path = str(cfg["fiber.input"]).strip()
     if not path:
         raise ConfigError("fiber.input must point to a node,value csv file")
@@ -175,13 +178,11 @@ def _cmd_fiber(cfg, out_dir, overrides) -> int:
     ]
     rows += _class_rows("fiber.minus", "t- projection", rep.class_minus)
     rows += _class_rows("fiber.plus", "t+ projection", rep.class_plus)
-    _write_report(out_dir, "fiber", overrides, cfg, rows)
-    return 0
+    return rows, None, 0
 
 
-def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
-    params = params_from(cfg)
-    grid = grid_from(cfg, params)
+def _cmd_bubble_scaling(cfg, out_dir):
+    params, grid = _params_grid(cfg)
     specs = ladder_from(cfg, grid, params)
     eps = [sp.eps for sp in specs]
     _, fits = ladder_fits(grid, params, specs)
@@ -194,8 +195,7 @@ def _cmd_bubble_scaling(cfg, out_dir, overrides) -> int:
         rows.append((f"scaling.{key}.rel_err", "relative slope error", fit.rel_err))
         for i, v in enumerate(fit.values):
             rows.append((f"scaling.{key}.v{i}", f"value at eps = {_fmt(eps[i])}", v))
-    _write_report(out_dir, "bubble-scaling", overrides, cfg, rows)
-    return 0
+    return rows, None, 0
 
 
 def _solver_kwargs(cfg) -> dict:
@@ -209,17 +209,15 @@ def _solver_kwargs(cfg) -> dict:
 
 
 def _positive_stage(cfg, grid, params):
-    """One-sign solution and Sobolev estimate; None if the solve did not converge."""
+    """One-sign solution and Sobolev estimate; SolverError if the solve did not converge."""
     pos = solve_positive(grid, params, **_solver_kwargs(cfg))
     if not pos.converged:
-        print("positive-solution stage did not converge", file=sys.stderr)
-        return None
+        raise SolverError("positive-solution stage did not converge")
     return pos, estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
 
 
-def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
-    params = params_from(cfg)
-    grid = grid_from(cfg, params)
+def _cmd_solve_positive(cfg, out_dir):
+    params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
     res = solve_positive(grid, params, **kw)
     rows = [
@@ -238,20 +236,14 @@ def _cmd_solve_positive(cfg, out_dir, overrides) -> int:
         ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
     ]
     rows += _class_rows("solve.class", "final iterate", res.nehari)
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(out_dir, "solution", res.u)
-    _write_report(out_dir, "solve-positive", overrides, cfg, rows, seed=kw["seed"])
-    return 0 if res.converged else 1
+    return rows, kw["seed"], 0 if res.converged else 1
 
 
-def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
-    params = params_from(cfg)
-    grid = grid_from(cfg, params)
+def _cmd_solve_sign_changing(cfg, out_dir):
+    params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
-    stage = _positive_stage(cfg, grid, params)
-    if stage is None:
-        return 1
-    pos, est = stage
+    pos, est = _positive_stage(cfg, grid, params)
     res = solve_sign_changing(
         grid,
         params,
@@ -282,31 +274,24 @@ def _cmd_solve_sign_changing(cfg, out_dir, overrides) -> int:
     ]
     rows += _class_rows("solve.plus_class", "positive part", res.plus_class)
     rows += _class_rows("solve.minus_class", "negative part", res.minus_class)
-    if res.crossing is not None:
-        cr = res.crossing
-        rows += [
-            ("cross.ratio", "matched part ratio", cr.r),
-            ("cross.amplitude", "matched overall amplitude", cr.a),
-            ("cross.bubble_scale", "matched bubble amplitude", cr.b),
-            ("cross.s_plus", "positive part scaling at the match", cr.s_plus),
-            ("cross.s_minus", "negative part scaling at the match", cr.s_minus),
-            ("cross.bracket_lo", "ratio bracket, lower edge", cr.bracket[0]),
-            ("cross.bracket_hi", "ratio bracket, upper edge", cr.bracket[1]),
-        ]
-    os.makedirs(out_dir, exist_ok=True)
+    cr = res.crossing
+    rows += [
+        ("cross.ratio", "matched part ratio", cr.r),
+        ("cross.amplitude", "matched overall amplitude", cr.a),
+        ("cross.bubble_scale", "matched bubble amplitude", cr.b),
+        ("cross.s_plus", "positive part scaling at the match", cr.s_plus),
+        ("cross.s_minus", "negative part scaling at the match", cr.s_minus),
+        ("cross.bracket_lo", "ratio bracket, lower edge", cr.bracket[0]),
+        ("cross.bracket_hi", "ratio bracket, upper edge", cr.bracket[1]),
+    ]
     _write_csv(out_dir, "solution", res.u)
     _write_csv(out_dir, "w1", pos.u)
-    _write_report(out_dir, "solve-sign-changing", overrides, cfg, rows, seed=kw["seed"])
-    return 0 if res.converged else 1
+    return rows, kw["seed"], 0 if res.converged else 1
 
 
-def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
-    params = params_from(cfg)
-    grid = grid_from(cfg, params)
-    stage = _positive_stage(cfg, grid, params)
-    if stage is None:
-        return 1
-    pos, est = stage
+def _cmd_sup_scan(cfg, out_dir):
+    params, grid = _params_grid(cfg)
+    pos, est = _positive_stage(cfg, grid, params)
     u_eps = make_u_eps(grid, params, bubble_from(cfg, grid, params))
     scan = sup_scan_ab(pos.u, u_eps, params)
     rep = regime_report(params, grid.b - grid.a, est.value)
@@ -320,19 +305,18 @@ def _cmd_sup_scan(cfg, out_dir, overrides) -> int:
         ("scan.hypothesis_ok", "(q, N) inside the window", rep.hypothesis_ok),
         ("scan.sobolev", "quotient of the mu = 0 one-sign solution", est.value),
     ]
-    _write_report(out_dir, "sup-scan", overrides, cfg, rows, seed=int(cfg["solver.seed"]))
-    return 0
+    return rows, int(cfg["solver.seed"]), 0
 
 
 _COMMANDS = {
     "constants": _cmd_constants,
-    "energy-check": partial(_cmd_battery, "energy-check", ("grid", "energy")),
+    "energy-check": partial(_cmd_battery, ("grid", "energy")),
     "fiber": _cmd_fiber,
     "bubble-scaling": _cmd_bubble_scaling,
     "solve-positive": _cmd_solve_positive,
     "solve-sign-changing": _cmd_solve_sign_changing,
     "sup-scan": _cmd_sup_scan,
-    "verify": partial(_cmd_battery, "verify", None),
+    "verify": partial(_cmd_battery, None),
 }
 
 
@@ -361,12 +345,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.overrides)
-        return _COMMANDS[args.command](cfg, args.out, args.overrides)
-    except (ParameterError, ConfigError, DegenerateInputError, GridMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # unwritable --out path, out path colliding with a file, unreadable input
+        rows, seed, code = _COMMANDS[args.command](cfg, args.out)
+        _write_report(args.out, args.command, args.overrides, cfg, rows, seed)
+        return code
+    except (ParameterError, ConfigError, DegenerateInputError, GridMismatchError, OSError) as exc:
+        # OSError: an unwritable --out path, an out path colliding with a file, unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NehariError as exc:

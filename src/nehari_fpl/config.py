@@ -68,6 +68,17 @@ def _coerce(key: str, raw: str):
     return raw
 
 
+def _assign(cfg: dict[str, object], text: str, where: str) -> None:
+    """Set cfg from one 'key = value' text; where names its source in errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, raw = text.split("=", 1)
+    key = key.strip()
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    cfg[key] = _coerce(key, raw)
+
+
 def load_config(path: str | None = None) -> dict[str, object]:
     """DEFAULTS overlaid with the file at path, if any."""
     cfg = dict(DEFAULTS)
@@ -80,15 +91,8 @@ def load_config(path: str | None = None) -> dict[str, object]:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        if body:
+            _assign(cfg, body, f"{path}:{lineno}")
     return cfg
 
 
@@ -96,13 +100,7 @@ def apply_overrides(cfg: dict[str, object], pairs) -> dict[str, object]:
     """Apply --set key=value pairs on top of a loaded config."""
     out = dict(cfg)
     for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        _assign(out, pair, "--set")
     return out
 
 

@@ -43,15 +43,6 @@ class BisectionError(NehariError, RuntimeError):
     """A bracketing root search failed to converge or to bracket."""
 
 
-class NotMinusConeError(NehariError, RuntimeError):
-    """The reprojection derivative requires a point strictly inside the
-    unstable (fiber-maximum) cone; the denominator was nonnegative."""
-
-
-class DegenerateDenominatorError(NehariError, RuntimeError):
-    """The reprojection derivative denominator is too close to zero to trust."""
-
-
 class NoCrossingError(NehariError, RuntimeError):
     """The two part-scaling curves never met inside the ratio bracket.
 

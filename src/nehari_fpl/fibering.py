@@ -45,14 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import GradientPieces, _same_grid
-from .errors import (
-    BisectionError,
-    DegenerateDenominatorError,
-    DegenerateInputError,
-    NoRootsError,
-    NotMinusConeError,
-    ParameterError,
-)
+from .errors import BisectionError, DegenerateInputError, NoRootsError, ParameterError
 from .grid import GridFunction, Params
 
 # _root: at most ROOT_MAX_ITER evaluations, stopping once a step moves the
@@ -354,21 +347,22 @@ def perturbation_derivative(u: GridFunction, phi: GridFunction, params: Params) 
         / [(p-1-q) ||u||^p - (p*-q-1) m_*],
 
     where the denominator equals phi''(1) on the manifold and is strictly
-    negative exactly on that side; it counts as degenerate within
-    1e-10 * scale of zero.  The numerator is phi paired with the gradient
-    pieces at u, so the whole derivative costs one pair action.
+    negative exactly on that side.  Raises DegenerateInputError unless it
+    is negative by more than 1e-10 * scale.  The numerator is phi paired
+    with the gradient pieces at u, so the whole derivative costs one pair
+    action.
     """
     _same_grid(u, phi)
     pieces = GradientPieces.of(u, params)
     fm = FiberMap.of_pieces(pieces, params)
     den = (fm.p - 1.0 - fm.q) * fm.norm_p - (fm.pstar - fm.q - 1.0) * fm.mass_star
     if den >= 0.0:
-        raise NotMinusConeError(
+        raise DegenerateInputError(
             f"denominator {den:.6g} is nonnegative: point is not strictly on the unstable side"
         )
     tol = 1e-10 * fm.scale
     if -den < tol:
-        raise DegenerateDenominatorError(
+        raise DegenerateInputError(
             f"denominator {den:.6g} within {tol:.3g} of zero: derivative unreliable"
         )
     h = u.grid.h

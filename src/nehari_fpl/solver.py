@@ -52,7 +52,7 @@ import numpy as np
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
 from .constants import compactness_gap
-from .energy import GradientPieces, energy, pair_actions, split_parts, stiffness_action
+from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
 from .errors import (
     CollapseError,
     DegenerateInputError,
@@ -442,6 +442,7 @@ def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
 
 def part_scales(w1: GridFunction, u_eps: GridFunction, params: Params, r: float):
     """Fiber-maximum scalings (s+, s-) of the parts of w1 - r * u_eps."""
+    _same_grid(w1, u_eps)
     plus, minus = split_parts(w1.with_values(w1.values - r * u_eps.values))
     if not plus.values.any() or not minus.values.any():
         raise DegenerateInputError(f"w1 - r*u_eps has no sign change at r = {r}")
@@ -461,9 +462,11 @@ def crossing_search(
     rbar1 the negative part vanishes and s- blows up; as r rises to rbar2
     the positive part vanishes and s+ blows up.  Continuity in between
     forces a crossing, located here by bisection on s+ - s-.  Raises
-    ParameterError unless tol_cross > 0.
+    ParameterError unless tol_cross > 0, and GridMismatchError unless w1
+    and u_eps share a grid.
     """
     _check_settings(tol_cross=tol_cross)
+    _same_grid(w1, u_eps)
     uv = u_eps.values
     peak = float(np.max(np.abs(uv)))
     if peak <= 0.0:
@@ -555,13 +558,15 @@ def solve_sign_changing(
 ) -> SolveResult:
     """Two-part descent from the crossing ansatz.
 
-    Runs the positive solve first (unless w1 is supplied), builds the
-    bubble, matches the part scalings with crossing_search, then descends
-    the full energy while keeping both parts on their fiber maxima.  If
-    the crossing fails for the configured bubble the search retries with a
+    Runs the positive solve first (unless w1 is supplied), with the same
+    budget, tolerances and max_restarts, builds the bubble on grid,
+    matches the part scalings with crossing_search, then descends the full
+    energy while keeping both parts on their fiber maxima.  If the
+    crossing fails for the configured bubble the search retries with a
     geometrically shrunken concentration scale, at most max_restarts times.
-    Raises ParameterError on an out-of-range budget or tolerance first, and
-    CollapseError when a projection loses a part (_project_parts).
+    Raises ParameterError on an out-of-range budget or tolerance first,
+    GridMismatchError when w1 lives on another grid, and CollapseError
+    when a projection loses a part (_project_parts).
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
@@ -569,7 +574,7 @@ def solve_sign_changing(
     if w1 is None:
         pos = solve_positive(
             grid, params, seed=seed, max_iters=max_iters,
-            tol_res=tol_res, tol_manifold=tol_manifold,
+            tol_res=tol_res, tol_manifold=tol_manifold, max_restarts=max_restarts,
         )
         if not pos.converged:
             raise SolverError("positive solve did not converge; cannot seed the crossing")
@@ -658,6 +663,7 @@ def sup_scan_ab(w1: GridFunction, u_eps: GridFunction, params: Params) -> SupSca
     The first scan holds th = 0, the point (a, b) = (1, 0), so for w1 on its
     fiber maximum the result dominates I(w1).
     """
+    _same_grid(w1, u_eps)
     best = (-math.inf, 0.0, 0.0)
     lo, hi = -0.5 * math.pi, 0.5 * math.pi
     for _ in range(SCAN_ROUNDS):

@@ -33,7 +33,6 @@ from .energy import energy, form_a, gradient, lebesgue_mass, seminorm_p, split_p
 from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_derivative, psi_mu
 from .grid import GridFunction, Params, build_grid, pair_kernel, tail_weight
 from .solver import (
-    crossing_search,
     default_bubble,
     part_scales,
     project_minus,
@@ -474,8 +473,10 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
     rng = np.random.default_rng(seed)
     pos = solve_positive(grid, params, seed=seed, max_iters=solver_budget)
     u_eps = make_u_eps(grid, params, default_bubble(grid, params))
-    cross = crossing_search(pos.u, u_eps, params)
     sign = solve_sign_changing(grid, params, seed=seed, max_iters=solver_budget, w1=pos.u)
+    # the solve's crossing; it was made on u_eps, as the solve needs no
+    # bubble retry (sign.restarts == 0) at the battery's settings
+    cross = sign.crossing
 
     def reprojection():
         u = project_minus(_random_function(grid, rng), params)

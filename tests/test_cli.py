@@ -106,8 +106,9 @@ def test_unknown_config_key_exits_2(tmp_path, key):
     assert main(["constants", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
 
 
-def test_malformed_override_exits_2(tmp_path):
+def test_malformed_override_exits_2(tmp_path, capsys):
     assert main(["constants", "--out", str(tmp_path), "--set", "grid.n"]) == 2
+    assert capsys.readouterr().err == "error: --set: expected 'key = value', got 'grid.n'\n"
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -254,3 +255,37 @@ def test_solution_csv_deterministic(tmp_path):
         assert main(["solve-positive", "--out", str(d)] + FAST) == 0
     assert _read(d1 / "solution.csv") == _read(d2 / "solution.csv")
     assert _read(d1 / "solve-positive.report.txt") == _read(d2 / "solve-positive.report.txt")
+
+
+# the exit code of each subcommand at small sizes: the two-part descent
+# stalls by design, and the battery's six ladder checks fail by design
+SMALL = ["--set", "grid.n=32", "--set", "checks.n=32"]
+EXIT_AT_SMALL = {
+    "constants": 0,
+    "energy-check": 0,
+    "fiber": 0,
+    "bubble-scaling": 0,
+    "solve-positive": 0,
+    "solve-sign-changing": 1,
+    "sup-scan": 0,
+    "verify": 3,
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_AT_SMALL))
+def test_every_subcommand_writes_its_own_report(tmp_path, command):
+    argv = [command, "--out", str(tmp_path), *SMALL]
+    if command == "fiber":
+        assert main(["solve-positive", "--out", str(tmp_path), *SMALL]) == 0
+        argv += ["--set", f"fiber.input={tmp_path / 'solution.csv'}"]
+    assert main(argv) == EXIT_AT_SMALL[command]
+    first = _read(tmp_path / f"{command}.report.txt").decode().splitlines()[0]
+    assert first.split(" --set ")[0] == f"# command {command}"
+
+
+@pytest.mark.parametrize("command", ["solve-sign-changing", "sup-scan"])
+def test_unconverged_first_stage_exits_1_without_report(tmp_path, capsys, command):
+    code = main([command, "--out", str(tmp_path), *SMALL, "--set", "solver.max_iters=1"])
+    assert code == 1
+    assert capsys.readouterr().err == "numeric failure: positive-solution stage did not converge\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,22 @@
+"""The package imports nothing but the standard library and numpy."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nehari_fpl"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    foreign = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in ALLOWED]
+    assert foreign == []

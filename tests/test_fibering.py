@@ -16,6 +16,7 @@ from nehari_fpl import (
     classify,
     fiber_derivatives,
     fiber_roots,
+    perturbation_derivative,
     psi_and_t0,
     psi_mu,
 )
@@ -69,6 +70,28 @@ def test_psi_mu_sign_tracks_solvability(params, grid48, rng):
     above = Params(params.s, params.p, params.q, 1.5 * mu_crit, params.N)
     assert psi_mu(u, below) > 0.0
     assert psi_mu(u, above) < 0.0
+
+
+def test_perturbation_derivative_refuses_the_stable_projection(params, grid48, rng):
+    # at t- u the ray energy has a local minimum: phi''(1) > 0
+    w = _random_fn(grid48, rng)
+    tminus, _ = FiberMap.of(w, params).roots()
+    u = w.with_values(tminus * w.values)
+    with pytest.raises(DegenerateInputError, match="nonnegative"):
+        perturbation_derivative(u, w, params)
+
+
+def test_perturbation_derivative_refuses_merged_roots(params, grid48, rng):
+    # the fibering.degenerate-locus point t0 w at the mu that merges the
+    # roots, moved 1e-12 outward along the ray: phi''(1) is negative there,
+    # but within 1e-10 * scale of zero
+    w = _random_fn(grid48, rng)
+    fm = FiberMap.of(w, params)
+    t0 = fm.t0()
+    tuned = Params(params.s, params.p, params.q, fm.psi(t0) / fm.mass_q, params.N)
+    u = w.with_values(t0 * (1.0 + 1e-12) * w.values)
+    with pytest.raises(DegenerateInputError, match="within"):
+        perturbation_derivative(u, w, tuned)
 
 
 def test_fiber_derivatives_match_fd(params, grid48, rng):

@@ -10,6 +10,7 @@ from nehari_fpl import (
     CollapseError,
     FiberMap,
     GridFunction,
+    GridMismatchError,
     NehariTag,
     NoCrossingError,
     Params,
@@ -17,12 +18,14 @@ from nehari_fpl import (
     build_grid,
     classify,
     crossing_search,
+    default_bubble,
     energy,
     estimate_sobolev,
     form_a,
     gradient,
     lebesgue_mass,
     make_u_eps,
+    part_scales,
     project_minus,
     psi_and_t0,
     seminorm_p,
@@ -326,6 +329,36 @@ def test_sign_changing_failure_counts_bubble_retries(params, grid48, monkeypatch
     # the first bubble scale plus five retries
     with pytest.raises(SolverError, match="after 5 restarts"):
         solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
+
+
+def test_sign_changing_first_stage_takes_the_restart_budget(params, monkeypatch):
+    seen = []
+    real = solver_module.solve_positive
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_positive", recording)
+    solve_sign_changing(build_grid(-1.0, 1.0, 32, params), params, max_iters=50, max_restarts=2)
+    assert [kw["max_restarts"] for kw in seen] == [2]
+
+
+@pytest.mark.parametrize("n", [48, 64], ids=["same-n", "other-n"])
+def test_w1_from_another_grid_raises(params, grid48, n):
+    # a w1 on (-1, 1) and a bubble on (-3, 3); the grid solve_sign_changing
+    # is given builds the bubble, so it fails in its crossing search
+    w1 = solve_positive(grid48, params, seed=0).u
+    other = build_grid(-3.0, 3.0, n, params)
+    u_eps = make_u_eps(other, params, default_bubble(other, params))
+    for call in (
+        lambda: crossing_search(w1, u_eps, params),
+        lambda: part_scales(w1, u_eps, params, 1.0),
+        lambda: sup_scan_ab(w1, u_eps, params),
+        lambda: solve_sign_changing(other, params, w1=w1),
+    ):
+        with pytest.raises(GridMismatchError):
+            call()
 
 
 def test_sign_changing_raises_on_collapsed_part(params, grid48, monkeypatch):

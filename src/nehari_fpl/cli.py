@@ -243,12 +243,13 @@ def _cmd_solve_positive(cfg, out_dir):
 def _cmd_solve_sign_changing(cfg, out_dir):
     params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
+    bubble = bubble_from(cfg, grid, params)
     pos, est = _positive_stage(cfg, grid, params)
     res = solve_sign_changing(
         grid,
         params,
         w1=pos.u,
-        bubble=bubble_from(cfg, grid, params),
+        bubble=bubble,
         tol_cross=float(cfg["solver.tol_cross"]),
         s_est=est.value,
         **kw,
@@ -259,7 +260,6 @@ def _cmd_solve_sign_changing(cfg, out_dir):
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
-        ("solve.restarts", "bubble retries used", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
         ("solve.plus_part", "positive part seminorm", res.plus_part_norm),
@@ -291,8 +291,8 @@ def _cmd_solve_sign_changing(cfg, out_dir):
 
 def _cmd_sup_scan(cfg, out_dir):
     params, grid = _params_grid(cfg)
-    pos, est = _positive_stage(cfg, grid, params)
     u_eps = make_u_eps(grid, params, bubble_from(cfg, grid, params))
+    pos, est = _positive_stage(cfg, grid, params)
     scan = sup_scan_ab(pos.u, u_eps, params)
     rep = regime_report(params, grid.b - grid.a, est.value)
     bound = pos.energy + compactness_gap(params, est.value)

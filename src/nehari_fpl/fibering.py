@@ -52,6 +52,8 @@ from .grid import GridFunction, Params
 # iterate by at most ROOT_ULPS ulps
 ROOT_MAX_ITER = 200
 ROOT_ULPS = 4.0
+# FiberMap.of_pieces refuses a ray coefficient below this smallest normal float
+TINY = float(np.finfo(float).tiny)
 
 
 class NehariTag(enum.Enum):
@@ -116,15 +118,16 @@ class FiberMap:
     def of_pieces(cls, pieces: GradientPieces, params: Params) -> "FiberMap":
         """The fiber map of pieces.u, read off its gradient pieces with no pair action.
 
-        Raises DegenerateInputError for the zero function, and for pieces
-        with a non-finite ray coefficient, which any non-finite entry of u,
-        G u or either power makes (energy.GradientPieces).
+        Raises DegenerateInputError for the zero function, for pieces with
+        a non-finite ray coefficient, which any non-finite entry of u, G u
+        or either power makes (energy.GradientPieces), and for a subnormal
+        one, which has lost digits to underflow.
         """
         if not pieces.u.values.any():
             raise DegenerateInputError("nonzero function required")
         coefficients = pieces.ray_coefficients()
-        if not all(map(math.isfinite, coefficients)):
-            raise DegenerateInputError(f"ray coefficients must be finite, got {coefficients}")
+        if not all(c == 0.0 or TINY <= abs(c) < math.inf for c in coefficients):
+            raise DegenerateInputError(f"ray coefficients must be finite and not subnormal, got {coefficients}")
         return cls(*coefficients, params.p, params.q, params.pstar, params.mu)
 
     @property
@@ -145,8 +148,16 @@ class FiberMap:
                 - t ** self.pstar / self.pstar * self.mass_star
             )
         except OverflowError:
-            # t^p* past the float range on a plain float: -inf, as the array form gives
-            return -math.inf
+            # t^p* past the float range on a plain float, as at the fiber
+            # maximum of a function far below unit size: the same sum with
+            # t^p factored out, finite there, and +-inf where it overflows too
+            with np.errstate(over="ignore"):
+                t = np.float64(t)
+                return float(t ** self.p * (
+                    self.norm_p / self.p
+                    - self.mu * t ** (self.q + 1.0 - self.p) / (self.q + 1.0) * self.mass_q
+                    - t ** (self.pstar - self.p) / self.pstar * self.mass_star
+                ))
 
     def dphi(self, t):
         return (
@@ -348,22 +359,17 @@ def perturbation_derivative(u: GridFunction, phi: GridFunction, params: Params) 
 
     where the denominator equals phi''(1) on the manifold and is strictly
     negative exactly on that side.  Raises DegenerateInputError unless it
-    is negative by more than 1e-10 * scale.  The numerator is phi paired
-    with the gradient pieces at u, so the whole derivative costs one pair
-    action.
+    is below -1e-10 * scale.  The numerator is phi paired with the
+    gradient pieces at u, so the whole derivative costs one pair action.
     """
     _same_grid(u, phi)
     pieces = GradientPieces.of(u, params)
     fm = FiberMap.of_pieces(pieces, params)
     den = (fm.p - 1.0 - fm.q) * fm.norm_p - (fm.pstar - fm.q - 1.0) * fm.mass_star
-    if den >= 0.0:
-        raise DegenerateInputError(
-            f"denominator {den:.6g} is nonnegative: point is not strictly on the unstable side"
-        )
     tol = 1e-10 * fm.scale
     if -den < tol:
         raise DegenerateInputError(
-            f"denominator {den:.6g} within {tol:.3g} of zero: derivative unreliable"
+            f"denominator {den:.6g} is not below -{tol:.3g}: point is not strictly on the unstable side"
         )
     h = u.grid.h
     num = (

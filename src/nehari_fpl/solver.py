@@ -92,10 +92,12 @@ class SolveResult:
 
     stop_reason says why the descent ended: ``converged`` (residual below
     tolerance), ``stalled`` (the line search found no acceptable step) or
-    ``budget`` (the iteration or restart budget ran out first).
-    armijo_trials counts the projected line-search trials over all starts,
-    cg_steps the conjugate-gradient steps of every H^s direction over all
-    starts (0 for the two-part descent, which steps along the L2 one).
+    ``budget`` (the iteration budget ran out first).  restarts counts the
+    fresh bumps a one-sign solve passed over because they had no fiber
+    maximum (0 for the two-part descent).  armijo_trials counts the
+    projected line-search trials, cg_steps the conjugate-gradient steps of
+    every H^s direction (0 for the two-part descent, which steps along the
+    L2 one).
     pair_actions counts the O(n^2) pair actions of the whole call
     (energy.pair_actions): the CG matvecs plus every direct evaluation of
     G u, the final one included.
@@ -267,45 +269,35 @@ def solve_positive(
     """Minimize I over the unstable manifold side within the cone u >= 0.
 
     Needs mu below the two-root threshold of the configuration so the
-    projection exists everywhere it is asked for; raises SolverError when
-    no start projects.  Every trial is clipped to u >= 0 before its ray
-    projection (_project_cone), so the result is nonnegative and its
-    minus_part_norm is zero.  A stalled descent restarts from a fresh bump
-    while budget is left.  At mu = 0 it is the Sobolev quotient's
-    minimization (constants.estimate_sobolev).  Raises ParameterError on
-    an out-of-range budget or tolerance (_check_settings).
+    projection exists everywhere it is asked for.  The descent starts from
+    the first of at most max_restarts + 1 fresh bumps that has a fiber
+    maximum (restarts counts the bumps passed over), and raises
+    SolverError when none has.  A descent whose line search finds no
+    acceptable step ends with stop_reason ``stalled``.  Every trial is
+    clipped to u >= 0 before its ray projection (_project_cone), so the
+    result is nonnegative and its minus_part_norm is zero.  At mu = 0 it is
+    the Sobolev quotient's minimization (constants.estimate_sobolev).
+    Raises ParameterError on an out-of-range budget or tolerance
+    (_check_settings).
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold)
     rng = np.random.default_rng(seed)
     start_actions = pair_actions()
-    restarts_used = 0
-    iterations = 0
-    trials = 0
-    cg_steps = 0
-    stalled = False
-    state = None
-    for attempt in range(max_restarts + 1):
-        restarts_used = attempt
-        start = _positive_bump(grid, rng)
+    for restarts in range(max_restarts + 1):
         try:
-            candidate, e_start = _project_ray(GradientPieces.of(start, params), params)
+            start, e_start = _project_ray(GradientPieces.of(_positive_bump(grid, rng), params), params)
+            break
         except (NoRootsError, DegenerateInputError):
             continue
-        state, made, stalled, start_trials, start_cg = _descend(
-            candidate, e_start, params, max_iters - iterations, tol_res,
-            sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
-        )
-        iterations += made
-        trials += start_trials
-        cg_steps += start_cg
-        # only a stall with budget left is worth a restart
-        if not stalled or iterations >= max_iters:
-            break
-    if state is None:
+    else:
         raise SolverError(
             f"no start projects onto the fiber maximum in {max_restarts + 1} tries: "
             f"mu = {params.mu} is above the two-root threshold for these starts"
         )
+    state, iterations, stalled, trials, cg_steps = _descend(
+        start, e_start, params, max_iters, tol_res,
+        sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
+    )
     final, fm, e_total, res, converged = _fresh(state.u, params, tol_res)
     return SolveResult(
         u=final.u,
@@ -321,7 +313,7 @@ def solve_positive(
         armijo_trials=trials,
         cg_steps=cg_steps,
         pair_actions=pair_actions() - start_actions,
-        restarts=restarts_used,
+        restarts=restarts,
     )
 
 
@@ -387,7 +379,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     trials = 0
     cg_steps = 0
     stalled = False
-    for _ in range(max(budget, 0)):
+    for _ in range(budget):
         iterations += 1
         g = state.gradient(params)
         if float(np.abs(g).max()) <= tol_res * (1.0 + abs(e_total)):
@@ -559,18 +551,17 @@ def solve_sign_changing(
     """Two-part descent from the crossing ansatz.
 
     Runs the positive solve first (unless w1 is supplied), with the same
-    budget, tolerances and max_restarts, builds the bubble on grid,
-    matches the part scalings with crossing_search, then descends the full
-    energy while keeping both parts on their fiber maxima.  If the
-    crossing fails for the configured bubble the search retries with a
-    geometrically shrunken concentration scale, at most max_restarts times.
-    Raises ParameterError on an out-of-range budget or tolerance first,
-    GridMismatchError when w1 lives on another grid, and CollapseError
-    when a projection loses a part (_project_parts).
+    budget, tolerances and max_restarts, builds the bubble on grid
+    (default_bubble unless one is given), matches the part scalings with
+    one crossing_search, then descends the full energy while keeping both
+    parts on their fiber maxima.  max_restarts bounds only the positive
+    solve's fresh starts.  Raises ParameterError on an out-of-range budget
+    or tolerance first, GridMismatchError when w1 lives on another grid,
+    SolverError, chained to its cause, when the crossing search fails, and
+    CollapseError when a projection loses a part (_project_parts).
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
-    alpha_minus = None
     if w1 is None:
         pos = solve_positive(
             grid, params, seed=seed, max_iters=max_iters,
@@ -582,26 +573,11 @@ def solve_sign_changing(
         alpha_minus = pos.energy
     else:
         alpha_minus = energy(w1, params).total
-    if bubble is None:
-        bubble = default_bubble(grid, params)
-
-    cross = None
-    restarts_used = 0
-    for attempt in range(max_restarts + 1):
-        restarts_used = attempt
-        spec = BubbleSpec(
-            bubble.eps * 0.85 ** attempt, bubble.delta, bubble.center, bubble.profile_kind
-        )
-        u_eps = make_u_eps(grid, params, spec)
-        try:
-            cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
-            break
-        except (NoRootsError, NoCrossingError, DegenerateInputError):
-            continue
-    if cross is None:
-        raise SolverError(
-            f"crossing search failed for every bubble scale after {restarts_used} restarts"
-        )
+    u_eps = make_u_eps(grid, params, default_bubble(grid, params) if bubble is None else bubble)
+    try:
+        cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
+    except (NoRootsError, NoCrossingError, DegenerateInputError) as exc:
+        raise SolverError(f"crossing search failed: {exc}") from exc
 
     state, e_start = _project_parts(cross.ansatz, params)
 
@@ -637,7 +613,6 @@ def solve_sign_changing(
         armijo_trials=trials,
         cg_steps=cg_steps,
         pair_actions=pair_actions() - start_actions,
-        restarts=restarts_used,
         plus_class=fm_plus.classify(tol_manifold),
         minus_class=fm_minus.classify(tol_manifold),
         crossing=cross,

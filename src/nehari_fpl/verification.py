@@ -474,8 +474,7 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
     pos = solve_positive(grid, params, seed=seed, max_iters=solver_budget)
     u_eps = make_u_eps(grid, params, default_bubble(grid, params))
     sign = solve_sign_changing(grid, params, seed=seed, max_iters=solver_budget, w1=pos.u)
-    # the solve's crossing; it was made on u_eps, as the solve needs no
-    # bubble retry (sign.restarts == 0) at the battery's settings
+    # the solve's crossing, made on u_eps
     cross = sign.crossing
 
     def reprojection():

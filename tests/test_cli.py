@@ -2,6 +2,7 @@
 
 import pytest
 
+from nehari_fpl import cli
 from nehari_fpl.cli import main
 
 FAST = ["--set", "grid.n=48", "--set", "solver.max_iters=400"]
@@ -99,11 +100,32 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, key):
 
 
 @pytest.mark.parametrize(
-    "key", ["nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts"]
+    "setting, message",
+    [
+        ("nope.key=1", "unknown key 'nope.key'"),
+        ("scan.a_max=1", "unknown key 'scan.a_max'"),
+        ("scan.b_max=1", "unknown key 'scan.b_max'"),
+        ("scan.grid_counts=1", "unknown key 'scan.grid_counts'"),
+        ("grid.n=4.5", "grid.n expects an integer, got '4.5'"),
+        ("params.mu=abc", "params.mu expects a number, got 'abc'"),
+    ],
+    ids=["nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts", "not-an-integer", "not-a-number"],
 )
-def test_unknown_config_key_exits_2(tmp_path, key):
-    # a config that still sets one of the removed scan.* keys fails loudly
-    assert main(["constants", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+def test_unknown_config_key_exits_2(tmp_path, capsys, setting, message):
+    # a config that still sets one of the removed scan.* keys fails loudly,
+    # as does a value of the wrong type
+    assert main(["constants", "--out", str(tmp_path), "--set", setting]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [("0.1,abc,0.05,0.02", "comma-separated numbers"), ("0.1,0.05,0.02", "at least 4 rungs")],
+    ids=["non-numeric", "three-rungs"],
+)
+def test_malformed_eps_ladder_exits_2(tmp_path, capsys, ladder, message):
+    assert main(["bubble-scaling", "--out", str(tmp_path), "--set", f"bubble.eps_ladder={ladder}"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_override_exits_2(tmp_path, capsys):
@@ -198,16 +220,17 @@ def test_fiber_reads_csv_without_header(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit, rows",
+    "edit, rows, message",
     [
-        (lambda row: row.split(",")[0] + ",abc", slice(5, 6)),
-        (lambda row: row + ",1.0", slice(5, 6)),
-        (lambda row: row.split(",")[0], slice(5, 6)),
-        (lambda row: row.split(",")[0], slice(1, None)),
+        (lambda row: row.split(",")[0] + ",abc", slice(5, 6), "'node,value' rows"),
+        (lambda row: row + ",1.0", slice(5, 6), "'node,value' rows"),
+        (lambda row: row.split(",")[0], slice(5, 6), "'node,value' rows"),
+        (lambda row: row.split(",")[0], slice(1, None), "'node,value' rows"),
+        (lambda row: "0.5," + row.split(",")[1], slice(5, 6), "node column does not match"),
     ],
-    ids=["non-numeric", "three-columns", "one-column", "every-row-one-column"],
+    ids=["non-numeric", "three-columns", "one-column", "every-row-one-column", "moved-node"],
 )
-def test_fiber_malformed_csv_exits_2(tmp_path, capsys, edit, rows):
+def test_fiber_malformed_csv_exits_2(tmp_path, capsys, edit, rows, message):
     assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
     csv = tmp_path / "solution.csv"
     lines = csv.read_text().splitlines()
@@ -215,7 +238,7 @@ def test_fiber_malformed_csv_exits_2(tmp_path, capsys, edit, rows):
     csv.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["fiber", "--out", str(tmp_path), "--set", f"fiber.input={csv}"] + FAST) == 2
-    assert "'node,value' rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_bubble_scaling_reports_fits(tmp_path):
@@ -274,13 +297,35 @@ EXIT_AT_SMALL = {
 
 @pytest.mark.parametrize("command", sorted(EXIT_AT_SMALL))
 def test_every_subcommand_writes_its_own_report(tmp_path, command):
-    argv = [command, "--out", str(tmp_path), *SMALL]
+    # two runs into two directories write the same files, byte for byte
+    argv = [command, *SMALL]
     if command == "fiber":
-        assert main(["solve-positive", "--out", str(tmp_path), *SMALL]) == 0
-        argv += ["--set", f"fiber.input={tmp_path / 'solution.csv'}"]
-    assert main(argv) == EXIT_AT_SMALL[command]
-    first = _read(tmp_path / f"{command}.report.txt").decode().splitlines()[0]
+        assert main(["solve-positive", "--out", str(tmp_path / "input"), *SMALL]) == 0
+        argv += ["--set", f"fiber.input={tmp_path / 'input' / 'solution.csv'}"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(argv + ["--out", str(out)]) == EXIT_AT_SMALL[command]
+    first = _read(runs[0] / f"{command}.report.txt").decode().splitlines()[0]
     assert first.split(" --set ")[0] == f"# command {command}"
+    names = sorted(path.name for path in runs[0].iterdir())
+    assert names == sorted(path.name for path in runs[1].iterdir())
+    for name in names:
+        assert _read(runs[0] / name) == _read(runs[1] / name), name
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("bubble.center=abc", "bubble.center expects a number"), ("bubble.eps_frac=-1", "eps must be positive")],
+    ids=["center", "eps"],
+)
+@pytest.mark.parametrize("command", ["solve-sign-changing", "sup-scan"])
+def test_bad_bubble_setting_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command, setting, message):
+    calls = []
+    monkeypatch.setattr(cli, "solve_positive", lambda *args, **kwargs: calls.append("solve_positive"))
+    monkeypatch.setattr(cli, "estimate_sobolev", lambda *args, **kwargs: calls.append("estimate_sobolev"))
+    assert main([command, "--out", str(tmp_path), *SMALL, "--set", setting]) == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve-sign-changing", "sup-scan"])

@@ -20,6 +20,7 @@ from nehari_fpl import (
     psi_and_t0,
     psi_mu,
 )
+from nehari_fpl.energy import GradientPieces
 
 
 def _random_fn(grid, rng):
@@ -77,7 +78,7 @@ def test_perturbation_derivative_refuses_the_stable_projection(params, grid48, r
     w = _random_fn(grid48, rng)
     tminus, _ = FiberMap.of(w, params).roots()
     u = w.with_values(tminus * w.values)
-    with pytest.raises(DegenerateInputError, match="nonnegative"):
+    with pytest.raises(DegenerateInputError, match="is not below"):
         perturbation_derivative(u, w, params)
 
 
@@ -90,7 +91,7 @@ def test_perturbation_derivative_refuses_merged_roots(params, grid48, rng):
     t0 = fm.t0()
     tuned = Params(params.s, params.p, params.q, fm.psi(t0) / fm.mass_q, params.N)
     u = w.with_values(t0 * (1.0 + 1e-12) * w.values)
-    with pytest.raises(DegenerateInputError, match="within"):
+    with pytest.raises(DegenerateInputError, match="is not below"):
         perturbation_derivative(u, w, tuned)
 
 
@@ -155,6 +156,17 @@ def test_tminus_below_the_float_range_raises_bisection_error():
     fm = FiberMap(norm_p=1.0, mass_q=1e-100, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=1e-100)
     with pytest.raises(BisectionError, match="did not converge"):
         fm.roots()
+
+
+def test_subnormal_critical_mass_is_refused(params, grid48, rng):
+    # at this size m_* ~ 2.5e-309 is a subnormal float, which has lost
+    # digits to underflow, so the ray analysis refuses it as it refuses a
+    # zero or non-finite coefficient
+    u = _random_fn(grid48, rng)
+    small = u.with_values(8e-32 * u.values)
+    assert 0.0 < GradientPieces.of(small, params).ray_coefficients()[2] < np.finfo(float).tiny
+    with pytest.raises(DegenerateInputError, match="not subnormal"):
+        FiberMap.of(small, params)
 
 
 def _bisect_reference(f, neg, pos):

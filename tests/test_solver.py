@@ -8,11 +8,13 @@ import pytest
 from nehari_fpl import (
     BubbleSpec,
     CollapseError,
+    DegenerateInputError,
     FiberMap,
     GridFunction,
     GridMismatchError,
     NehariTag,
     NoCrossingError,
+    NoRootsError,
     Params,
     SolverError,
     build_grid,
@@ -53,13 +55,18 @@ def test_projection_lands_on_unstable_stratum(params, grid48, rng):
 
 def test_projection_far_below_unit_size(params, grid48, rng):
     # at this size t+ ~ 8e30 puts t+^p* past the float range while m_* is
-    # still a normal float: phi(t+) reads -inf, as the array form gives,
-    # and the projected function is unaffected
+    # still a normal float: phi(t+) factors t^p out of its sum, so the
+    # fiber supremum keeps its scale invariance, and the projected function
+    # is unaffected
     u = _random_fn(grid48, rng)
     small = u.with_values(1.2e-31 * u.values)
     fm = FiberMap.of(small, params)
     assert fm.mass_star > np.finfo(float).tiny
-    assert fm.phi(fm.tplus()) == -np.inf
+    with pytest.raises(OverflowError):
+        fm.tplus() ** params.pstar
+    base, tiny = sup_over_fiber(u, params), sup_over_fiber(small, params)
+    assert tiny.value == pytest.approx(base.value, rel=1e-14)
+    assert tiny.t_at * 1.2e-31 == pytest.approx(base.t_at, rel=1e-14)
     np.testing.assert_allclose(project_minus(small, params).values, project_minus(u, params).values, rtol=1e-12)
 
 
@@ -213,6 +220,23 @@ def test_crossing_search_matches_scales(params, grid48):
     assert cr.b == pytest.approx(cr.a * cr.r, rel=1e-12)
 
 
+@pytest.mark.parametrize("case", ["single-point", "no-sign-change"])
+def test_crossing_search_refuses_a_bracket_without_a_crossing(params, grid48, case):
+    # w1 proportional to u_eps leaves a single ratio; a w1 whose mass sits
+    # where u_eps vanishes keeps that mass in its positive part at every
+    # ratio, so s+ stays small and s+ - s- keeps one sign over the bracket
+    x = grid48.nodes
+    left = np.where(x < 0.0, np.sin(np.pi * (x + 1.0)), 0.0)
+    u_eps = GridFunction(grid48, left)
+    if case == "single-point":
+        w1, message = u_eps.with_values(2.0 * left), "single point"
+    else:
+        right = np.where(x >= 0.0, 5.0 * np.sin(np.pi * x), 0.0)
+        w1, message = u_eps.with_values(left * (1.5 + 0.5 * x) + right), "no sign change"
+    with pytest.raises(NoCrossingError, match=message):
+        crossing_search(w1, u_eps, params)
+
+
 def test_sup_over_fiber_is_never_negative(params, grid48, rng):
     # with both roots present phi(t+) can fall below I(0) = 0; without
     # them the ray energy falls from 0 on all of (0, inf)
@@ -320,15 +344,46 @@ def test_solve_positive_raises_when_no_start_projects(params, grid48):
         solve_positive(grid48, replace(params, mu=100.0), seed=0)
 
 
-def test_sign_changing_failure_counts_bubble_retries(params, grid48, monkeypatch):
-    def no_crossing(*args, **kwargs):
-        raise NoCrossingError("forced", [])
+def test_stalled_one_sign_descent_is_not_restarted(params, grid48, monkeypatch):
+    # a line search that finds no acceptable step ends the solve: the first
+    # bump has a fiber maximum, so there is one start and one descent
+    descents = []
+    descend = solver_module._descend
 
-    monkeypatch.setattr(solver_module, "crossing_search", no_crossing)
+    def counting(*args, **kwargs):
+        descents.append(args)
+        return descend(*args, **kwargs)
+
+    def no_maximum(state, step, a_step, prm):
+        raise NoRootsError(0.0, 1.0)
+
+    monkeypatch.setattr(solver_module, "_descend", counting)
+    monkeypatch.setattr(solver_module, "_project_cone", no_maximum)
+    res = solve_positive(grid48, params, seed=0, max_restarts=5)
+    assert res.stop_reason == "stalled"
+    assert (res.restarts, len(descents), res.iterations) == (0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "cause",
+    [NoCrossingError("forced", []), NoRootsError(0.0, 1.0), DegenerateInputError("forced")],
+    ids=["no-crossing", "no-roots", "degenerate"],
+)
+def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch, cause):
+    # one crossing search on the configured bubble, whose failure is the
+    # solve's, chained to its cause
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise cause
+
+    monkeypatch.setattr(solver_module, "crossing_search", failing)
     w1 = solve_positive(grid48, params, seed=0).u
-    # the first bubble scale plus five retries
-    with pytest.raises(SolverError, match="after 5 restarts"):
+    with pytest.raises(SolverError, match="crossing search failed") as info:
         solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
+    assert len(calls) == 1
+    assert info.value.__cause__ is cause
 
 
 def test_sign_changing_first_stage_takes_the_restart_budget(params, monkeypatch):

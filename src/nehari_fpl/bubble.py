@@ -219,8 +219,6 @@ def lq_mass_scaling(
     faster than the theory power.
     """
     specs = list(spec_ladder)
-    if len(specs) < 4:
-        raise ParameterError(f"ladder too short: need >= 4 points, got {len(specs)}")
     if len(bubbles) != len(specs):
         raise ParameterError(f"need one bubble per rung: {len(specs)} rungs, {len(bubbles)} bubbles")
     eps = np.array([sp.eps for sp in specs], dtype=np.float64)

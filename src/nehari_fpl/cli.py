@@ -9,10 +9,10 @@ separated by tabs.  Reports carry no timestamps or paths, so identical
 configurations produce byte identical files.  Solve commands additionally
 write the solution nodes as csv.
 
-Exit codes: 0 success, 1 numeric failure (an unconverged or collapsed
-run, or a first stage that did not converge, which writes no report), 2
-invalid input, 3 a failed check in verify / energy-check, which also name
-the failed checks on stderr.
+Exit codes: 0 success, 1 numeric failure (an unconverged run, or a first
+stage that did not converge, which writes no report), 2 invalid input,
+3 a failed check in verify / energy-check, which also name the failed
+checks on stderr.
 """
 
 from __future__ import annotations
@@ -244,6 +244,7 @@ def _cmd_solve_sign_changing(cfg, out_dir):
     params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
     bubble = bubble_from(cfg, grid, params)
+    make_u_eps(grid, params, bubble)  # refuses a bad bubble geometry before the first stage
     pos, est = _positive_stage(cfg, grid, params)
     res = solve_sign_changing(
         grid,

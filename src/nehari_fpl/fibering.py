@@ -194,7 +194,7 @@ class FiberMap:
         t0 = self.t0()
         peak = self.psi(t0)
         if peak <= c:
-            raise NoRootsError(peak, c)
+            raise NoRootsError("no ray roots: peak %.9g <= concave mass %.9g (gap %.3g)" % (peak, c, c - peak))
         return c, t0
 
     def _level_gap(self, c: float):

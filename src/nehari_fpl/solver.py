@@ -53,21 +53,13 @@ import numpy as np
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
 from .constants import compactness_gap
 from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
-from .errors import (
-    CollapseError,
-    DegenerateInputError,
-    NoCrossingError,
-    NoRootsError,
-    ParameterError,
-    SolverError,
-)
+from .errors import DegenerateInputError, NoCrossingError, NoRootsError, ParameterError, SolverError
 from .fibering import FiberMap, NehariClass, classify
 from .grid import Grid, GridFunction, Params
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 ALPHA_FLOOR = 1e-16
-COLLAPSE_FACTOR = 1e-10
 # _riesz_direction: conjugate gradients stop at |A x - g| <= RIESZ_RTOL |g|
 RIESZ_RTOL = 0.1
 # sup_scan_ab: angles per scan of the ray-angle bracket, and scans made.
@@ -129,14 +121,13 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class FiberSupremum:
-    """Supremum of the ray energy over t >= 0.
+    """Supremum of the ray energy over t >= 0, and the t that attains it.
 
-    via_roots is False when the ray has no two crossings; the energy then
-    falls on all of (0, inf) and the supremum is I(0) = 0 at t = 0.
+    (value, t_at) = (0, 0) says the supremum is I(0) = 0: the ray energy
+    falls on all of (0, inf), or its local maximum phi(t+) is not positive.
     """
 
     value: float
-    via_roots: bool
     t_at: float
 
 
@@ -217,18 +208,14 @@ def _project_parts(u: GridFunction, params: Params):
 
     Returns the pieces of the result w and I(w).  The parts interact, so
     I(w) is not the sum of the part energies; it is read off G w, which the
-    next gradient reuses.  Raises CollapseError when a projected part's
-    seminorm falls below COLLAPSE_FACTOR times w's; both are read off the
-    pieces at hand, no pair action.
+    next gradient reuses.  A part on its fiber maximum has its seminorm
+    bounded below through the Sobolev constant, so it cannot collapse; a
+    part that vanishes has no fiber map (FiberMap.of_pieces raises
+    DegenerateInputError), and the descent rejects that trial.
     """
     parts = [_project_ray(GradientPieces.of(part, params), params)[0] for part in split_parts(u)]
     w = GradientPieces.of(GridFunction._wrap(u.grid, parts[0].u.values - parts[1].u.values), params)
-    fm = FiberMap.of_pieces(w, params)
-    for name, part in zip(("plus", "minus"), parts):
-        norm = part.ray_coefficients()[0]
-        if norm < COLLAPSE_FACTOR * fm.norm_p:
-            raise CollapseError(name, norm, fm.norm_p)
-    return w, fm.phi(1.0)
+    return w, FiberMap.of_pieces(w, params).phi(1.0)
 
 
 def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, params: Params):
@@ -425,11 +412,11 @@ def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
     try:
         tplus = fm.tplus()
     except NoRootsError:
-        return FiberSupremum(0.0, False, 0.0)
+        return FiberSupremum(0.0, 0.0)
     value = fm.phi(tplus)
     if value <= 0.0:
-        return FiberSupremum(0.0, True, 0.0)
-    return FiberSupremum(value, True, tplus)
+        return FiberSupremum(0.0, 0.0)
+    return FiberSupremum(value, tplus)
 
 
 def part_scales(w1: GridFunction, u_eps: GridFunction, params: Params, r: float):
@@ -470,12 +457,10 @@ def crossing_search(
     r1, r2 = float(np.min(ratios)), float(np.max(ratios))
     width = r2 - r1
     if not width > 0.0:
-        raise NoCrossingError("ratio bracket is a single point", [])
-    trace = []
+        raise NoCrossingError("ratio bracket is a single point")
 
     def eval_gap(r):
         s_plus, s_minus = part_scales(w1, u_eps, params, r)
-        trace.append((r, s_plus, s_minus))
         return s_plus - s_minus, s_plus, s_minus
 
     def probe(from_end, sign):
@@ -486,14 +471,12 @@ def crossing_search(
                 return r, eval_gap(r)
             except DegenerateInputError:
                 off *= 2.0
-        raise NoCrossingError("could not find valid probes inside the bracket", trace)
+        raise NoCrossingError("could not find valid probes inside the bracket")
 
     lo, (gap_lo, *_rest) = probe(r1, +1.0)
     hi, (gap_hi, *_rest) = probe(r2, -1.0)
     if not (gap_lo < 0.0 < gap_hi):
-        raise NoCrossingError(
-            f"no sign change of s+ - s- on [{lo:.6g}, {hi:.6g}]", trace
-        )
+        raise NoCrossingError(f"no sign change of s+ - s- on [{lo:.6g}, {hi:.6g}]")
     r_star, s_plus, s_minus = lo, math.nan, math.nan
     for _ in range(300):
         mid = 0.5 * (lo + hi)
@@ -508,7 +491,7 @@ def crossing_search(
         if hi - lo <= 1e-15 * width:
             break
     else:
-        raise NoCrossingError("crossing bisection did not converge", trace)
+        raise NoCrossingError("crossing bisection did not converge")
     a = 0.5 * (s_plus + s_minus)
     ansatz = w1.with_values(a * (w1.values - r_star * uv))
     plus, minus = split_parts(ansatz)
@@ -550,18 +533,19 @@ def solve_sign_changing(
 ) -> SolveResult:
     """Two-part descent from the crossing ansatz.
 
-    Runs the positive solve first (unless w1 is supplied), with the same
-    budget, tolerances and max_restarts, builds the bubble on grid
-    (default_bubble unless one is given), matches the part scalings with
-    one crossing_search, then descends the full energy while keeping both
+    Builds the bubble on grid (default_bubble unless one is given), runs
+    the positive solve (unless w1 is supplied) with the same budget,
+    tolerances and max_restarts, matches the part scalings with one
+    crossing_search, then descends the full energy while keeping both
     parts on their fiber maxima.  max_restarts bounds only the positive
-    solve's fresh starts.  Raises ParameterError on an out-of-range budget
-    or tolerance first, GridMismatchError when w1 lives on another grid,
-    SolverError, chained to its cause, when the crossing search fails, and
-    CollapseError when a projection loses a part (_project_parts).
+    solve's fresh starts.  Raises ParameterError on an out-of-range budget,
+    tolerance or bubble before any solve, GridMismatchError when w1 lives
+    on another grid, and SolverError, chained to its cause, when the
+    crossing search fails.
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
+    u_eps = make_u_eps(grid, params, default_bubble(grid, params) if bubble is None else bubble)
     if w1 is None:
         pos = solve_positive(
             grid, params, seed=seed, max_iters=max_iters,
@@ -573,7 +557,6 @@ def solve_sign_changing(
         alpha_minus = pos.energy
     else:
         alpha_minus = energy(w1, params).total
-    u_eps = make_u_eps(grid, params, default_bubble(grid, params) if bubble is None else bubble)
     try:
         cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
     except (NoRootsError, NoCrossingError, DegenerateInputError) as exc:

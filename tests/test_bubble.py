@@ -40,6 +40,13 @@ def test_exact_profile_requires_p2():
         profile_u(1.0, p3, "exact-p2")
 
 
+def test_profile_u_refuses_bad_inputs(params):
+    with pytest.raises(ParameterError, match="radius must be nonnegative"):
+        profile_u(-0.5, params)
+    with pytest.raises(ParameterError, match="unknown profile kind 'gauss'"):
+        profile_u(1.0, params, "gauss")
+
+
 def test_profiles_monotone(params):
     # the exact-p2 profile at these params, and the model at p = 3, N = 11,
     # are the bubble.profile-monotone check
@@ -85,6 +92,13 @@ def test_make_u_eps_guards(params, grid48):
         make_u_eps(grid48, params, BubbleSpec(eps=0.1, delta=0.25, center=0.9))
 
 
+def test_bubble_spec_refuses_bad_fields():
+    with pytest.raises(ParameterError, match="delta must be positive"):
+        BubbleSpec(eps=0.1, delta=0.0)
+    with pytest.raises(ParameterError, match="profile_kind must be one of"):
+        BubbleSpec(eps=0.1, delta=0.25, profile_kind="gauss")
+
+
 def test_ladder_builder(params):
     base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
     specs = ladder(base, (0.1, 0.05, 0.025))
@@ -106,10 +120,16 @@ def test_fit_exponent_tolerates_noise(rng):
 
 
 def test_fit_exponent_guards():
-    with pytest.raises(ParameterError):
-        fit_exponent((0.1, 0.05), (1.0, 2.0, 3.0))
-    with pytest.raises(ParameterError):
-        fit_exponent((0.1, 0.05), (1.0, -2.0))
+    eps = (0.1, 0.05, 0.025, 0.0125)
+    for ladder_eps, values, message in (
+        ((0.1, 0.05), (1.0, 2.0, 3.0), "ladder too short"),
+        (eps, (1.0, 2.0, 3.0), "matching lengths"),
+        ((0.1, 0.025, 0.05, 0.0125), (1.0, 2.0, 3.0, 4.0), "strictly decreasing"),
+        ((0.1, 0.05, 0.0, -0.1), (1.0, 2.0, 3.0, 4.0), "eps values must be positive"),
+        (eps, (1.0, -2.0, 3.0, 4.0), "fit values must be positive"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            fit_exponent(ladder_eps, values)
 
 
 def test_interaction_integrals_coincide_for_flat_weight(params):
@@ -196,7 +216,8 @@ def test_concave_mass_regimes_two_and_three(q, regime, theory):
 
 
 def test_lq_mass_scaling_rejects_wide_rungs(params):
-    # four rungs pass the length check; the first is above delta/2
+    # four rungs, the first above delta/2; a ladder of three rungs that
+    # clear the collar meets fit_exponent's length check at the end
     g = build_grid(-1.0, 1.0, 64, params)
     base = BubbleSpec(eps=0.2, delta=0.25, center=0.0)
     specs = ladder(base, (0.2, 0.1, 0.05, 0.025))
@@ -205,3 +226,5 @@ def test_lq_mass_scaling_rejects_wide_rungs(params):
         lq_mass_scaling(params, specs, bubbles)
     with pytest.raises(ParameterError, match="one bubble per rung"):
         lq_mass_scaling(params, specs, bubbles[1:])
+    with pytest.raises(ParameterError, match="ladder too short"):
+        lq_mass_scaling(params, specs[1:], bubbles[1:])

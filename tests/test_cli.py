@@ -140,6 +140,17 @@ def test_config_file_roundtrip(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [("constants", "--config={}", "cannot read config"), ("fiber", "--set=fiber.input={}", "cannot read")],
+    ids=["config", "fiber-input"],
+)
+def test_unreadable_file_exits_2(tmp_path, capsys, command, flag, message):
+    missing = tmp_path / "missing.txt"
+    assert main([command, "--out", str(tmp_path), flag.format(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message} {missing}: ")
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.m = 48\n")
@@ -314,16 +325,23 @@ def test_every_subcommand_writes_its_own_report(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "setting, message",
-    [("bubble.center=abc", "bubble.center expects a number"), ("bubble.eps_frac=-1", "eps must be positive")],
-    ids=["center", "eps"],
+    "settings, message",
+    [
+        (["bubble.center=abc"], "bubble.center expects a number"),
+        (["bubble.eps_frac=-1"], "eps must be positive"),
+        (["bubble.center=0.99"], "collar-free region"),
+        (["bubble.delta_frac=1.0"], "must be smaller than the half-width"),
+        (["params.p=3", "params.s=0.3", "bubble.profile=exact-p2"], "exact-p2 profile requires p = 2"),
+    ],
+    ids=["center", "eps", "center-in-collar", "delta", "exact-p2-at-p3"],
 )
 @pytest.mark.parametrize("command", ["solve-sign-changing", "sup-scan"])
-def test_bad_bubble_setting_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command, setting, message):
+def test_bad_bubble_setting_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command, settings, message):
     calls = []
     monkeypatch.setattr(cli, "solve_positive", lambda *args, **kwargs: calls.append("solve_positive"))
     monkeypatch.setattr(cli, "estimate_sobolev", lambda *args, **kwargs: calls.append("estimate_sobolev"))
-    assert main([command, "--out", str(tmp_path), *SMALL, "--set", setting]) == 2
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([command, "--out", str(tmp_path), *SMALL, *overrides]) == 2
     assert calls == []
     assert message in capsys.readouterr().err
 

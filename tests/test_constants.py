@@ -120,6 +120,11 @@ def test_sobolev_estimate_rejects_foreign_grid(params):
         estimate_sobolev(grid, params, iters=10, seed=0)
 
 
+def test_sobolev_estimate_refuses_an_empty_budget(params):
+    with pytest.raises(ParameterError, match="iters must be >= 1"):
+        estimate_sobolev(build_grid(-1.0, 1.0, 8, params), params, iters=0)
+
+
 @pytest.mark.parametrize("s, value", [(0.4, 3.466370116051), (0.1, 21.471825108959)])
 def test_sobolev_exact_pins(s, value):
     # 2 S_CT / C(N, s) at N = 1; the lattice estimate at s = 0.4 lies above

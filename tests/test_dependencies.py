@@ -1,8 +1,11 @@
-"""The package imports nothing but the standard library and numpy."""
+"""The package imports nothing but the standard library and numpy, and exports what it binds."""
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import nehari_fpl
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nehari_fpl"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
@@ -20,3 +23,13 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_all_lists_exactly_the_public_bindings():
+    # submodules are bound as attributes too, but are not part of __all__
+    public = {
+        name for name, value in vars(nehari_fpl).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(nehari_fpl.__all__)) == []
+    assert sorted(set(nehari_fpl.__all__) - set(vars(nehari_fpl))) == []

@@ -108,6 +108,11 @@ def test_grid_mismatch_guard(params, grid48, rng):
         residual(u, v, params)
 
 
+def test_lebesgue_mass_refuses_exponents_below_one(grid48, rng):
+    with pytest.raises(ParameterError, match="mass exponent must be >= 1"):
+        lebesgue_mass(_random_fn(grid48, rng), 0.5)
+
+
 PAIR_PARAMS = {
     "p2": Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1),
     "p2.5": Params(s=0.3, p=2.5, q=0.5, mu=0.05, N=1),

@@ -11,6 +11,7 @@ from nehari_fpl import (
     FiberMap,
     GridFunction,
     NoRootsError,
+    ParameterError,
     Params,
     build_grid,
     classify,
@@ -31,6 +32,17 @@ def test_psi_peak_closed_form_unit_inputs():
     fm = FiberMap(norm_p=1.0, mass_q=1.0, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=0.05)
     t0 = fm.t0()
     assert fm.psi(t0) == pytest.approx(t0 ** 0.5 - t0 ** 8.5, rel=1e-13)
+
+
+def test_ray_analysis_refuses_degenerate_inputs(params, grid48, rng):
+    unit = dict(norm_p=1.0, mass_q=1.0, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=0.05)
+    with pytest.raises(DegenerateInputError, match="critical mass is zero"):
+        FiberMap(**{**unit, "mass_star": 0.0}).t0()
+    with pytest.raises(DegenerateInputError, match="concave mass must be nonnegative"):
+        FiberMap(**{**unit, "mass_q": -1.0}).tplus()
+    for t in (0.0, -0.5):
+        with pytest.raises(ParameterError, match="ray scaling t must be positive"):
+            fiber_derivatives(_random_fn(grid48, rng), t, params)
 
 
 def test_t0_is_the_peak(params, grid48, rng):
@@ -59,8 +71,11 @@ def test_no_roots_when_mu_dominates(params, grid48, rng):
     fm = FiberMap.of(u, params)
     mu_crit = fm.psi(fm.t0()) / fm.mass_q
     big = Params(params.s, params.p, params.q, 2.0 * mu_crit, params.N)
-    with pytest.raises(NoRootsError):
+    with pytest.raises(NoRootsError) as info:
         fiber_roots(u, big)
+    fm = FiberMap.of(u, big)
+    peak, c = fm.psi(fm.t0()), fm.concave_mass
+    assert str(info.value) == "no ray roots: peak %.9g <= concave mass %.9g (gap %.3g)" % (peak, c, c - peak)
 
 
 def test_psi_mu_sign_tracks_solvability(params, grid48, rng):

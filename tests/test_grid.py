@@ -46,6 +46,13 @@ def test_tail_weight_rejects_other_kernel_strength(params):
         tail_weight(0.25, g, other)
 
 
+def test_tail_weight_refuses_points_off_the_interior(params):
+    g = build_grid(0.0, 1.0, 3, params)
+    for x in (0.0, 1.0, 1.5):
+        with pytest.raises(ParameterError, match="strictly inside"):
+            tail_weight(x, g, params)
+
+
 def test_kernel_off_diagonal_positive(params, grid48):
     # symmetry and the empty diagonal are the grid.kernel-symmetric check
     k = pair_kernel(grid48.nodes, grid48.ps)
@@ -128,6 +135,9 @@ def test_build_grid_rejects_bad_domain(params):
         build_grid(1.0, -1.0, 16, params)
     with pytest.raises(ParameterError):
         build_grid(0.0, 1.0, 0, params)
+    for a, b in ((-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ParameterError, match="endpoints must be finite"):
+            build_grid(a, b, 16, params)
 
 
 def test_params_validation():
@@ -143,6 +153,16 @@ def test_params_validation():
         Params(s=0.6, p=2.0, q=0.5, mu=0.05, N=1)
     with pytest.raises(ParameterError):
         Params(s=0.4, p=2.0, q=0.5, mu=-0.05, N=1)
+    base = dict(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
+    for bad, message in (
+        (dict(s=np.nan), "s must be a finite number"),
+        (dict(mu=np.inf), "mu must be a finite number"),
+        (dict(q="0.5"), "q must be a finite number"),
+        (dict(N=1.5), "N must be an integer"),
+        (dict(N=0), "N must be >= 1"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            Params(**{**base, **bad})
     # mu = 0 is the pure critical problem
     assert Params(s=0.4, p=2.0, q=0.5, mu=0.0, N=1).mu == 0.0
 
@@ -157,3 +177,5 @@ def test_pstar_value(params):
 def test_grid_function_shape_guard(params, grid48):
     with pytest.raises(ParameterError):
         GridFunction(grid48, np.zeros(grid48.n + 1))
+    with pytest.raises(ParameterError, match="values must be finite"):
+        GridFunction(grid48, np.full(grid48.n, np.nan))

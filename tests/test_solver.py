@@ -7,7 +7,6 @@ import pytest
 
 from nehari_fpl import (
     BubbleSpec,
-    CollapseError,
     DegenerateInputError,
     FiberMap,
     GridFunction,
@@ -15,6 +14,7 @@ from nehari_fpl import (
     NehariTag,
     NoCrossingError,
     NoRootsError,
+    ParameterError,
     Params,
     SolverError,
     build_grid,
@@ -237,17 +237,36 @@ def test_crossing_search_refuses_a_bracket_without_a_crossing(params, grid48, ca
         crossing_search(w1, u_eps, params)
 
 
+@pytest.mark.parametrize(
+    "scale, message", [(0.0, "vanishes identically"), (-1.0, "no nodes above the mass threshold")],
+    ids=["zero", "negative"],
+)
+def test_crossing_search_refuses_a_bubble_without_mass(params, grid48, scale, message):
+    w1 = GridFunction(grid48, np.cos(0.5 * np.pi * grid48.nodes))
+    with pytest.raises(DegenerateInputError, match=message):
+        crossing_search(w1, w1.with_values(scale * w1.values), params)
+
+
+def test_part_scales_refuses_a_ratio_without_a_sign_change(params, grid48):
+    w1 = GridFunction(grid48, np.cos(0.5 * np.pi * grid48.nodes))
+    with pytest.raises(DegenerateInputError, match="no sign change at r = 0"):
+        part_scales(w1, w1, params, 0.0)
+
+
 def test_sup_over_fiber_is_never_negative(params, grid48, rng):
     # with both roots present phi(t+) can fall below I(0) = 0; without
     # them the ray energy falls from 0 on all of (0, inf)
     u = _random_fn(grid48, rng)
     _, psi_t0 = psi_and_t0(u, params)
     mu_crit = psi_t0 / lebesgue_mass(u, params.q + 1.0)
-    below = sup_over_fiber(u, replace(params, mu=0.99 * mu_crit))
-    assert (below.value, below.t_at) == (0.0, 0.0)
-    assert below.via_roots
-    above = sup_over_fiber(u, replace(params, mu=1.01 * mu_crit))
-    assert (above.value, above.via_roots, above.t_at) == (0.0, False, 0.0)
+    low, high = replace(params, mu=0.99 * mu_crit), replace(params, mu=1.01 * mu_crit)
+    fm = FiberMap.of(u, low)
+    assert fm.phi(fm.tplus()) <= 0.0
+    with pytest.raises(NoRootsError):
+        FiberMap.of(u, high).tplus()
+    for prm in (low, high):
+        sup = sup_over_fiber(u, prm)
+        assert (sup.value, sup.t_at) == (0.0, 0.0)
 
 
 def test_sup_scan_is_the_half_plane_maximum(params, grid48):
@@ -355,7 +374,7 @@ def test_stalled_one_sign_descent_is_not_restarted(params, grid48, monkeypatch):
         return descend(*args, **kwargs)
 
     def no_maximum(state, step, a_step, prm):
-        raise NoRootsError(0.0, 1.0)
+        raise NoRootsError("forced")
 
     monkeypatch.setattr(solver_module, "_descend", counting)
     monkeypatch.setattr(solver_module, "_project_cone", no_maximum)
@@ -366,7 +385,7 @@ def test_stalled_one_sign_descent_is_not_restarted(params, grid48, monkeypatch):
 
 @pytest.mark.parametrize(
     "cause",
-    [NoCrossingError("forced", []), NoRootsError(0.0, 1.0), DegenerateInputError("forced")],
+    [NoCrossingError("forced"), NoRootsError("forced"), DegenerateInputError("forced")],
     ids=["no-crossing", "no-roots", "degenerate"],
 )
 def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch, cause):
@@ -384,6 +403,19 @@ def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch,
         solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
     assert len(calls) == 1
     assert info.value.__cause__ is cause
+
+
+def test_sign_changing_refuses_a_bad_bubble_before_its_first_stage(params, grid48, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver_module, "solve_positive", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ParameterError, match="collar-free region"):
+        solve_sign_changing(grid48, params, bubble=BubbleSpec(eps=0.1, delta=0.25, center=0.99))
+    assert calls == []
+
+
+def test_sign_changing_refuses_an_unconverged_first_stage(params, grid48):
+    with pytest.raises(SolverError, match="positive solve did not converge"):
+        solve_sign_changing(grid48, params, max_iters=1)
 
 
 def test_sign_changing_first_stage_takes_the_restart_budget(params, monkeypatch):
@@ -416,13 +448,32 @@ def test_w1_from_another_grid_raises(params, grid48, n):
             call()
 
 
-def test_sign_changing_raises_on_collapsed_part(params, grid48, monkeypatch):
-    # the smaller projected part carries at most half of the whole
-    # seminorm, so a collapse threshold of one half trips the projection
-    monkeypatch.setattr(solver_module, "COLLAPSE_FACTOR", 0.5)
+def test_two_part_trial_without_a_negative_part_halves_the_step(params, grid48, monkeypatch):
+    # the first trial keeps only the iterate's positive part; its vanished
+    # negative part has no fiber map, so the trial is rejected, as a ray
+    # without a fiber maximum is, and the next one takes half the step
     w1 = solve_positive(grid48, params, seed=0).u
-    with pytest.raises(CollapseError):
-        solve_sign_changing(grid48, params, w1=w1)
+    steps, refusals = [], []
+    descend = solver_module._descend
+
+    def first_trial_loses_its_negative_part(*args, project, **kwargs):
+        def trial(state, step, a_step):
+            steps.append(step)
+            if len(steps) == 1:
+                step = np.where(state.u.values < 0.0, -state.u.values, 0.0)
+            try:
+                return project(state, step, a_step)
+            except DegenerateInputError as exc:
+                refusals.append((len(steps), str(exc)))
+                raise
+
+        return descend(*args, project=trial, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_descend", first_trial_loses_its_negative_part)
+    res = solve_sign_changing(grid48, params, w1=w1)
+    assert refusals == [(1, "nonzero function required")]
+    assert steps[1].tobytes() == (0.5 * steps[0]).tobytes()
+    assert res.armijo_trials > res.iterations
 
 
 def test_stop_reason_says_why_descent_ended(params, grid48):

@@ -71,7 +71,8 @@ def test_tracer_counts_one_bubble_per_rung(tmp_path):
 
 
 def test_tracer_two_part_solve_makes_no_seminorm_call(params):
-    # the collapse test reads the part seminorms off the projected pieces
+    # every projection and the final numbers read their seminorms off
+    # gradient pieces, never off seminorm_p
     grid = build_grid(-1.0, 1.0, 48, params)
     w1 = nehari_fpl.solve_positive(grid, params, seed=0).u
     tracer = _load_tracer().Tracer()

@@ -53,3 +53,13 @@ def test_positive_nonneg_measures_the_solution(monkeypatch):
     monkeypatch.setattr(verification, "solve_positive", with_negative_node)
     res = {r.name: r for r in verification.check_solver(checks_n=32)}["solver.positive-nonneg"]
     assert not res.passed, f"measured {res.value}"
+
+
+def test_a_crashing_check_fails_and_reads_raised():
+    res = verification._run("demo.crash", "no exception", lambda: 1 / 0)
+    assert (res.passed, res.value, res.detail) == (False, "raised", "ZeroDivisionError('division by zero')")
+
+
+def test_unknown_check_group_is_refused():
+    with pytest.raises(ValueError, match=r"unknown check groups \['nope'\]"):
+        run_battery(("grid", "nope"))

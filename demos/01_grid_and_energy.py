@@ -8,6 +8,7 @@ difference on a larger one.
 import numpy as np
 
 from nehari_fpl import (
+    FiberMap,
     GridFunction,
     Params,
     build_grid,
@@ -38,11 +39,11 @@ def main():
     g = build_grid(-1.0, 1.0, 64, params)
     rng = np.random.default_rng(0)
     u = GridFunction(g, rng.standard_normal(g.n))
-    br = energy(u, params)
-    print(f"seminorm^p     {br.seminorm_p:14.6f}")
-    print(f"concave mass   {br.lq_mass:14.6f}")
-    print(f"critical mass  {br.lpstar_mass:14.6f}")
-    print(f"total energy   {br.total:14.6f}")
+    fm = FiberMap.of(u, params)
+    print(f"seminorm^p     {fm.norm_p:14.6f}")
+    print(f"concave mass   {fm.mass_q:14.6f}")
+    print(f"critical mass  {fm.mass_star:14.6f}")
+    print(f"total energy   {energy(u, params):14.6f}")
 
     plus, minus = split_parts(u)
     gap = seminorm_p(u, params) - seminorm_p(plus, params) - seminorm_p(minus, params)
@@ -53,8 +54,8 @@ def main():
     d = GridFunction(g, rng.standard_normal(g.n))
     analytic = float(np.dot(gradient(u, params).values, d.values))
     eps = 1e-6
-    ep = energy(u.with_values(u.values + eps * d.values), params).total
-    em = energy(u.with_values(u.values - eps * d.values), params).total
+    ep = energy(u.with_values(u.values + eps * d.values), params)
+    em = energy(u.with_values(u.values - eps * d.values), params)
     fd = (ep - em) / (2.0 * eps)
     print(f"analytic {analytic:.10f}")
     print(f"central  {fd:.10f}")

@@ -39,7 +39,7 @@ from .errors import ConfigError, DegenerateInputError, GridMismatchError, Nehari
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
-from .verification import run_battery
+from .verification import SEED, run_battery
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -111,7 +111,7 @@ def _params_grid(cfg):
 
 def _cmd_constants(cfg, out_dir):
     params, grid = _params_grid(cfg)
-    est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
+    est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["solver.seed"]))
     rep = regime_report(params, grid.b - grid.a, est.value)
     regime, threshold = mass_regime(params)
     rows = [("sobolev.estimate", "quotient of the mu = 0 one-sign solution", est.value)]
@@ -136,19 +136,12 @@ def _cmd_constants(cfg, out_dir):
         ("const.mass_regime", "concave mass regime", regime),
         ("const.mass_threshold", "concave mass regime threshold", threshold),
     ]
-    return rows, int(cfg["sobolev.seed"]), 0
+    return rows, int(cfg["solver.seed"]), 0
 
 
 def _cmd_battery(groups, cfg, out_dir):
     """verify and energy-check: run the named check groups, name the failures on stderr."""
-    seed = int(cfg["checks.seed"])
-    results = run_battery(
-        groups,
-        checks_n=int(cfg["checks.n"]),
-        seed=seed,
-        bubble_n=int(cfg["checks.bubble_n"]),
-        solver_budget=int(cfg["checks.solver_max_iters"]),
-    )
+    results = run_battery(groups, checks_n=int(cfg["checks.n"]))
     rows = []
     for res in results:
         rows.append((f"check.{res.name}", res.target, "pass" if res.passed else "fail"))
@@ -159,7 +152,7 @@ def _cmd_battery(groups, cfg, out_dir):
     rows.append(("checks.failed", "checks failed", len(failed)))
     if failed:
         print("failed checks: " + ", ".join(failed), file=sys.stderr)
-    return rows, seed, 3 if failed else 0
+    return rows, SEED, 3 if failed else 0
 
 
 def _cmd_fiber(cfg, out_dir):
@@ -213,7 +206,7 @@ def _positive_stage(cfg, grid, params):
     pos = solve_positive(grid, params, **_solver_kwargs(cfg))
     if not pos.converged:
         raise SolverError("positive-solution stage did not converge")
-    return pos, estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["sobolev.seed"]))
+    return pos, estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["solver.seed"]))
 
 
 def _cmd_solve_positive(cfg, out_dir):
@@ -227,7 +220,7 @@ def _cmd_solve_positive(cfg, out_dir):
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.cg_steps", "conjugate-gradient steps, all directions", res.cg_steps),
         ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
-        ("solve.restarts", "fresh starts used", res.restarts),
+        ("solve.restarts", "fresh bumps passed over, no fiber maximum", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
         # the one-sign iterate has no negative part, so its seminorm is its positive part's

@@ -40,12 +40,8 @@ DEFAULTS: dict[str, object] = {
     "solver.tol_cross": 1e-6,
     "solver.max_restarts": 5,
     "sobolev.iters": 600,
-    "sobolev.seed": 0,
     "fiber.input": "",
     "checks.n": 48,
-    "checks.seed": 0,
-    "checks.bubble_n": 256,
-    "checks.solver_max_iters": 4000,
 }
 
 

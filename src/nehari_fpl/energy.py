@@ -51,16 +51,6 @@ from .errors import GridMismatchError, ParameterError
 from .grid import Grid, GridFunction, Params, _check_ps
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The three energy pieces and their signed total."""
-
-    seminorm_p: float
-    lq_mass: float
-    lpstar_mass: float
-    total: float
-
-
 def signed_power(x, e: float):
     """sign(x) * |x|^e, continuously extended by 0 at x = 0 (a zero keeps its sign)."""
     return np.copysign(np.abs(x) ** e, x)
@@ -101,13 +91,12 @@ def lebesgue_mass(u: GridFunction, r: float) -> float:
     return u.grid.h * float(np.sum(np.abs(u.values) ** r))
 
 
-def energy(u: GridFunction, params: Params) -> EnergyBreakdown:
-    """Energy breakdown at u: its ray coefficients, and the fiber map's phi(1) as total."""
+def energy(u: GridFunction, params: Params) -> float:
+    """I(u), the fiber map's phi(1), read off the ray coefficients of u."""
     from .fibering import FiberMap  # fibering imports GradientPieces from here
 
     pieces = GradientPieces.of(u, params).ray_coefficients()
-    total = float(FiberMap(*pieces, params.p, params.q, params.pstar, params.mu).phi(1.0))
-    return EnergyBreakdown(*pieces, total)
+    return float(FiberMap(*pieces, params.p, params.q, params.pstar, params.mu).phi(1.0))
 
 
 def form_a(u: GridFunction, phi: GridFunction, params: Params) -> float:

@@ -177,6 +177,11 @@ def _check_settings(max_iters: int = 1, max_restarts: int = 0, **tols: float):
             raise ParameterError(f"{name} must be positive, got {value}")
 
 
+def _converged(res: float, e_total: float, tol_res: float) -> bool:
+    """The stop rule: the sup norm res of the nodal gradient is at most tol_res * (1 + |I(u)|)."""
+    return res <= tol_res * (1.0 + abs(e_total))
+
+
 def _stop_reason(converged: bool, stalled: bool) -> str:
     if converged:
         return "converged"
@@ -194,7 +199,7 @@ def _fresh(u: GridFunction, params: Params, tol_res: float):
     fm = FiberMap.of_pieces(pieces, params)
     e_total = fm.phi(1.0)
     res = float(np.abs(pieces.gradient(params)).max())
-    return pieces, fm, e_total, res, res <= tol_res * (1.0 + abs(e_total))
+    return pieces, fm, e_total, res, _converged(res, e_total, tol_res)
 
 
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
@@ -369,7 +374,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     for _ in range(budget):
         iterations += 1
         g = state.gradient(params)
-        if float(np.abs(g).max()) <= tol_res * (1.0 + abs(e_total)):
+        if _converged(float(np.abs(g).max()), e_total, tol_res):
             iterations -= 1
             break
         if sobolev:
@@ -556,7 +561,7 @@ def solve_sign_changing(
         w1 = pos.u
         alpha_minus = pos.energy
     else:
-        alpha_minus = energy(w1, params).total
+        alpha_minus = energy(w1, params)
     try:
         cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
     except (NoRootsError, NoCrossingError, DegenerateInputError) as exc:

@@ -43,6 +43,8 @@ from .solver import (
 )
 
 DEFAULT_PARAMS = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
+# seeds every random draw and every solve start of the battery
+SEED = 0
 
 # hand-evaluated closed forms, frozen before the modules existed
 MU_TILDE_HAND = 0.78843882798753906  # (0.5/8.5)^(1/16) * 8/8.5 at p=2, q=0.5, N=1, s=0.4
@@ -151,10 +153,10 @@ def check_grid() -> list[CheckResult]:
     ]
 
 
-def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
+def check_energy(checks_n: int = 48) -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, checks_n, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
 
     def homogeneity():
         u = _random_function(grid, rng)
@@ -173,8 +175,8 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
             d = rng.standard_normal(grid.n)
             d /= float(np.max(np.abs(d)))
             eps = 1e-6
-            ep = energy(u.with_values(u.values + eps * d), params).total
-            em = energy(u.with_values(u.values - eps * d), params).total
+            ep = energy(u.with_values(u.values + eps * d), params)
+            em = energy(u.with_values(u.values - eps * d), params)
             worst = max(worst, _rel((ep - em) / (2.0 * eps), float(np.dot(g, d))))
         return worst
 
@@ -194,11 +196,7 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
     def energy_split():
         u = _random_function(grid, rng)
         plus, minus = split_parts(u)
-        return (
-            energy(u, params).total
-            - energy(plus, params).total
-            - energy(minus.with_values(-minus.values), params).total
-        )
+        return energy(u, params) - energy(plus, params) - energy(minus.with_values(-minus.values), params)
 
     def positivity_pairing():
         u = _random_function(grid, rng)
@@ -207,8 +205,8 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
 
     def determinism():
         u = _random_function(grid, rng)
-        first = energy(u, params).total
-        second = energy(u, params).total
+        first = energy(u, params)
+        second = energy(u, params)
         return first == second, "bitwise" if first == second else "differs", ""
 
     return [
@@ -223,10 +221,10 @@ def check_energy(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def check_fibering(checks_n: int = 48, seed: int = 0) -> list[CheckResult]:
+def check_fibering(checks_n: int = 48) -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, checks_n, params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     unit = FiberMap(1.0, 1.0, 1.0, 2.0, 0.5, 10.0, params.mu)
 
     def peak_property():
@@ -393,7 +391,7 @@ def check_constants() -> list[CheckResult]:
     ]
 
 
-def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
+def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, bubble_n, params)
     hw = grid.halfwidth
@@ -425,7 +423,7 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
         return ok, "%.6g -> %.6g" % (masses[0], masses[-1]), "critical mass along the ladder"
 
     def quotient_trend():
-        s_est = estimate_sobolev(grid, params, iters=600, seed=seed).value
+        s_est = estimate_sobolev(grid, params, iters=600, seed=SEED).value
         quotients = [
             seminorm_p(u, params) / lebesgue_mass(u, params.pstar) ** (params.p / params.pstar)
             for u in bubbles
@@ -467,13 +465,13 @@ def check_bubble(bubble_n: int = 256, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -> list[CheckResult]:
+def check_solver(checks_n: int = 48) -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, checks_n, params)
-    rng = np.random.default_rng(seed)
-    pos = solve_positive(grid, params, seed=seed, max_iters=solver_budget)
+    rng = np.random.default_rng(SEED)
+    pos = solve_positive(grid, params, seed=SEED)
     u_eps = make_u_eps(grid, params, default_bubble(grid, params))
-    sign = solve_sign_changing(grid, params, seed=seed, max_iters=solver_budget, w1=pos.u)
+    sign = solve_sign_changing(grid, params, w1=pos.u)
     # the solve's crossing, made on u_eps
     cross = sign.crossing
 
@@ -502,7 +500,7 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
 
     def supfiber_identity():
         sup = sup_over_fiber(pos.u, params)
-        gap = _rel(sup.value, energy(pos.u, params).total)
+        gap = _rel(sup.value, energy(pos.u, params))
         at_one = abs(sup.t_at - 1.0)
         scaled = sup_over_fiber(pos.u.with_values(3.7 * pos.u.values), params)
         invariance = _rel(scaled.value, sup.value)
@@ -542,11 +540,11 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
 
     def scan_inclusion():
         scan = sup_scan_ab(pos.u, u_eps, params)
-        floor = energy(pos.u, params).total
+        floor = energy(pos.u, params)
         return scan.value >= floor - 1e-12 * abs(floor), "%.6g >= %.6g" % (scan.value, floor), ""
 
     def seed_determinism():
-        again = solve_positive(grid, params, seed=seed, max_iters=solver_budget)
+        again = solve_positive(grid, params, seed=SEED)
         same = again.energy == pos.energy and bool(np.array_equal(again.u.values, pos.u.values))
         return same, "bitwise" if same else "differs", ""
 
@@ -576,29 +574,22 @@ def check_solver(checks_n: int = 48, seed: int = 0, solver_budget: int = 4000) -
 # group -> (check function, the run_battery settings it takes, in order)
 _GROUPS = {
     "grid": (check_grid, ()),
-    "energy": (check_energy, ("checks_n", "seed")),
-    "fibering": (check_fibering, ("checks_n", "seed")),
+    "energy": (check_energy, ("checks_n",)),
+    "fibering": (check_fibering, ("checks_n",)),
     "constants": (check_constants, ()),
-    "bubble": (check_bubble, ("bubble_n", "seed")),
-    "solver": (check_solver, ("checks_n", "seed", "solver_budget")),
+    "bubble": (check_bubble, ("bubble_n",)),
+    "solver": (check_solver, ("checks_n",)),
 }
 ALL_GROUPS = tuple(_GROUPS)
 
 
-def run_battery(
-    groups=None,
-    *,
-    checks_n: int = 48,
-    seed: int = 0,
-    bubble_n: int = 256,
-    solver_budget: int = 4000,
-) -> list[CheckResult]:
+def run_battery(groups=None, *, checks_n: int = 48, bubble_n: int = 256) -> list[CheckResult]:
     """Run the named check groups (all of them by default), in a fixed order."""
     chosen = ALL_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in ALL_GROUPS]
     if unknown:
         raise ValueError(f"unknown check groups {unknown}; available: {ALL_GROUPS}")
-    settings = dict(checks_n=checks_n, seed=seed, bubble_n=bubble_n, solver_budget=solver_budget)
+    settings = dict(checks_n=checks_n, bubble_n=bubble_n)
     results: list[CheckResult] = []
     for group, (check, names) in _GROUPS.items():
         if group in chosen:

@@ -71,8 +71,8 @@ def test_criterion_1_gradient_consistency():
         g = gradient(u, PARAMS)
         analytic = float(np.dot(g.values, d.values))
         eps = 1e-6 * float(np.max(np.abs(u.values))) / float(np.max(np.abs(d.values)))
-        ep = energy(u.with_values(u.values + eps * d.values), PARAMS).total
-        em = energy(u.with_values(u.values - eps * d.values), PARAMS).total
+        ep = energy(u.with_values(u.values + eps * d.values), PARAMS)
+        em = energy(u.with_values(u.values - eps * d.values), PARAMS)
         fd = (ep - em) / (2.0 * eps)
         worst = max(worst, abs(fd - analytic) / max(abs(analytic), 1e-300))
     assert worst <= 1e-5
@@ -163,7 +163,7 @@ def test_criterion_4_sign_structure_inequalities():
             assert abs(split - whole) <= 1e-13 * abs(whole)
         # energy split, strict for sign-changing u
         neg = minus.with_values(-minus.values)
-        egap = energy(u, PARAMS).total - energy(plus, PARAMS).total - energy(neg, PARAMS).total
+        egap = energy(u, PARAMS) - energy(plus, PARAMS) - energy(neg, PARAMS)
         assert egap > 0.0
         # pairing against the negative part over-collects its seminorm
         assert form_a(u, neg, PARAMS) - seminorm_p(minus, PARAMS) > 0.0

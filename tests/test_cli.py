@@ -91,7 +91,7 @@ def test_out_of_range_solver_setting_exits_2(tmp_path, capsys, command, setting)
 
 @pytest.mark.parametrize(
     "command, key",
-    [("solve-positive", "solver.seed"), ("constants", "sobolev.seed"), ("verify", "checks.seed")],
+    [("solve-positive", "solver.seed"), ("constants", "solver.seed")],
 )
 def test_negative_seed_exits_2(tmp_path, capsys, command, key):
     # numpy refuses a negative seed; the config rejects it first, by name
@@ -163,6 +163,8 @@ def test_solve_positive_outputs(tmp_path):
     assert code == 0
     report = _read(tmp_path / "solve-positive.report.txt").decode()
     assert "solve.converged\t" in report
+    # restarts counts the bumps passed over, not the starts used: the first bump projects
+    assert "solve.restarts\tfresh bumps passed over, no fiber maximum\t0\n" in report
     assert (tmp_path / "solution.csv").exists()
     head = _read(tmp_path / "solution.csv").decode().splitlines()
     assert head[0] == "node,value"

@@ -1,4 +1,4 @@
-"""The package imports nothing but the standard library and numpy, and exports what it binds."""
+"""The package imports only the standard library and numpy, exports what it binds, and reads each config key."""
 
 import ast
 import sys
@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import nehari_fpl
+from nehari_fpl.config import DEFAULTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nehari_fpl"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
@@ -33,3 +34,21 @@ def test_all_lists_exactly_the_public_bindings():
     }
     assert sorted(public - set(nehari_fpl.__all__)) == []
     assert sorted(set(nehari_fpl.__all__) - set(vars(nehari_fpl))) == []
+
+
+def test_every_config_key_is_read_and_every_read_is_a_key():
+    # a setting nothing reads is a knob that does nothing; a read of a key
+    # DEFAULTS lacks would fail only when that line runs
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)
+            ):
+                read.add(node.slice.value)
+    assert sorted(set(DEFAULTS) - read) == []
+    assert sorted(read - set(DEFAULTS)) == []

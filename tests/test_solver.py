@@ -220,6 +220,53 @@ def test_crossing_search_matches_scales(params, grid48):
     assert cr.b == pytest.approx(cr.a * cr.r, rel=1e-12)
 
 
+def _spy_part_scales(monkeypatch):
+    """Record (r, refused) for every part_scales call crossing_search makes."""
+    calls = []
+
+    def spy(w1, u_eps, params, r):
+        try:
+            out = part_scales(w1, u_eps, params, r)
+        except DegenerateInputError:
+            calls.append((r, True))
+            raise
+        calls.append((r, False))
+        return out
+
+    monkeypatch.setattr(solver_module, "part_scales", spy)
+    return calls
+
+
+def test_crossing_search_doubles_a_refused_probe(monkeypatch):
+    # at s = 0.48 the ratio 1e-6 of the bracket width inside rbar2 still
+    # leaves w1 - r u_eps without a positive part; the probe doubles its
+    # offset four times before part_scales accepts it
+    params = Params(s=0.48, p=2.0, q=0.5, mu=0.05, N=1)
+    grid = build_grid(-1.0, 1.0, 48, params)
+    pos = solve_positive(grid, params, seed=0)
+    u_eps = make_u_eps(grid, params, default_bubble(grid, params))
+    calls = _spy_part_scales(monkeypatch)
+    cr = crossing_search(pos.u, u_eps, params)
+    r1, r2 = cr.bracket
+    offsets = [r2 - r for r, _ in calls[1:6]]
+    assert [refused for _, refused in calls[:6]] == [False, True, True, True, True, False]
+    np.testing.assert_allclose(offsets, [1e-6 * (r2 - r1) * 2.0**k for k in range(5)], rtol=1e-6)
+    assert not any(refused for _, refused in calls[6:])
+    assert cr.r == pytest.approx(0.61242, abs=1e-5)
+
+
+def test_crossing_search_stops_on_the_bracket_width(params, grid48, monkeypatch):
+    # a tolerance no float gap meets: the bisection stops once its bracket
+    # is 1e-15 of the ratio bracket wide, 50 halvings after the two probes
+    pos = solve_positive(grid48, params, seed=0)
+    u_eps = make_u_eps(grid48, params, default_bubble(grid48, params))
+    calls = _spy_part_scales(monkeypatch)
+    cr = crossing_search(pos.u, u_eps, params, tol_cross=1e-300)
+    assert len(calls) == 2 + 50
+    assert 0.0 < abs(cr.s_plus - cr.s_minus) <= 1e-13 * cr.s_plus
+    assert cr.bracket[0] < cr.r < cr.bracket[1]
+
+
 @pytest.mark.parametrize("case", ["single-point", "no-sign-change"])
 def test_crossing_search_refuses_a_bracket_without_a_crossing(params, grid48, case):
     # w1 proportional to u_eps leaves a single ratio; a w1 whose mass sits
@@ -277,7 +324,7 @@ def test_sup_scan_is_the_half_plane_maximum(params, grid48):
     assert scan.value >= pos.energy
 
     def plane_energy(a, b):
-        return energy(pos.u.with_values(a * pos.u.values - b * ue.values), params).total
+        return energy(pos.u.with_values(a * pos.u.values - b * ue.values), params)
 
     assert plane_energy(scan.a_at, scan.b_at) == pytest.approx(scan.value, rel=1e-12)
     grid_max = max(

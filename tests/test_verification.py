@@ -1,10 +1,10 @@
 """The verify battery at the verify defaults, one test id per check.
 
-run_battery() runs once, when this module is collected, with the config
-defaults the verify subcommand reads.  Each check then passes or fails
-under its own id, so a property the battery checks needs no unit test of
-its own.  The tests after test_check feed a check an input that must fail
-it.
+run_battery() runs once, when this module is collected, at its own
+defaults, which are the verify subcommand's at the config defaults.  Each
+check then passes or fails under its own id, so a property the battery
+checks needs no unit test of its own.  The tests after test_check feed a
+check an input that must fail it.
 """
 
 from dataclasses import replace
@@ -13,22 +13,13 @@ import numpy as np
 import pytest
 
 from nehari_fpl import solve_positive, verification
-from nehari_fpl.config import DEFAULTS
 from nehari_fpl.verification import run_battery
 
 # the concentration-ladder checks measure slopes short of the asymptotic
 # rates at reachable scales, so verify reports them failed by design
 KNOWN_FAILURES = {"bubble.quotient-trend", "bubble.fit-mass"} | {f"bubble.fit-a{i}" for i in range(1, 5)}
 
-RESULTS = {
-    res.name: res
-    for res in run_battery(
-        checks_n=DEFAULTS["checks.n"],
-        seed=DEFAULTS["checks.seed"],
-        bubble_n=DEFAULTS["checks.bubble_n"],
-        solver_budget=DEFAULTS["checks.solver_max_iters"],
-    )
-}
+RESULTS = {res.name: res for res in run_battery()}
 
 
 @pytest.mark.parametrize("name", list(RESULTS))

@@ -22,20 +22,23 @@ sums a power of u on its own.  Each piece is homogeneous along the ray
 t -> t u, so a descent that carries them needs no pair action to read the
 fiber map or the next gradient.
 
-G u costs one pair action, a pass over the grid's stiffness matrix A,
-the p = 2 seminorm operator (grid.Grid).  At p = 2, G u = A u is one
-matrix-vector product (stiffness_action); A is symmetric positive
-definite, and the one-sign descent uses it as its metric at every p.  At
-p > 2 the pair sum is weighted by W_ij = A_ij |u_i - u_j|^(p-2), zero on
-the diagonal and built once per call in one n x n array:
+G u costs one pair action with the grid's p = 2 seminorm operator A
+(grid.Grid), stored as a Toeplitz column and a diagonal.  At p = 2,
+G u = A u is one FFT product (stiffness_action),
+irfft(F rfft(u, 2n))[:n] + diag o u with F = grid.column_fft; A is
+symmetric positive definite, and the one-sign descent uses it as its
+metric at every p.  At p > 2 the pair sum is weighted by
+W_ij = A_ij |u_i - u_j|^(p-2), zero on the diagonal and built once per
+call in one n x n array from the grid's Toeplitz view (Grid.toeplitz):
 
     G u = W u - W.sum(1) o u + 2h sign(u)|u|^(p-1) tail.
 
 pair_actions() counts the pair actions made, a machine-independent cost.
 
-Reduction order: the pair sums are BLAS matrix-vector products,
-deterministic for a fixed BLAS thread count (checked at 1 and 2
-threads); every other sum is a single-threaded numpy reduction over an
+Reduction order: the p = 2 pair action is numpy's FFT, deterministic
+and odd bitwise in its input; the p > 2 pair sums are BLAS matrix-vector
+products, deterministic for a fixed BLAS thread count (checked at 1 and
+2 threads); every other sum is a single-threaded numpy reduction over an
 array of fixed shape.  Identical inputs give bit-identical results on a
 given platform and thread count.
 """
@@ -62,7 +65,8 @@ _tally = threading.local()
 def pair_actions() -> int:
     """Pair actions made so far by the calling thread.
 
-    Each is one O(n^2) pass over the stiffness matrix; a solve reports the
+    Each is one FFT product at p = 2 and one O(n^2) weighted sum
+    otherwise; a solve reports the
     difference across its run.  The count is kept per thread, so solves
     running in other threads do not enter it.
     """
@@ -123,7 +127,8 @@ def residual(u: GridFunction, phi: GridFunction, params: Params) -> float:
 def stiffness_action(grid: Grid, x: np.ndarray) -> np.ndarray:
     """A x with the grid's p = 2 seminorm operator A (of order p*s/2 at p != 2): one pair action."""
     _tally.pair_actions = pair_actions() + 1
-    return grid.stiffness @ x
+    n = grid.n
+    return np.fft.irfft(grid.column_fft * np.fft.rfft(x, 2 * n), 2 * n)[:n] + grid.diagonal * x
 
 
 def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
@@ -137,7 +142,7 @@ def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
     w = np.subtract.outer(vals, vals)
     np.abs(w, out=w)
     w **= params.p - 2.0
-    w *= grid.stiffness
+    w *= grid.toeplitz()
     tail_part = 2.0 * grid.h * signed_power(vals, params.p - 1.0) * grid.tail
     return w @ vals - w.sum(axis=1) * vals + tail_part
 

@@ -12,8 +12,11 @@ the exact integral of |x - y|^(-(1 + p*s)) over y outside (a, b).
 
 The grid stores its p = 2 seminorm operator seminorm_2(u) = u . A u, the
 stiffness matrix A = 2h^2 (diag(r) - K) + 2h diag(tail) with the pair
-kernel K and r_i = sum_j K_ij, and the eigenvalues of A's Strang
-circulant (strang_circulant), the one-sign descent's preconditioner.
+kernel K and r_i = sum_j K_ij, in O(n) numbers (Grid): on a uniform grid
+K_ij = (|i - j| h)^(-(1+ps)), so A is Toeplitz off its diagonal, and
+r_i = S_i + S_(n-1-i) with S_m = sum_(k=1..m) K_0k.  It also stores the
+eigenvalues of A's Strang circulant (strang_circulant), the one-sign
+descent's preconditioner.
 """
 
 from __future__ import annotations
@@ -106,31 +109,21 @@ def tail_vector(nodes: np.ndarray, a: float, b: float, ps: float) -> np.ndarray:
     return ((nodes - a) ** (-ps) + (b - nodes) ** (-ps)) / ps
 
 
-def pair_kernel(nodes: np.ndarray, ps: float) -> np.ndarray:
-    """Pairwise kernel matrix |x_i - x_j|^(-(1+p*s)) with zero diagonal, in one n x n array."""
-    kernel = np.subtract.outer(nodes, nodes)
-    np.abs(kernel, out=kernel)
-    np.fill_diagonal(kernel, 1.0)  # placeholder, masked right after
-    kernel **= -(1.0 + ps)
-    np.fill_diagonal(kernel, 0.0)
-    return kernel
-
-
-def strang_circulant(stiffness: np.ndarray) -> np.ndarray:
+def strang_circulant(column: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Strang circulant C of the stiffness matrix A.
 
-    Off the diagonal A is Toeplitz, A_ij = -2h^2 K_0|i-j|, and its diagonal
+    Off the diagonal A is Toeplitz, A_ij = column[|i-j|], and its diagonal
     varies only through the row sums and the tail.  C has the column
-    c_0 = max_i A_ii, c_k = c_(n-k) = A_0k for 1 <= k <= n/2 (Strang,
+    c_0 = max_i A_ii, c_k = c_(n-k) = column[k] for 1 <= k <= n/2 (Strang,
     Stud. Appl. Math. 74, 1986), so C x = irfft(rfft(c) rfft(x)) and its
     eigenvalues are rfft(c).real, one per frequency 0..n//2.  Raises
     ParameterError unless all are positive: conjugate gradients need a
     symmetric positive definite preconditioner.
     """
-    k = np.arange(stiffness.shape[0])
-    col = stiffness[0, np.minimum(k, k.size - k)]
-    col[0] = np.max(np.diagonal(stiffness))
-    eig = np.fft.rfft(col).real
+    k = np.arange(column.size)
+    c = column[np.minimum(k, k.size - k)]
+    c[0] = np.max(diagonal)
+    eig = np.fft.rfft(c).real
     if not np.all(eig > 0.0):
         raise ParameterError(
             f"Strang circulant of the n = {k.size} grid operator is not positive definite: "
@@ -141,10 +134,14 @@ def strang_circulant(stiffness: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid with its stiffness matrix A, the only n x n array.
+    """Uniform interior grid with its stiffness matrix A in Toeplitz form.
 
-    A, the tail weights and the Strang eigenvalues are built for the grid's
-    p*s; energy routines raise ParameterError for parameters of another p*s.
+    column is A's off-diagonal Toeplitz column (A_ij = column[|i-j|] for
+    i != j, column[0] = 0), diagonal its diagonal, and column_fft the rfft
+    of the column's length-2n circulant embedding
+    (column, 0, column[n-1:0:-1]); no field is an n x n array.  They, the
+    tail weights and the Strang eigenvalues are built for the grid's p*s;
+    energy routines raise ParameterError for parameters of another p*s.
     """
 
     a: float
@@ -154,16 +151,26 @@ class Grid:
     nodes: np.ndarray
     tail: np.ndarray
     ps: float
-    stiffness: np.ndarray
+    column: np.ndarray
+    diagonal: np.ndarray
+    column_fft: np.ndarray
     strang_eigs: np.ndarray
 
     @property
     def halfwidth(self) -> float:
         return 0.5 * (self.b - self.a)
 
+    def toeplitz(self) -> np.ndarray:
+        """A's off-diagonal part T_ij = column[|i-j|], a read-only n x n view of 2n - 1 numbers.
+
+        Built per call: its nbytes reports n^2 * 8, so the grid does not store it.
+        """
+        c = self.column
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)[::-1]
+
 
 def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
-    """Build the n-node uniform grid on (a, b) with its stiffness matrix for params."""
+    """Build the n-node uniform grid on (a, b) with its stiffness operator for params."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ParameterError(f"interval endpoints must be finite, got ({a}, {b})")
     if not a < b:
@@ -174,14 +181,15 @@ def build_grid(a: float, b: float, n: int, params: Params) -> Grid:
     h = (b - a) / (n + 1)
     nodes = a + h * np.arange(1, n + 1, dtype=np.float64)
     tail = tail_vector(nodes, a, b, params.ps)
-    stiffness = pair_kernel(nodes, params.ps)
-    diagonal = 2.0 * h ** 2 * stiffness.sum(axis=1) + 2.0 * h * tail
-    stiffness *= -2.0 * h ** 2
-    np.fill_diagonal(stiffness, diagonal)
-    strang_eigs = strang_circulant(stiffness)
-    for arr in (nodes, tail, stiffness, strang_eigs):
+    kernel = (h * np.arange(1, n)) ** -(1.0 + params.ps)  # K_0k, k = 1..n-1
+    sums = np.concatenate(([0.0], np.cumsum(kernel)))
+    diagonal = 2.0 * h ** 2 * (sums + sums[::-1]) + 2.0 * h * tail
+    column = np.concatenate(([0.0], -2.0 * h ** 2 * kernel))
+    column_fft = np.fft.rfft(np.concatenate((column, [0.0], column[:0:-1])))
+    strang_eigs = strang_circulant(column, diagonal)
+    for arr in (nodes, tail, column, diagonal, column_fft, strang_eigs):
         arr.setflags(write=False)
-    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, stiffness, strang_eigs)
+    return Grid(float(a), float(b), n, h, nodes, tail, params.ps, column, diagonal, column_fft, strang_eigs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ in an inner product, and the two solves use different ones:
   (numpy's FFT is deterministic, so repeated solves keep their bits).
   The full step is usually accepted, and neither the iteration count nor
   the CG steps per direction (about two) grow with n.  At p != 2 the
-  grid's stored A (grid.Grid.stiffness) serves as the metric all the same.
+  grid's stored A (grid.Grid, in Toeplitz form) serves as the metric all
+  the same.
 * The two-part sign-changing descent keeps the L2 direction -g/h, the
   Riesz representative in h * sum u_i v_i.  The set it searches holds no
   critical point, so it can only end on a stalled line search; along the
@@ -36,11 +37,12 @@ t+^(p*-1).  At p = 2, G = A is linear and the CG returns A x along with
 x, so the one-sign trial u + step has G = G u + A step and costs two
 powers and no pair action.  A trial the clip changes, and every trial at
 p != 2, costs one direct evaluation of G.  So a one-sign iteration at
-p = 2 makes its CG matvecs (about two) and no other O(n^2) work, and at
-p != 2 one pair action per trial on top.  A two-part trial evaluates G on
-both parts and on their sum.  Each solve adds one evaluation per start
-and one fresh evaluation at the returned u, from which every reported
-number comes.  SolveResult.pair_actions counts them all.
+p = 2 makes its CG matvecs (about two, each one FFT product) and no
+other pair action, and at p != 2 one pair action per trial on top.  A
+two-part trial evaluates G on both parts and on their sum.  Each solve
+adds one evaluation per start and one fresh evaluation at the returned
+u, from which every reported number comes.  SolveResult.pair_actions
+counts them all.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from .grid import Grid, GridFunction, Params
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 ALPHA_FLOOR = 1e-16
+# both solves' default tol_res in the stop rule _converged
+TOL_RES = 1e-6
 # _riesz_direction: conjugate gradients stop at |A x - g| <= RIESZ_RTOL |g|
 RIESZ_RTOL = 0.1
 # sup_scan_ab: angles per scan of the ray-angle bracket, and scans made.
@@ -90,7 +94,7 @@ class SolveResult:
     projected line-search trials, cg_steps the conjugate-gradient steps of
     every H^s direction (0 for the two-part descent, which steps along the
     L2 one).
-    pair_actions counts the O(n^2) pair actions of the whole call
+    pair_actions counts the pair actions of the whole call
     (energy.pair_actions): the CG matvecs plus every direct evaluation of
     G u, the final one included.
     """
@@ -254,7 +258,7 @@ def solve_positive(
     seed: int = 0,
     max_iters: int = 5000,
     *,
-    tol_res: float = 1e-6,
+    tol_res: float = TOL_RES,
     tol_manifold: float = 1e-8,
     max_restarts: int = 5,
 ) -> SolveResult:
@@ -530,7 +534,7 @@ def solve_sign_changing(
     *,
     w1: GridFunction | None = None,
     bubble: BubbleSpec | None = None,
-    tol_res: float = 1e-6,
+    tol_res: float = TOL_RES,
     tol_manifold: float = 1e-8,
     tol_cross: float = 1e-6,
     max_restarts: int = 5,

@@ -31,8 +31,10 @@ from .bubble import (
 from .constants import estimate_sobolev, regime_report
 from .energy import energy, form_a, gradient, lebesgue_mass, seminorm_p, split_parts
 from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_derivative, psi_mu
-from .grid import GridFunction, Params, build_grid, pair_kernel, tail_weight
+from .grid import GridFunction, Params, build_grid, tail_weight
 from .solver import (
+    TOL_RES,
+    _converged,
     default_bubble,
     part_scales,
     project_minus,
@@ -141,7 +143,7 @@ def check_grid() -> list[CheckResult]:
         return err <= 1e-15 and g.h == 0.25, "%.3g" % err, ""
 
     def kernel_sym():
-        k = pair_kernel(g01.nodes, g01.ps)
+        k = g01.toeplitz()
         asym = float(np.max(np.abs(k - k.T)))
         diag = float(np.max(np.abs(np.diag(k))))
         return asym == 0.0 and diag == 0.0, "%.3g/%.3g" % (asym, diag), ""
@@ -487,9 +489,9 @@ def check_solver(checks_n: int = 48) -> list[CheckResult]:
 
     def positive_converged():
         return (
-            pos.converged,
+            _converged(pos.residual_norm, pos.energy, TOL_RES),
             "residual %.3g in %d iters" % (pos.residual_norm, pos.iterations),
-            "tolerance %.3g" % (1e-6 * (1.0 + abs(pos.energy))),
+            "tolerance %.3g" % (TOL_RES * (1.0 + abs(pos.energy))),
         )
 
     def positive_nonneg():
@@ -551,7 +553,11 @@ def check_solver(checks_n: int = 48) -> list[CheckResult]:
     return [
         _error("solver.projection-fixed-point", "reprojecting changes t+ by <= 1e-10", 1e-10, reprojection),
         _error("solver.projection-sign-flip", "projection is odd, bitwise", 0.0, projection_sign_flip),
-        _run("solver.positive-converged", "residual <= 1e-6 * (1 + |energy|)", positive_converged),
+        _run(
+            "solver.positive-converged",
+            "residual <= %s * (1 + |energy|)" % np.format_float_scientific(TOL_RES, trim="-", exp_digits=1),
+            positive_converged,
+        ),
         _error(
             "solver.positive-nonneg", "negative part below 1e-8 of scale", 1e-8, positive_nonneg,
             detail="negative part seminorm over scale",

@@ -23,7 +23,7 @@ from nehari_fpl import (
     tail_weight,
 )
 from nehari_fpl.energy import GradientPieces, _seminorm_gradient_over_p, pair_actions, stiffness_action
-from nehari_fpl.grid import pair_kernel
+from conftest import dense_stiffness, pair_kernel
 
 
 def _random_fn(grid, rng):
@@ -166,6 +166,22 @@ def test_pair_sums_match_dense_reference(key, n):
     np.testing.assert_allclose(
         [fm.norm_p, fm.mass_q, fm.mass_star, energy(u, prm)], [sem, lq, lps, total], rtol=1e-13
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 48, 384])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_fft_pair_action_matches_dense_and_keeps_its_bits(n, p):
+    # the grid's FFT product A x against the dense reference A; it is odd
+    # bitwise (solver.projection-sign-flip judges at tolerance 0) and
+    # repeated calls give the same bits
+    prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
+    grid = build_grid(-1.0, 1.0, n, prm)
+    x = np.random.default_rng(n).standard_normal(n)
+    ax = stiffness_action(grid, x)
+    ref = dense_stiffness(grid) @ x
+    assert np.max(np.abs(ax - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert stiffness_action(grid, -x).tobytes() == (-ax).tobytes()
+    assert stiffness_action(grid, x).tobytes() == ax.tobytes()
 
 
 def test_each_scalar_costs_one_pair_action(params, grid48, rng):

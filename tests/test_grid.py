@@ -13,7 +13,9 @@ from nehari_fpl import (
     gradient,
     tail_weight,
 )
-from nehari_fpl.grid import pair_kernel, tail_vector
+from nehari_fpl.energy import stiffness_action
+from nehari_fpl.grid import tail_vector
+from conftest import dense_stiffness
 
 
 def test_refinement_embeds_nodes(params):
@@ -55,7 +57,7 @@ def test_tail_weight_refuses_points_off_the_interior(params):
 
 def test_kernel_off_diagonal_positive(params, grid48):
     # symmetry and the empty diagonal are the grid.kernel-symmetric check
-    k = pair_kernel(grid48.nodes, grid48.ps)
+    k = -grid48.toeplitz() / (2.0 * grid48.h ** 2)
     assert k.shape == (grid48.n, grid48.n)
     assert np.all(k[~np.eye(grid48.n, dtype=bool)] > 0.0)
 
@@ -64,7 +66,7 @@ def test_kernel_entries_match_distance_power(params, grid48):
     i, j = 3, 17
     d = abs(grid48.nodes[i] - grid48.nodes[j])
     expect = d ** -(params.N + params.ps)
-    assert pair_kernel(grid48.nodes, params.ps)[i, j] == pytest.approx(expect, rel=1e-14)
+    assert -grid48.toeplitz()[i, j] / (2.0 * grid48.h ** 2) == pytest.approx(expect, rel=1e-14)
 
 
 def test_tail_column_positive_and_boundary_heavy(params, grid48):
@@ -78,14 +80,15 @@ def test_tail_column_positive_and_boundary_heavy(params, grid48):
 @pytest.mark.parametrize("n", [2, 3, 17, 48, 384])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_strang_eigenvalues_match_dense_circulant(n, p):
-    # the column c_0 = max_i A_ii, c_k = c_(n-k) = A_0k for k <= n/2 of
-    # the stored A, against the spectrum of the assembled circulant
+    # the column c_0 = max_i A_ii, c_k = c_(n-k) = A_0k for k <= n/2 of the
+    # dense reference A, against the spectrum of the assembled circulant
     prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
     g = build_grid(-1.0, 1.0, n, prm)
+    a = dense_stiffness(g)
     col = np.empty(n)
-    col[0] = np.max(np.diag(g.stiffness))
+    col[0] = np.max(np.diag(a))
     for k in range(1, n // 2 + 1):
-        col[k] = col[n - k] = g.stiffness[0, k]
+        col[k] = col[n - k] = a[0, k]
     dense = np.array([[col[(i - j) % n] for j in range(n)] for i in range(n)])
     full = g.strang_eigs[np.minimum(np.arange(n), n - np.arange(n))]
     np.testing.assert_allclose(np.sort(full), np.linalg.eigvalsh(dense), rtol=1e-9, atol=0.0)
@@ -97,29 +100,33 @@ def test_strang_eigenvalues_match_dense_circulant(n, p):
 @pytest.mark.parametrize("n", [2, 17, 48, 384])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_stiffness_matches_dense_assembly(n, p):
-    # A = 2h^2 (diag(r) - K) + 2h diag(tail), assembled from the reference
-    # kernel and tail; its rows sum to the tail part alone, A 1 = 2h tail
+    # the stored column and diagonal against A = 2h^2 (diag(r) - K) + 2h
+    # diag(tail), assembled from the reference kernel and tail; its rows
+    # sum to the tail part alone, A 1 = 2h tail
     prm = Params(s=0.4 if p == 2.0 else 0.3, p=p, q=0.5, mu=0.05, N=1)
     g = build_grid(-1.0, 1.0, n, prm)
     h = g.h
-    kernel = pair_kernel(g.nodes, prm.ps)
+    dense = dense_stiffness(g)
+    stored = g.toeplitz() + np.diag(g.diagonal)
+    assert stored.shape == (n, n)
+    assert np.max(np.abs(stored - dense)) <= 1e-13 * np.max(np.abs(dense))
+    np.testing.assert_array_equal(g.toeplitz(), g.toeplitz().T)
+    assert g.column[0] == 0.0
+    for arr in (g.column, g.diagonal, g.column_fft, g.toeplitz()):
+        assert not arr.flags.writeable
     tail = tail_vector(g.nodes, g.a, g.b, prm.ps)
-    dense = 2.0 * h ** 2 * (np.diag(kernel.sum(axis=1)) - kernel) + 2.0 * h * np.diag(tail)
-    assert g.stiffness.shape == (n, n)
-    assert np.max(np.abs(g.stiffness - dense)) <= 1e-13 * np.max(np.abs(dense))
-    np.testing.assert_array_equal(g.stiffness, g.stiffness.T)
-    assert not g.stiffness.flags.writeable
-    ones = g.stiffness @ np.ones(n)
+    ones = stiffness_action(g, np.ones(n))
     assert np.max(np.abs(ones - 2.0 * h * tail)) <= 1e-13 * np.max(2.0 * h * tail)
 
 
-def test_grid_holds_one_square_array(params):
-    # the stiffness matrix is the grid's only n x n array, and a p = 2
-    # gradient is one matvec with it, with no n x n temporary
-    n = 1024
+def test_grid_holds_no_square_array(params):
+    # the grid stores A in O(n) numbers, and a p = 2 gradient is one FFT
+    # product with no n x n temporary: its peak is a few length-n arrays
+    # (about 6), against the 128 MiB of a dense A at this n
+    n = 4096
     g = build_grid(-1.0, 1.0, n, params)
-    square = [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.shape == (n, n)]
-    assert square == ["stiffness"]
+    arrays = {k: v.shape for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert all(len(shape) == 1 and shape[0] <= n + 1 for shape in arrays.values()), arrays
     u = GridFunction(g, np.sin(np.pi * (g.nodes - g.a) / (g.b - g.a)))
     tracemalloc.start()
     try:
@@ -127,7 +134,7 @@ def test_grid_holds_one_square_array(params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < g.stiffness.nbytes
+    assert peak < 16 * 8 * n
 
 
 def test_build_grid_rejects_bad_domain(params):

@@ -1,5 +1,6 @@
 """Manifold projection, the two solves, crossing search, and the scan."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from nehari_fpl import (
 from nehari_fpl import solver as solver_module
 from nehari_fpl.energy import GradientPieces, stiffness_action
 from nehari_fpl.solver import _project_cone, _project_ray, _riesz_direction
+from conftest import dense_stiffness
 
 
 def _random_fn(grid, rng):
@@ -159,9 +161,9 @@ def test_positive_descent_is_mesh_independent(params, n):
     "prm", [None, Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=1)], ids=["p2", "p3"]
 )
 def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
-    # the p = 2 seminorm operator A the grid stores
+    # the p = 2 seminorm operator A the grid stores, against its dense assembly
     grid = grid48 if prm is None else build_grid(-1.0, 1.0, 48, prm)
-    dense = grid.stiffness
+    dense = dense_stiffness(grid)
     for _ in range(5):
         g = rng.standard_normal(grid.n)
         x, steps, ax = _riesz_direction(grid, g)
@@ -170,6 +172,19 @@ def test_riesz_direction_solves_the_stiffness_system(grid48, rng, prm):
         assert np.max(np.abs(ax - dense @ x)) <= 1e-12 * np.max(np.abs(g))
         assert float(np.dot(g, x)) > 0.0
         assert 1 <= steps <= grid.n
+
+
+def test_large_grid_solve_holds_no_square_array(params):
+    # at n = 8192 a dense A alone would take 512 MiB; the grid and the whole
+    # p = 2 solve stay within a few dozen length-n arrays (2.6 MiB measured)
+    tracemalloc.start()
+    try:
+        res = solve_positive(build_grid(-1.0, 1.0, 8192, params), params, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [384, 1024])

@@ -2,19 +2,17 @@
 
 A profile U is rescaled into the extremal family
 
-    U_eps(x) = eps^(-(N - s p)/p) * U(|x - center| / eps)
+    U_eps(x) = eps^(-(N - s p)/p) * U(|x - c| / eps),  c = (a + b)/2,
 
 and multiplied by a cubic smoothstep cutoff that is identically one at
-distance delta from the boundary.  Two profile shapes are available:
-
-  exact-p2 : (1 + r^2)^(-(N - 2 s)/2), the closed-form extremal shape of
-             the quadratic case (requires p = 2);
-  model    : min(1, r^(-(N - s p)/(p - 1))), the generic decay envelope.
-
-Both decay like r^(-(N - s p)/(p - 1)) at infinity, which is what the
-interaction integrals and mass scaling laws probe.  ladder_fits is the one
-place the concentration ladder is measured: one bubble per rung, A1-A4
-against w1 = 1 and the concave mass, each fitted against eps.
+distance delta from the boundary.  p fixes the profile: at p = 2 it is the
+closed-form extremal (1 + r^2)^(-(N - 2 s)/2); at p != 2 only the decay of
+the extremals is known (Brasco, Mosconi & Squassina, Calc. Var. 55, 2016),
+so it is the envelope min(1, r^(-(N - s p)/(p - 1))).  Both decay like
+r^(-(N - s p)/(p - 1)) at infinity, which is what the interaction
+integrals and mass scaling laws probe.  ladder_fits is the one place the
+concentration ladder is measured: one bubble per rung, A1-A4 against
+w1 = 1 and the concave mass, each fitted against eps.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from .energy import _same_grid, lebesgue_mass
 from .errors import ParameterError
 from .grid import Grid, GridFunction, Params
 
-PROFILE_KINDS = ("exact-p2", "model")
-
 # default collar and concentration ladder, as fractions of the half-width;
 # every rung must stay below half the collar for the scaling laws to apply
 DEFAULT_DELTA_FRAC = 0.25
@@ -39,47 +35,33 @@ DEFAULT_EPS_FRACS = (0.1, 0.05, 0.025, 0.0125)
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Concentration scale, collar width, center and profile choice.
-
-    center = None places the bubble at the interval midpoint.  Grid
-    dependent checks (delta against the half-width) happen at build time.
-    """
+    """Concentration scale and collar width of a bubble at the interval midpoint; check_collar fits delta to a grid."""
 
     eps: float
     delta: float
-    center: float | None = None
-    profile_kind: str = "exact-p2"
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive, got {self.delta}")
-        if self.profile_kind not in PROFILE_KINDS:
-            raise ParameterError(
-                f"profile_kind must be one of {PROFILE_KINDS}, got {self.profile_kind!r}"
-            )
 
 
-def default_profile_kind(params: Params) -> str:
-    """exact-p2 where it is the extremal shape (p = 2), model otherwise."""
-    return "exact-p2" if params.p == 2.0 else "model"
+def check_collar(spec: BubbleSpec, grid: Grid) -> None:
+    """Raise ParameterError unless the collar delta is narrower than the half-width."""
+    if spec.delta >= grid.halfwidth:
+        raise ParameterError(f"delta = {spec.delta} must be smaller than the half-width {grid.halfwidth}")
 
 
-def profile_u(r, params: Params, profile_kind: str = "exact-p2") -> np.ndarray:
-    """Profile value at radius r >= 0 (scalar or array)."""
+def profile_u(r, params: Params) -> np.ndarray:
+    """Profile value at radius r >= 0 (scalar or array): the extremal at p = 2, the envelope otherwise."""
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0):
         raise ParameterError("radius must be nonnegative")
-    if profile_kind == "exact-p2":
-        if params.p != 2.0:
-            raise ParameterError("exact-p2 profile requires p = 2")
+    if params.p == 2.0:
         return (1.0 + r ** 2) ** (-(params.N - 2.0 * params.s) / 2.0)
-    if profile_kind == "model":
-        decay = (params.N - params.s * params.p) / (params.p - 1.0)
-        safe = np.where(r > 1.0, r, 1.0)
-        return safe ** (-decay)
-    raise ParameterError(f"unknown profile kind {profile_kind!r}")
+    decay = (params.N - params.ps) / (params.p - 1.0)
+    return np.maximum(r, 1.0) ** (-decay)
 
 
 def cutoff(x, a: float, b: float, delta: float) -> np.ndarray:
@@ -91,22 +73,11 @@ def cutoff(x, a: float, b: float, delta: float) -> np.ndarray:
 
 
 def make_u_eps(grid: Grid, params: Params, spec: BubbleSpec) -> GridFunction:
-    """Cutoff-rescaled profile on the grid."""
-    if spec.delta >= grid.halfwidth:
-        raise ParameterError(
-            f"delta = {spec.delta} must be smaller than the half-width {grid.halfwidth}"
-        )
-    center = 0.5 * (grid.a + grid.b) if spec.center is None else spec.center
-    if not grid.a + spec.delta <= center <= grid.b - spec.delta:
-        raise ParameterError(
-            f"center {center} must lie in the collar-free region "
-            f"[{grid.a + spec.delta}, {grid.b - spec.delta}]"
-        )
+    """Cutoff-rescaled profile on the grid, centred at the interval midpoint."""
+    check_collar(spec, grid)
     amp = spec.eps ** (-(params.N - params.ps) / params.p)
-    r = np.abs(grid.nodes - center) / spec.eps
-    vals = cutoff(grid.nodes, grid.a, grid.b, spec.delta) * amp * profile_u(
-        r, params, spec.profile_kind
-    )
+    r = np.abs(grid.nodes - 0.5 * (grid.a + grid.b)) / spec.eps
+    vals = cutoff(grid.nodes, grid.a, grid.b, spec.delta) * amp * profile_u(r, params)
     return GridFunction(grid, vals)
 
 
@@ -171,9 +142,7 @@ def fit_exponent(eps_ladder, values, theory: float | None = None, label: str | N
 
 def ladder(spec: BubbleSpec, eps_values: Sequence[float]) -> list[BubbleSpec]:
     """Copies of spec over a decreasing ladder of concentration scales."""
-    return [
-        BubbleSpec(float(e), spec.delta, spec.center, spec.profile_kind) for e in eps_values
-    ]
+    return [BubbleSpec(float(e), spec.delta) for e in eps_values]
 
 
 def mass_regime(params: Params) -> tuple[int, float]:

@@ -219,7 +219,7 @@ def _cmd_solve_positive(cfg, out_dir):
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
         ("solve.cg_steps", "conjugate-gradient steps, all directions", res.cg_steps),
-        ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
+        ("solve.pair_actions", "pair actions, CG matvecs included", res.pair_actions),
         ("solve.restarts", "fresh bumps passed over, no fiber maximum", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
@@ -236,8 +236,7 @@ def _cmd_solve_positive(cfg, out_dir):
 def _cmd_solve_sign_changing(cfg, out_dir):
     params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
-    bubble = bubble_from(cfg, grid, params)
-    make_u_eps(grid, params, bubble)  # refuses a bad bubble geometry before the first stage
+    bubble = bubble_from(cfg, grid, params)  # refuses a bad collar before the first stage
     pos, est = _positive_stage(cfg, grid, params)
     res = solve_sign_changing(
         grid,
@@ -253,7 +252,7 @@ def _cmd_solve_sign_changing(cfg, out_dir):
         ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
         ("solve.iterations", "descent iterations used", res.iterations),
         ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
-        ("solve.pair_actions", "O(n^2) pair actions, CG matvecs included", res.pair_actions),
+        ("solve.pair_actions", "pair actions, CG matvecs included", res.pair_actions),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
         ("solve.plus_part", "positive part seminorm", res.plus_part_norm),

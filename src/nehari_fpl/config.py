@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import hashlib
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, ladder
+from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, check_collar, ladder
+from .constants import SOBOLEV_ITERS
 from .errors import ConfigError
+from .fibering import TOL_MANIFOLD
 from .grid import Grid, Params, build_grid
+from .solver import MAX_ITERS, MAX_RESTARTS, TOL_CROSS, TOL_RES
 
 DEFAULTS: dict[str, object] = {
     "params.s": 0.4,
@@ -31,15 +34,13 @@ DEFAULTS: dict[str, object] = {
     "bubble.eps_frac": DEFAULT_EPS_FRACS[0],
     "bubble.delta_frac": DEFAULT_DELTA_FRAC,
     "bubble.eps_ladder": ",".join(str(f) for f in DEFAULT_EPS_FRACS),
-    "bubble.profile": "auto",
-    "bubble.center": "",
     "solver.seed": 0,
-    "solver.max_iters": 5000,
-    "solver.tol_res": 1e-6,
-    "solver.tol_manifold": 1e-8,
-    "solver.tol_cross": 1e-6,
-    "solver.max_restarts": 5,
-    "sobolev.iters": 600,
+    "solver.max_iters": MAX_ITERS,
+    "solver.tol_res": TOL_RES,
+    "solver.tol_manifold": TOL_MANIFOLD,
+    "solver.tol_cross": TOL_CROSS,
+    "solver.max_restarts": MAX_RESTARTS,
+    "sobolev.iters": SOBOLEV_ITERS,
     "fiber.input": "",
     "checks.n": 48,
 }
@@ -120,25 +121,11 @@ def grid_from(cfg: dict[str, object], params: Params) -> Grid:
     return build_grid(float(cfg["grid.a"]), float(cfg["grid.b"]), int(cfg["grid.n"]), params)
 
 
-def _center(cfg: dict[str, object]) -> float | None:
-    raw = str(cfg["bubble.center"]).strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"bubble.center expects a number or empty, got {raw!r}") from None
-
-
 def bubble_from(cfg: dict[str, object], grid: Grid, params: Params) -> BubbleSpec:
     hw = grid.halfwidth
-    kind = str(cfg["bubble.profile"])
-    return BubbleSpec(
-        float(cfg["bubble.eps_frac"]) * hw,
-        float(cfg["bubble.delta_frac"]) * hw,
-        _center(cfg),
-        default_profile_kind(params) if kind == "auto" else kind,
-    )
+    spec = BubbleSpec(float(cfg["bubble.eps_frac"]) * hw, float(cfg["bubble.delta_frac"]) * hw)
+    check_collar(spec, grid)
+    return spec
 
 
 def ladder_from(cfg: dict[str, object], grid: Grid, params: Params) -> list[BubbleSpec]:

@@ -22,6 +22,8 @@ from .errors import ParameterError
 from .grid import Grid, Params
 
 P_BRANCH = (3.0 + math.sqrt(5.0)) / 2.0
+# estimate_sobolev's default iteration budget
+SOBOLEV_ITERS = 600
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class SobolevEstimate:
     iterations: int
 
 
-def estimate_sobolev(grid: Grid, params: Params, iters: int = 600, seed: int = 0) -> SobolevEstimate:
+def estimate_sobolev(grid: Grid, params: Params, iters: int = SOBOLEV_ITERS, seed: int = 0) -> SobolevEstimate:
     """Discrete Sobolev quotient from the one-sign solve of the mu = 0 problem.
 
     Its level c0 is (s/N) R(u)^(N/(s p)) at the solution u, so the returned

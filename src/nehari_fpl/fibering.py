@@ -54,6 +54,8 @@ ROOT_MAX_ITER = 200
 ROOT_ULPS = 4.0
 # FiberMap.of_pieces refuses a ray coefficient below this smallest normal float
 TINY = float(np.finfo(float).tiny)
+# default relative tolerance of the manifold classification (FiberMap.classify)
+TOL_MANIFOLD = 1e-8
 
 
 class NehariTag(enum.Enum):
@@ -243,7 +245,7 @@ class FiberMap:
         """
         return self._upper_root(*self._peak_above_level())
 
-    def classify(self, tol_manifold: float = 1e-8) -> NehariClass:
+    def classify(self, tol_manifold: float = TOL_MANIFOLD) -> NehariClass:
         """Classify the map's function against the manifold at relative tolerance tol_manifold.
 
         Also evaluates the four equivalent on-manifold expressions for
@@ -326,12 +328,12 @@ def psi_and_t0(u: GridFunction, params: Params) -> tuple[float, float]:
     return t0, fm.psi(t0)
 
 
-def classify(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> NehariClass:
+def classify(u: GridFunction, params: Params, tol_manifold: float = TOL_MANIFOLD) -> NehariClass:
     """Classify u against the manifold at relative tolerance tol_manifold (FiberMap.classify)."""
     return FiberMap.of(u, params).classify(tol_manifold)
 
 
-def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = 1e-8) -> FiberingReport:
+def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = TOL_MANIFOLD) -> FiberingReport:
     """Full two-root ray analysis of u, with both projections classified.
 
     t- u and t+ u are classified from u's gradient pieces scaled along the

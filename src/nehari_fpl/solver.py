@@ -52,18 +52,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, default_profile_kind, make_u_eps
+from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
 from .constants import compactness_gap
 from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoCrossingError, NoRootsError, ParameterError, SolverError
-from .fibering import FiberMap, NehariClass, classify
+from .fibering import TOL_MANIFOLD, FiberMap, NehariClass, classify
 from .grid import Grid, GridFunction, Params
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 ALPHA_FLOOR = 1e-16
-# both solves' default tol_res in the stop rule _converged
+# the solves' defaults, which config.DEFAULTS reads too; tol_res is _converged's
 TOL_RES = 1e-6
+TOL_CROSS = 1e-6
+MAX_ITERS = 5000
+MAX_RESTARTS = 5
 # _riesz_direction: conjugate gradients stop at |A x - g| <= RIESZ_RTOL |g|
 RIESZ_RTOL = 0.1
 # sup_scan_ab: angles per scan of the ray-angle bracket, and scans made.
@@ -256,11 +259,11 @@ def solve_positive(
     grid: Grid,
     params: Params,
     seed: int = 0,
-    max_iters: int = 5000,
+    max_iters: int = MAX_ITERS,
     *,
     tol_res: float = TOL_RES,
-    tol_manifold: float = 1e-8,
-    max_restarts: int = 5,
+    tol_manifold: float = TOL_MANIFOLD,
+    max_restarts: int = MAX_RESTARTS,
 ) -> SolveResult:
     """Minimize I over the unstable manifold side within the cone u >= 0.
 
@@ -441,7 +444,7 @@ def crossing_search(
     w1: GridFunction,
     u_eps: GridFunction,
     params: Params,
-    tol_cross: float = 1e-6,
+    tol_cross: float = TOL_CROSS,
 ) -> CrossingResult:
     """Find r with matched part scalings s+(r) = s-(r) =: a.
 
@@ -504,7 +507,7 @@ def crossing_search(
     a = 0.5 * (s_plus + s_minus)
     ansatz = w1.with_values(a * (w1.values - r_star * uv))
     plus, minus = split_parts(ansatz)
-    tol_cls = max(1e-8, 10.0 * tol_cross)
+    tol_cls = max(TOL_MANIFOLD, 10.0 * tol_cross)
     return CrossingResult(
         r=r_star,
         a=a,
@@ -520,24 +523,21 @@ def crossing_search(
 
 def default_bubble(grid: Grid, params: Params) -> BubbleSpec:
     """Bubble used by the sign-changing pipeline when none is configured."""
-    return BubbleSpec(
-        DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth, None,
-        default_profile_kind(params),
-    )
+    return BubbleSpec(DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth)
 
 
 def solve_sign_changing(
     grid: Grid,
     params: Params,
     seed: int = 0,
-    max_iters: int = 5000,
+    max_iters: int = MAX_ITERS,
     *,
     w1: GridFunction | None = None,
     bubble: BubbleSpec | None = None,
     tol_res: float = TOL_RES,
-    tol_manifold: float = 1e-8,
-    tol_cross: float = 1e-6,
-    max_restarts: int = 5,
+    tol_manifold: float = TOL_MANIFOLD,
+    tol_cross: float = TOL_CROSS,
+    max_restarts: int = MAX_RESTARTS,
     s_est: float | None = None,
 ) -> SolveResult:
     """Two-part descent from the crossing ansatz.

@@ -404,19 +404,19 @@ def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
 
     def profile_monotone():
         r = np.linspace(0.0, 50.0, 20001)
-        dec_p2 = np.all(np.diff(profile_u(r, params, "exact-p2")) <= 0.0)
-        dec_model = np.all(np.diff(profile_u(r, model_params, "model")) <= 0.0)
+        dec_p2 = np.all(np.diff(profile_u(r, params)) <= 0.0)
+        dec_model = np.all(np.diff(profile_u(r, model_params)) <= 0.0)
         return bool(dec_p2 and dec_model), "nonincreasing", ""
 
     def model_halving():
         r = np.linspace(1.0, 40.0, 20001)
-        ratio = profile_u(r * theta, model_params, "model") / profile_u(r, model_params, "model")
+        ratio = profile_u(r * theta, model_params) / profile_u(r, model_params)
         return float(np.max(np.abs(ratio - 0.5)))
 
     def cutoff_collar():
         inside = np.abs(grid.nodes - 0.0) <= hw - specs[0].delta
         amp = specs[0].eps ** (-(params.N - params.ps) / params.p)
-        want = amp * profile_u(np.abs(grid.nodes[inside]) / specs[0].eps, params, "exact-p2")
+        want = amp * profile_u(np.abs(grid.nodes[inside]) / specs[0].eps, params)
         return float(np.max(np.abs(bubbles[0].values[inside] - want)))
 
     def pstar_mass_trend():
@@ -425,7 +425,7 @@ def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
         return ok, "%.6g -> %.6g" % (masses[0], masses[-1]), "critical mass along the ladder"
 
     def quotient_trend():
-        s_est = estimate_sobolev(grid, params, iters=600, seed=SEED).value
+        s_est = estimate_sobolev(grid, params, seed=SEED).value
         quotients = [
             seminorm_p(u, params) / lebesgue_mass(u, params.pstar) ** (params.p / params.pstar)
             for u in bubbles

@@ -34,33 +34,35 @@ def test_exact_profile_closed_form(params):
     assert profile_u(0.0, params) == 1.0
 
 
-def test_exact_profile_requires_p2():
-    p3 = Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=2)
-    with pytest.raises(ParameterError):
-        profile_u(1.0, p3, "exact-p2")
+P3 = Params(s=0.3, p=3.0, q=0.5, mu=0.05, N=2)
+
+
+def test_profile_away_from_p2_is_the_decay_envelope():
+    # no closed form at p != 2: one up to r = 1, then r^(-(N - ps)/(p - 1))
+    decay = (P3.N - P3.ps) / (P3.p - 1.0)
+    r = np.array([0.0, 0.5, 1.0, 1.5, 4.0])
+    np.testing.assert_allclose(profile_u(r, P3), [1.0, 1.0, 1.0, 1.5 ** -decay, 4.0 ** -decay], rtol=1e-15)
 
 
 def test_profile_u_refuses_bad_inputs(params):
     with pytest.raises(ParameterError, match="radius must be nonnegative"):
         profile_u(-0.5, params)
-    with pytest.raises(ParameterError, match="unknown profile kind 'gauss'"):
-        profile_u(1.0, params, "gauss")
 
 
-def test_profiles_monotone(params):
-    # the exact-p2 profile at these params, and the model at p = 3, N = 11,
+def test_profiles_monotone():
+    # the p = 2 profile at the defaults, and the envelope at p = 3, N = 11,
     # are the bubble.profile-monotone check
     r = np.linspace(0.0, 20.0, 400)
-    assert np.all(np.diff(profile_u(r, params, "model")) <= 0.0)
+    assert np.all(np.diff(profile_u(r, P3)) <= 0.0)
 
 
-def test_model_profile_halving_exact(params):
+def test_model_profile_halving_exact():
     # pure power tail: doubling the radius divides the value by
     # 2^((N - ps)/(p - 1)) exactly
-    decay = (params.N - params.ps) / (params.p - 1.0)
+    decay = (P3.N - P3.ps) / (P3.p - 1.0)
     r = np.array([1.5, 2.0, 7.0, 40.0])
-    lhs = profile_u(2.0 * r, params, "model")
-    rhs = profile_u(r, params, "model") * 2.0 ** -decay
+    lhs = profile_u(2.0 * r, P3)
+    rhs = profile_u(r, P3) * 2.0 ** -decay
     np.testing.assert_allclose(lhs, rhs, rtol=1e-15)
 
 
@@ -76,7 +78,7 @@ def test_cutoff_shape(params):
 def test_collar_identity_bitwise(params, grid48):
     # in the collar the grid sample is exactly cutoff * amplitude * profile,
     # no hidden renormalization; inside it, the bubble.collar-identity check
-    spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
+    spec = BubbleSpec(eps=0.1, delta=0.25)
     u = make_u_eps(grid48, params, spec)
     collar = np.abs(grid48.nodes) > grid48.halfwidth - spec.delta
     x = grid48.nodes[collar]
@@ -86,24 +88,24 @@ def test_collar_identity_bitwise(params, grid48):
 
 
 def test_make_u_eps_guards(params, grid48):
-    with pytest.raises(ParameterError):
-        make_u_eps(grid48, params, BubbleSpec(eps=0.1, delta=1.5, center=0.0))
-    with pytest.raises(ParameterError):
-        make_u_eps(grid48, params, BubbleSpec(eps=0.1, delta=0.25, center=0.9))
+    # the bubble sits at the midpoint, so the collar must be narrower than the half-width
+    for delta in (1.5, grid48.halfwidth):
+        with pytest.raises(ParameterError, match="must be smaller than the half-width"):
+            make_u_eps(grid48, params, BubbleSpec(eps=0.1, delta=delta))
 
 
 def test_bubble_spec_refuses_bad_fields():
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        BubbleSpec(eps=0.0, delta=0.25)
     with pytest.raises(ParameterError, match="delta must be positive"):
         BubbleSpec(eps=0.1, delta=0.0)
-    with pytest.raises(ParameterError, match="profile_kind must be one of"):
-        BubbleSpec(eps=0.1, delta=0.25, profile_kind="gauss")
 
 
 def test_ladder_builder(params):
-    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
+    base = BubbleSpec(eps=0.1, delta=0.25)
     specs = ladder(base, (0.1, 0.05, 0.025))
     assert [sp.eps for sp in specs] == [0.1, 0.05, 0.025]
-    assert all(sp.delta == base.delta and sp.center == base.center for sp in specs)
+    assert all(sp.delta == base.delta for sp in specs)
 
 
 def test_default_ladder_clears_collar():
@@ -136,7 +138,7 @@ def test_interaction_integrals_coincide_for_flat_weight(params):
     # w = 1 makes w^(p*-1) and w^q identical, so A1 = A2 exactly
     g = build_grid(-1.0, 1.0, 128, params)
     w = GridFunction(g, np.ones(g.n))
-    u_eps = make_u_eps(g, params, BubbleSpec(eps=0.05, delta=0.25, center=0.0))
+    u_eps = make_u_eps(g, params, BubbleSpec(eps=0.05, delta=0.25))
     vals = interaction_integrals(w, u_eps, params)
     assert tuple(vals) == INTERACTION_NAMES
     assert vals["A1"] == vals["A2"]
@@ -145,7 +147,7 @@ def test_interaction_integrals_coincide_for_flat_weight(params):
 
 def test_interaction_integrals_reject_signed_weight(params, grid48, rng):
     w = GridFunction(grid48, rng.standard_normal(grid48.n))
-    u_eps = make_u_eps(grid48, params, BubbleSpec(eps=0.05, delta=0.25, center=0.0))
+    u_eps = make_u_eps(grid48, params, BubbleSpec(eps=0.05, delta=0.25))
     with pytest.raises(ParameterError):
         interaction_integrals(w, u_eps, params)
     with pytest.raises(ParameterError):
@@ -164,7 +166,7 @@ def test_interaction_integrals_reject_mismatched_grids(params, grid48):
 def _default_ladder_fits(params):
     # the scaling fits of the default ladder at n = 256
     g = build_grid(-1.0, 1.0, 256, params)
-    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
+    base = BubbleSpec(eps=0.1, delta=0.25)
     return ladder_fits(g, params, ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS]))[1]
 
 
@@ -204,7 +206,7 @@ def test_concave_mass_regimes_two_and_three(q, regime, theory):
     assert got_regime == regime
     assert threshold == pytest.approx(2.0 / 3.0, rel=1e-15)
     g = build_grid(-1.0, 1.0, 64, prm)
-    base = BubbleSpec(eps=0.1, delta=0.25, center=0.0)
+    base = BubbleSpec(eps=0.1, delta=0.25)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
     bubbles = [make_u_eps(g, prm, sp) for sp in specs]
     fit = lq_mass_scaling(prm, specs, bubbles)
@@ -219,7 +221,7 @@ def test_lq_mass_scaling_rejects_wide_rungs(params):
     # four rungs, the first above delta/2; a ladder of three rungs that
     # clear the collar meets fit_exponent's length check at the end
     g = build_grid(-1.0, 1.0, 64, params)
-    base = BubbleSpec(eps=0.2, delta=0.25, center=0.0)
+    base = BubbleSpec(eps=0.2, delta=0.25)
     specs = ladder(base, (0.2, 0.1, 0.05, 0.025))
     bubbles = [make_u_eps(g, params, sp) for sp in specs]
     with pytest.raises(ParameterError, match="delta/2"):

@@ -226,7 +226,7 @@ def test_sup_over_fiber_scale_invariant(params, grid48, rng):
 def test_crossing_search_matches_scales(params, grid48):
     # matched scalings and minus parts are the solver.crossing-matched check
     pos = solve_positive(grid48, params, seed=0)
-    spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
+    spec = BubbleSpec(eps=0.1, delta=0.25)
     ue = make_u_eps(grid48, params, spec)
     cr = crossing_search(pos.u, ue, params)
     assert cr.bracket[0] < cr.r < cr.bracket[1]
@@ -333,7 +333,7 @@ def test_sup_over_fiber_is_never_negative(params, grid48, rng):
 
 def test_sup_scan_is_the_half_plane_maximum(params, grid48):
     pos = solve_positive(grid48, params, seed=0)
-    spec = BubbleSpec(eps=0.1, delta=0.25, center=0.0, profile_kind="exact-p2")
+    spec = BubbleSpec(eps=0.1, delta=0.25)
     ue = make_u_eps(grid48, params, spec)
     scan = sup_scan_ab(pos.u, ue, params)
     assert scan.value >= pos.energy
@@ -470,8 +470,8 @@ def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch,
 def test_sign_changing_refuses_a_bad_bubble_before_its_first_stage(params, grid48, monkeypatch):
     calls = []
     monkeypatch.setattr(solver_module, "solve_positive", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(ParameterError, match="collar-free region"):
-        solve_sign_changing(grid48, params, bubble=BubbleSpec(eps=0.1, delta=0.25, center=0.99))
+    with pytest.raises(ParameterError, match="must be smaller than the half-width"):
+        solve_sign_changing(grid48, params, bubble=BubbleSpec(eps=0.1, delta=grid48.halfwidth))
     assert calls == []
 
 

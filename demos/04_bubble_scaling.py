@@ -30,7 +30,7 @@ def per_rung(fit):
 def main():
     params = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
     g = build_grid(-1.0, 1.0, 256, params)
-    base = default_bubble(g, params)
+    base = default_bubble(g)
     specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
     bubbles, fits = ladder_fits(g, params, specs)
 

@@ -33,7 +33,7 @@ def main():
     print(f"energy {pos.energy:.8f}, negative part seminorm {pos.minus_part_norm:g}")
 
     print("\n-- stage 2: crossing search --")
-    spec = default_bubble(g, params)
+    spec = default_bubble(g)
     ue = make_u_eps(g, params, spec)
     cr = crossing_search(pos.u, ue, params)
     print(f"matched ratio r = {cr.r:.6f} in bracket ({cr.bracket[0]:.4f}, {cr.bracket[1]:.4f})")

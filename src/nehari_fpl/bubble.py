@@ -90,7 +90,7 @@ def interaction_integrals(w1: GridFunction, u_eps: GridFunction, params: Params)
     A1 = int w1^(p*-1) u_eps     A2 = int w1^q u_eps
     A3 = int w1 u_eps^q          A4 = int w1 u_eps^(p*-1)
 
-    Raises GridMismatchError when u_eps lives on another grid than w1.
+    Raises ParameterError when u_eps lives on another grid than w1.
     """
     _same_grid(w1, u_eps)
     w = w1.values

@@ -9,10 +9,10 @@ separated by tabs.  Reports carry no timestamps or paths, so identical
 configurations produce byte identical files.  Solve commands additionally
 write the solution nodes as csv.
 
-Exit codes: 0 success, 1 numeric failure (an unconverged run, or a first
-stage that did not converge, which writes no report), 2 invalid input,
-3 a failed check in verify / energy-check, which also name the failed
-checks on stderr.
+Exit codes: 0 success, 1 numeric failure (any other NehariError: an
+unconverged run, or a first stage that did not converge, which writes no
+report), 2 invalid input (ParameterError, DegenerateInputError, OSError),
+3 a failed check in verify / energy-check, which name them on stderr.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .config import (
 )
 from .constants import compactness_gap, estimate_sobolev, regime_report, sobolev_exact
 from .bubble import ladder_fits, make_u_eps, mass_regime
-from .errors import ConfigError, DegenerateInputError, GridMismatchError, NehariError, ParameterError, SolverError
+from .errors import DegenerateInputError, NehariError, ParameterError, SolverError
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
@@ -76,22 +76,20 @@ def _read_csv(path: str, grid: Grid) -> GridFunction:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ParameterError(f"cannot read {path}: {exc}") from None
     if lines and lines[0].lower().replace(" ", "") == "node,value":
         lines = lines[1:]
     if len(lines) != grid.n:
-        raise GridMismatchError(
-            f"{path} has {len(lines)} rows but the configured grid has {grid.n} nodes"
-        )
+        raise ParameterError(f"{path} has {len(lines)} rows but the configured grid has {grid.n} nodes")
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         # numpy's reason, without its hint about usecols
-        raise ConfigError(f"{path}: expected numeric 'node,value' rows: {str(exc).split(';')[0]}") from None
+        raise ParameterError(f"{path}: expected numeric 'node,value' rows: {str(exc).split(';')[0]}") from None
     if table.shape[1] != 2:
-        raise ConfigError(f"{path}: expected 'node,value' rows, got {table.shape[1]} columns")
+        raise ParameterError(f"{path}: expected 'node,value' rows, got {table.shape[1]} columns")
     if float(np.max(np.abs(table[:, 0] - grid.nodes))) > 1e-8 * (grid.b - grid.a):
-        raise GridMismatchError(f"{path}: node column does not match the configured grid")
+        raise ParameterError(f"{path}: node column does not match the configured grid")
     return GridFunction(grid, table[:, 1])
 
 
@@ -141,7 +139,7 @@ def _cmd_constants(cfg, out_dir):
 
 def _cmd_battery(groups, cfg, out_dir):
     """verify and energy-check: run the named check groups, name the failures on stderr."""
-    results = run_battery(groups, checks_n=int(cfg["checks.n"]))
+    results = run_battery(groups)
     rows = []
     for res in results:
         rows.append((f"check.{res.name}", res.target, "pass" if res.passed else "fail"))
@@ -159,7 +157,7 @@ def _cmd_fiber(cfg, out_dir):
     params, grid = _params_grid(cfg)
     path = str(cfg["fiber.input"]).strip()
     if not path:
-        raise ConfigError("fiber.input must point to a node,value csv file")
+        raise ParameterError("fiber.input must point to a node,value csv file")
     u = _read_csv(path, grid)
     rep = fiber_roots(u, params, float(cfg["solver.tol_manifold"]))
     rows = [
@@ -341,7 +339,7 @@ def main(argv=None) -> int:
         rows, seed, code = _COMMANDS[args.command](cfg, args.out)
         _write_report(args.out, args.command, args.overrides, cfg, rows, seed)
         return code
-    except (ParameterError, ConfigError, DegenerateInputError, GridMismatchError, OSError) as exc:
+    except (ParameterError, DegenerateInputError, OSError) as exc:
         # OSError: an unwritable --out path, an out path colliding with a file, unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2

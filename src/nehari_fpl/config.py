@@ -17,7 +17,7 @@ import hashlib
 
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, check_collar, ladder
 from .constants import SOBOLEV_ITERS
-from .errors import ConfigError
+from .errors import ParameterError
 from .fibering import TOL_MANIFOLD
 from .grid import Grid, Params, build_grid
 from .solver import MAX_ITERS, MAX_RESTARTS, TOL_CROSS, TOL_RES
@@ -42,7 +42,6 @@ DEFAULTS: dict[str, object] = {
     "solver.max_restarts": MAX_RESTARTS,
     "sobolev.iters": SOBOLEV_ITERS,
     "fiber.input": "",
-    "checks.n": 48,
 }
 
 
@@ -53,26 +52,26 @@ def _coerce(key: str, raw: str):
         try:
             value = int(raw)
         except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
+            raise ParameterError(f"{key} expects an integer, got {raw!r}") from None
         if key.endswith(".seed") and value < 0:
-            raise ConfigError(f"{key} expects a non-negative integer, got {raw!r}")
+            raise ParameterError(f"{key} expects a non-negative integer, got {raw!r}")
         return value
     if want is float:
         try:
             return float(raw)
         except ValueError:
-            raise ConfigError(f"{key} expects a number, got {raw!r}") from None
+            raise ParameterError(f"{key} expects a number, got {raw!r}") from None
     return raw
 
 
 def _assign(cfg: dict[str, object], text: str, where: str) -> None:
     """Set cfg from one 'key = value' text; where names its source in errors."""
     if "=" not in text:
-        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+        raise ParameterError(f"{where}: expected 'key = value', got {text!r}")
     key, raw = text.split("=", 1)
     key = key.strip()
     if key not in DEFAULTS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+        raise ParameterError(f"{where}: unknown key {key!r}")
     cfg[key] = _coerce(key, raw)
 
 
@@ -85,7 +84,7 @@ def load_config(path: str | None = None) -> dict[str, object]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ParameterError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if body:
@@ -133,8 +132,8 @@ def ladder_from(cfg: dict[str, object], grid: Grid, params: Params) -> list[Bubb
     try:
         fracs = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"bubble.eps_ladder expects comma-separated numbers, got {raw!r}") from None
+        raise ParameterError(f"bubble.eps_ladder expects comma-separated numbers, got {raw!r}") from None
     if len(fracs) < 4:
-        raise ConfigError(f"bubble.eps_ladder needs at least 4 rungs, got {len(fracs)}")
+        raise ParameterError(f"bubble.eps_ladder needs at least 4 rungs, got {len(fracs)}")
     base = bubble_from(cfg, grid, params)
     return ladder(base, [f * grid.halfwidth for f in fracs])

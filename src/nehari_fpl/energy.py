@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterError
+from .errors import ParameterError
 from .grid import Grid, GridFunction, Params, _check_ps
 
 
@@ -78,7 +78,7 @@ def _same_grid(u: GridFunction, v: GridFunction):
     if gu is gv:
         return
     if (gu.a, gu.b, gu.n) != (gv.a, gv.b, gv.n):
-        raise GridMismatchError(
+        raise ParameterError(
             f"functions live on different grids: ({gu.a}, {gu.b}, n={gu.n}) vs ({gv.a}, {gv.b}, n={gv.n})"
         )
 

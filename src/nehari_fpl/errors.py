@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one per way a caller reacts.
+
+Bad input (the command line exits 2): ParameterError, DegenerateInputError.
+Numeric failure (exit 1): NoRootsError, SolverError.  The package itself
+works around only DegenerateInputError and NoRootsError.
+"""
 
 
 class NehariError(Exception):
@@ -6,15 +11,7 @@ class NehariError(Exception):
 
 
 class ParameterError(NehariError, ValueError):
-    """An argument or parameter value is outside its admissible range."""
-
-
-class ConfigError(NehariError, ValueError):
-    """A run configuration is malformed (unknown key, bad value, ...)."""
-
-
-class GridMismatchError(NehariError, ValueError):
-    """Two grid functions that must share a grid do not."""
+    """An argument, parameter, setting or input file is invalid (including a grid mismatch)."""
 
 
 class DegenerateInputError(NehariError, ValueError):
@@ -28,13 +25,5 @@ class NoRootsError(NehariError, RuntimeError):
     """
 
 
-class BisectionError(NehariError, RuntimeError):
-    """A bracketing root search failed to converge or to bracket."""
-
-
-class NoCrossingError(NehariError, RuntimeError):
-    """The two part-scaling curves never met inside the ratio bracket."""
-
-
 class SolverError(NehariError, RuntimeError):
-    """A solver precondition failed (e.g. the positive solve did not converge)."""
+    """A search failed: an unmet solve precondition, or a root or crossing search that did not converge."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import GradientPieces, _same_grid
-from .errors import BisectionError, DegenerateInputError, NoRootsError, ParameterError
+from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
 from .grid import GridFunction, Params
 
 # _root: at most ROOT_MAX_ITER evaluations, stopping once a step moves the
@@ -186,7 +186,11 @@ class FiberMap:
         ratio = (self.p - 1.0 - self.q) * self.norm_p / (
             (self.pstar - 1.0 - self.q) * self.mass_star
         )
-        return ratio ** (1.0 / (self.pstar - self.p))
+        exponent = 1.0 / (self.pstar - self.p)
+        try:
+            return ratio ** exponent
+        except OverflowError:
+            raise DegenerateInputError(f"the ray peak {ratio:.6g}^{exponent:.6g} overflows a float") from None
 
     def _peak_above_level(self) -> tuple[float, float]:
         """(concave mass c, t0), once psi(t0) > c guarantees the crossing t+."""
@@ -226,7 +230,7 @@ class FiberMap:
             if gap(hi)[0] < 0.0:
                 return _root(gap, hi, t0)
             hi *= 2.0
-        raise BisectionError("failed to bracket the upper ray root")
+        raise SolverError("failed to bracket the upper ray root")
 
     def roots(self) -> tuple[float, float]:
         """The two crossings psi(t) = concave mass, tminus < t0 < tplus."""
@@ -310,7 +314,7 @@ def _root(gap, neg: float, pos: float) -> float:
         x -= step
         if abs(step) <= tol:
             return x
-    raise BisectionError(f"ray root search did not converge on [{lo}, {hi}]")
+    raise SolverError(f"ray root search did not converge on [{lo}, {hi}]")
 
 
 def fiber_derivatives(u: GridFunction, t: float, params: Params) -> tuple[float, float, float]:

@@ -73,6 +73,8 @@ class Params:
             raise ParameterError(
                 f"N must exceed p*s = {self.p * self.s} for a finite critical exponent, got N = {self.N}"
             )
+        if not self.pstar > self.p:
+            raise ParameterError(f"s = {self.s} is too small: the critical exponent rounds to p = {self.p}")
 
     @property
     def ps(self) -> float:

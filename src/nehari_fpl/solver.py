@@ -55,7 +55,7 @@ import numpy as np
 from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
 from .constants import compactness_gap
 from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
-from .errors import DegenerateInputError, NoCrossingError, NoRootsError, ParameterError, SolverError
+from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
 from .fibering import TOL_MANIFOLD, FiberMap, NehariClass, classify
 from .grid import Grid, GridFunction, Params
 
@@ -286,13 +286,10 @@ def solve_positive(
         try:
             start, e_start = _project_ray(GradientPieces.of(_positive_bump(grid, rng), params), params)
             break
-        except (NoRootsError, DegenerateInputError):
-            continue
+        except (NoRootsError, DegenerateInputError) as exc:
+            refusal = exc
     else:
-        raise SolverError(
-            f"no start projects onto the fiber maximum in {max_restarts + 1} tries: "
-            f"mu = {params.mu} is above the two-root threshold for these starts"
-        )
+        raise SolverError(f"no start projects onto the fiber maximum in {max_restarts + 1} tries; the last: {refusal}")
     state, iterations, stalled, trials, cg_steps = _descend(
         start, e_start, params, max_iters, tol_res,
         sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
@@ -453,8 +450,7 @@ def crossing_search(
     rbar1 the negative part vanishes and s- blows up; as r rises to rbar2
     the positive part vanishes and s+ blows up.  Continuity in between
     forces a crossing, located here by bisection on s+ - s-.  Raises
-    ParameterError unless tol_cross > 0, and GridMismatchError unless w1
-    and u_eps share a grid.
+    ParameterError unless tol_cross > 0 and w1 and u_eps share a grid.
     """
     _check_settings(tol_cross=tol_cross)
     _same_grid(w1, u_eps)
@@ -469,7 +465,7 @@ def crossing_search(
     r1, r2 = float(np.min(ratios)), float(np.max(ratios))
     width = r2 - r1
     if not width > 0.0:
-        raise NoCrossingError("ratio bracket is a single point")
+        raise SolverError("ratio bracket is a single point")
 
     def eval_gap(r):
         s_plus, s_minus = part_scales(w1, u_eps, params, r)
@@ -483,12 +479,12 @@ def crossing_search(
                 return r, eval_gap(r)
             except DegenerateInputError:
                 off *= 2.0
-        raise NoCrossingError("could not find valid probes inside the bracket")
+        raise SolverError("could not find valid probes inside the bracket")
 
     lo, (gap_lo, *_rest) = probe(r1, +1.0)
     hi, (gap_hi, *_rest) = probe(r2, -1.0)
     if not (gap_lo < 0.0 < gap_hi):
-        raise NoCrossingError(f"no sign change of s+ - s- on [{lo:.6g}, {hi:.6g}]")
+        raise SolverError(f"no sign change of s+ - s- on [{lo:.6g}, {hi:.6g}]")
     r_star, s_plus, s_minus = lo, math.nan, math.nan
     for _ in range(300):
         mid = 0.5 * (lo + hi)
@@ -503,7 +499,7 @@ def crossing_search(
         if hi - lo <= 1e-15 * width:
             break
     else:
-        raise NoCrossingError("crossing bisection did not converge")
+        raise SolverError("crossing bisection did not converge")
     a = 0.5 * (s_plus + s_minus)
     ansatz = w1.with_values(a * (w1.values - r_star * uv))
     plus, minus = split_parts(ansatz)
@@ -521,7 +517,7 @@ def crossing_search(
     )
 
 
-def default_bubble(grid: Grid, params: Params) -> BubbleSpec:
+def default_bubble(grid: Grid) -> BubbleSpec:
     """Bubble used by the sign-changing pipeline when none is configured."""
     return BubbleSpec(DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth)
 
@@ -548,13 +544,12 @@ def solve_sign_changing(
     crossing_search, then descends the full energy while keeping both
     parts on their fiber maxima.  max_restarts bounds only the positive
     solve's fresh starts.  Raises ParameterError on an out-of-range budget,
-    tolerance or bubble before any solve, GridMismatchError when w1 lives
-    on another grid, and SolverError, chained to its cause, when the
-    crossing search fails.
+    tolerance or bubble before any solve or when w1 lives on another grid,
+    and SolverError, chained to its cause, when the crossing search fails.
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
-    u_eps = make_u_eps(grid, params, default_bubble(grid, params) if bubble is None else bubble)
+    u_eps = make_u_eps(grid, params, default_bubble(grid) if bubble is None else bubble)
     if w1 is None:
         pos = solve_positive(
             grid, params, seed=seed, max_iters=max_iters,
@@ -568,7 +563,7 @@ def solve_sign_changing(
         alpha_minus = energy(w1, params)
     try:
         cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
-    except (NoRootsError, NoCrossingError, DegenerateInputError) as exc:
+    except (NoRootsError, SolverError, DegenerateInputError) as exc:
         raise SolverError(f"crossing search failed: {exc}") from exc
 
     state, e_start = _project_parts(cross.ansatz, params)

@@ -8,7 +8,8 @@ against its hand-evaluated value (_hand), an inequality over random draws
 judged on its least margin (_least_margin), and a one-sided slope of the
 concentration ladder (_slope_floor).  The frozen numbers were
 hand-evaluated from the closed forms before the modules were written and
-are deliberately repeated here as literals.
+are deliberately repeated here as literals.  Nothing is settable: grids
+have CHECKS_N nodes (BUBBLE_N for bubbles); SEED seeds draws and solves.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from .solver import (
 )
 
 DEFAULT_PARAMS = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
-# seeds every random draw and every solve start of the battery
 SEED = 0
+CHECKS_N = 48
+BUBBLE_N = 256
 
 # hand-evaluated closed forms, frozen before the modules existed
 MU_TILDE_HAND = 0.78843882798753906  # (0.5/8.5)^(1/16) * 8/8.5 at p=2, q=0.5, N=1, s=0.4
@@ -155,9 +157,9 @@ def check_grid() -> list[CheckResult]:
     ]
 
 
-def check_energy(checks_n: int = 48) -> list[CheckResult]:
+def check_energy() -> list[CheckResult]:
     params = DEFAULT_PARAMS
-    grid = build_grid(-1.0, 1.0, checks_n, params)
+    grid = build_grid(-1.0, 1.0, CHECKS_N, params)
     rng = np.random.default_rng(SEED)
 
     def homogeneity():
@@ -223,9 +225,9 @@ def check_energy(checks_n: int = 48) -> list[CheckResult]:
     ]
 
 
-def check_fibering(checks_n: int = 48) -> list[CheckResult]:
+def check_fibering() -> list[CheckResult]:
     params = DEFAULT_PARAMS
-    grid = build_grid(-1.0, 1.0, checks_n, params)
+    grid = build_grid(-1.0, 1.0, CHECKS_N, params)
     rng = np.random.default_rng(SEED)
     unit = FiberMap(1.0, 1.0, 1.0, 2.0, 0.5, 10.0, params.mu)
 
@@ -254,7 +256,7 @@ def check_fibering(checks_n: int = 48) -> list[CheckResult]:
                 abs(float(fm.psi(tminus)) - c) / scale,
                 abs(float(fm.psi(tplus)) - c) / scale,
             )
-        # measured 8.5e-16 (checks.n = 32) and 7.5e-16 (48) at seed 0
+        # measured 7.5e-16 at seed 0
         return ok and worst <= 1e-13, "%.3g" % worst, "root residual over max(|psi(t0)|, mu m_q)"
 
     def roots_vs_scan():
@@ -393,11 +395,11 @@ def check_constants() -> list[CheckResult]:
     ]
 
 
-def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
+def check_bubble() -> list[CheckResult]:
     params = DEFAULT_PARAMS
-    grid = build_grid(-1.0, 1.0, bubble_n, params)
+    grid = build_grid(-1.0, 1.0, BUBBLE_N, params)
     hw = grid.halfwidth
-    specs = ladder(default_bubble(grid, params), [f * hw for f in DEFAULT_EPS_FRACS])
+    specs = ladder(default_bubble(grid), [f * hw for f in DEFAULT_EPS_FRACS])
     bubbles, fits = ladder_fits(grid, params, specs)
     model_params = Params(0.5, 3.0, 1.0, 0.05, 11)
     theta = 2.0 ** ((model_params.p - 1.0) / (model_params.N - model_params.ps))
@@ -450,7 +452,7 @@ def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
         return "slope >= %.6g - 15%%" % fits[which].theory
 
     return [
-        _run("bubble.profile-monotone", "both kinds nonincreasing", profile_monotone),
+        _run("bubble.profile-monotone", "p = 2 extremal and p = 3 envelope nonincreasing", profile_monotone),
         _error(
             "bubble.model-halving", "U(r*theta)/U(r) = 1/2 on the tail", 1e-15, model_halving,
             detail="theta = %.6g" % theta,
@@ -467,12 +469,12 @@ def check_bubble(bubble_n: int = 256) -> list[CheckResult]:
     ]
 
 
-def check_solver(checks_n: int = 48) -> list[CheckResult]:
+def check_solver() -> list[CheckResult]:
     params = DEFAULT_PARAMS
-    grid = build_grid(-1.0, 1.0, checks_n, params)
+    grid = build_grid(-1.0, 1.0, CHECKS_N, params)
     rng = np.random.default_rng(SEED)
     pos = solve_positive(grid, params, seed=SEED)
-    u_eps = make_u_eps(grid, params, default_bubble(grid, params))
+    u_eps = make_u_eps(grid, params, default_bubble(grid))
     sign = solve_sign_changing(grid, params, w1=pos.u)
     # the solve's crossing, made on u_eps
     cross = sign.crossing
@@ -577,27 +579,25 @@ def check_solver(checks_n: int = 48) -> list[CheckResult]:
     ]
 
 
-# group -> (check function, the run_battery settings it takes, in order)
 _GROUPS = {
-    "grid": (check_grid, ()),
-    "energy": (check_energy, ("checks_n",)),
-    "fibering": (check_fibering, ("checks_n",)),
-    "constants": (check_constants, ()),
-    "bubble": (check_bubble, ("bubble_n",)),
-    "solver": (check_solver, ("checks_n",)),
+    "grid": check_grid,
+    "energy": check_energy,
+    "fibering": check_fibering,
+    "constants": check_constants,
+    "bubble": check_bubble,
+    "solver": check_solver,
 }
 ALL_GROUPS = tuple(_GROUPS)
 
 
-def run_battery(groups=None, *, checks_n: int = 48, bubble_n: int = 256) -> list[CheckResult]:
+def run_battery(groups=None) -> list[CheckResult]:
     """Run the named check groups (all of them by default), in a fixed order."""
     chosen = ALL_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in ALL_GROUPS]
     if unknown:
         raise ValueError(f"unknown check groups {unknown}; available: {ALL_GROUPS}")
-    settings = dict(checks_n=checks_n, bubble_n=bubble_n)
     results: list[CheckResult] = []
-    for group, (check, names) in _GROUPS.items():
+    for group, check in _GROUPS.items():
         if group in chosen:
-            results.extend(check(*(settings[n] for n in names)))
+            results.extend(check())
     return results

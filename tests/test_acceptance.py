@@ -222,7 +222,7 @@ def test_criterion_7_bubble_scaling_exponents():
     # two-region rates 0.1, 0.1 and 0.15; see the module docstring
     start = time.perf_counter()
     grid = build_grid(-1.0, 1.0, 256, PARAMS)
-    base = default_bubble(grid, PARAMS)
+    base = default_bubble(grid)
     specs = ladder(base, [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)])
     eps = [sp.eps for sp in specs]
     _, fits = ladder_fits(grid, PARAMS, specs)
@@ -264,7 +264,7 @@ def test_criterion_9_sign_changing_solution():
     assert res.minus_class.tag is NehariTag.MINUS
     assert res.energy > pos.energy
     # bracket blowup of the negative-part rescaling near the lower edge
-    spec = default_bubble(grid, PARAMS)
+    spec = default_bubble(grid)
     ue = make_u_eps(grid, PARAMS, spec)
     mask = ue.values > 1e-12 * float(np.max(np.abs(ue.values)))
     ratios = pos.u.values[mask] / ue.values[mask]
@@ -283,7 +283,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
     pairs = []
     for sub, extra in (
         ("constants", []),
-        ("energy-check", ["--set", "checks.n=32"]),
+        ("energy-check", []),
         ("solve-positive", fast),
         ("solve-sign-changing", fast),
     ):

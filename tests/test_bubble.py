@@ -8,7 +8,6 @@ from nehari_fpl import (
     DEFAULT_EPS_FRACS,
     BubbleSpec,
     GridFunction,
-    GridMismatchError,
     ParameterError,
     Params,
     build_grid,
@@ -159,7 +158,7 @@ def test_interaction_integrals_reject_mismatched_grids(params, grid48):
     other = build_grid(0.0, 3.0, 48, params)
     w = GridFunction(grid48, np.ones(grid48.n))
     u_eps = make_u_eps(other, params, BubbleSpec(eps=0.1, delta=0.25))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ParameterError, match="different grids"):
         interaction_integrals(w, u_eps, params)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nehari_fpl import cli
+from nehari_fpl import DegenerateInputError, NehariError, NoRootsError, ParameterError, SolverError, cli
 from nehari_fpl.cli import main
 
 FAST = ["--set", "grid.n=48", "--set", "solver.max_iters=400"]
@@ -42,7 +42,7 @@ def test_constants_reports_exact_sobolev_at_p2_only(tmp_path, p, s):
 
 
 def test_energy_check_passes(tmp_path):
-    code = main(["energy-check", "--out", str(tmp_path), "--set", "checks.n=32"])
+    code = main(["energy-check", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "energy-check.report.txt").exists()
 
@@ -51,7 +51,7 @@ def test_verify_reports_known_failures(tmp_path, capsys):
     # this test pins the whole battery: every check but the six below
     # passes.  The concentration-ladder checks measure slopes short of the
     # asymptotic rates, so the battery exits nonzero by design
-    code = main(["verify", "--out", str(tmp_path), "--set", "checks.n=32"])
+    code = main(["verify", "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert "bubble.fit-a1" in err
@@ -297,7 +297,7 @@ def test_solution_csv_deterministic(tmp_path):
 
 # the exit code of each subcommand at small sizes: the two-part descent
 # stalls by design, and the battery's six ladder checks fail by design
-SMALL = ["--set", "grid.n=32", "--set", "checks.n=32"]
+SMALL = ["--set", "grid.n=32"]
 EXIT_AT_SMALL = {
     "constants": 0,
     "energy-check": 0,
@@ -353,3 +353,32 @@ def test_unconverged_first_stage_exits_1_without_report(tmp_path, capsys, comman
     assert code == 1
     assert capsys.readouterr().err == "numeric failure: positive-solution stage did not converge\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (ParameterError, 2, "error"),
+        (DegenerateInputError, 2, "error"),
+        (NoRootsError, 1, "numeric failure"),
+        (SolverError, 1, "numeric failure"),
+        (NehariError, 1, "numeric failure"),
+    ],
+)
+def test_each_error_type_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def raising(cfg, out_dir):
+        raise error("forced")
+
+    monkeypatch.setitem(cli._COMMANDS, "constants", raising)
+    assert main(["constants", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}: forced\n"
+
+
+def test_tiny_s_exits_1_naming_the_overflow(tmp_path, capsys):
+    # p* - p = 0.004, so every start's ray peak t0 = ratio^250 overflows a float
+    code = main(["solve-positive", "--out", str(tmp_path), "--set", "params.s=1e-3", "--set", "grid.n=32"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "numeric failure: no start projects onto the fiber maximum in 6 tries;"
+        " the last: the ray peak 1986.51^249.5 overflows a float\n"
+    )

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from nehari_fpl import (
-    BisectionError,
     DegenerateInputError,
     FiberMap,
     GridFunction,
     NoRootsError,
     ParameterError,
     Params,
+    SolverError,
     build_grid,
     classify,
     fiber_derivatives,
@@ -169,7 +169,7 @@ def test_tminus_below_the_float_range_raises_bisection_error():
     # bracket end is 0, where psi' has no value to step with; the search
     # bisects toward t- ~ 1e-400 and stops with the package's own error
     fm = FiberMap(norm_p=1.0, mass_q=1e-100, mass_star=1.0, p=2.0, q=0.5, pstar=10.0, mu=1e-100)
-    with pytest.raises(BisectionError, match="did not converge"):
+    with pytest.raises(SolverError, match="did not converge"):
         fm.roots()
 
 

@@ -167,6 +167,8 @@ def test_params_validation():
         (dict(q="0.5"), "q must be a finite number"),
         (dict(N=1.5), "N must be an integer"),
         (dict(N=0), "N must be >= 1"),
+        # p* = N p/(N - ps) rounds to exactly p
+        (dict(s=1e-20), "critical exponent rounds to p"),
     ):
         with pytest.raises(ParameterError, match=message):
             Params(**{**base, **bad})

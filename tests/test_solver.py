@@ -11,9 +11,7 @@ from nehari_fpl import (
     DegenerateInputError,
     FiberMap,
     GridFunction,
-    GridMismatchError,
     NehariTag,
-    NoCrossingError,
     NoRootsError,
     ParameterError,
     Params,
@@ -259,7 +257,7 @@ def test_crossing_search_doubles_a_refused_probe(monkeypatch):
     params = Params(s=0.48, p=2.0, q=0.5, mu=0.05, N=1)
     grid = build_grid(-1.0, 1.0, 48, params)
     pos = solve_positive(grid, params, seed=0)
-    u_eps = make_u_eps(grid, params, default_bubble(grid, params))
+    u_eps = make_u_eps(grid, params, default_bubble(grid))
     calls = _spy_part_scales(monkeypatch)
     cr = crossing_search(pos.u, u_eps, params)
     r1, r2 = cr.bracket
@@ -274,7 +272,7 @@ def test_crossing_search_stops_on_the_bracket_width(params, grid48, monkeypatch)
     # a tolerance no float gap meets: the bisection stops once its bracket
     # is 1e-15 of the ratio bracket wide, 50 halvings after the two probes
     pos = solve_positive(grid48, params, seed=0)
-    u_eps = make_u_eps(grid48, params, default_bubble(grid48, params))
+    u_eps = make_u_eps(grid48, params, default_bubble(grid48))
     calls = _spy_part_scales(monkeypatch)
     cr = crossing_search(pos.u, u_eps, params, tol_cross=1e-300)
     assert len(calls) == 2 + 50
@@ -282,21 +280,32 @@ def test_crossing_search_stops_on_the_bracket_width(params, grid48, monkeypatch)
     assert cr.bracket[0] < cr.r < cr.bracket[1]
 
 
-@pytest.mark.parametrize("case", ["single-point", "no-sign-change"])
+@pytest.mark.parametrize("case", ["single-point", "no-sign-change", "bisection-stalls", "no-valid-probes"])
 def test_crossing_search_refuses_a_bracket_without_a_crossing(params, grid48, case):
     # w1 proportional to u_eps leaves a single ratio; a w1 whose mass sits
     # where u_eps vanishes keeps that mass in its positive part at every
-    # ratio, so s+ stays small and s+ - s- keeps one sign over the bracket
+    # ratio, so s+ stays small and s+ - s- keeps one sign over the bracket.
+    # A bracket 0.2 wide around r ~ 10 stalls the bisection at one ulp of r
+    # (1.8e-15), above 1e-15 of the width, before tol_cross = 1e-300 is met.
+    # At s = 0.499 (p* ~ 1000) every part's critical mass underflows, so no
+    # ratio in the bracket gives a valid probe
     x = grid48.nodes
     left = np.where(x < 0.0, np.sin(np.pi * (x + 1.0)), 0.0)
-    u_eps = GridFunction(grid48, left)
+    bump = np.cos(0.5 * np.pi * x)
+    tol_cross = 1e-6
     if case == "single-point":
-        w1, message = u_eps.with_values(2.0 * left), "single point"
-    else:
+        u_eps, w1, message = left, 2.0 * left, "single point"
+    elif case == "no-sign-change":
         right = np.where(x >= 0.0, 5.0 * np.sin(np.pi * x), 0.0)
-        w1, message = u_eps.with_values(left * (1.5 + 0.5 * x) + right), "no sign change"
-    with pytest.raises(NoCrossingError, match=message):
-        crossing_search(w1, u_eps, params)
+        u_eps, w1, message = left, left * (1.5 + 0.5 * x) + right, "no sign change"
+    elif case == "bisection-stalls":
+        u_eps, w1, message, tol_cross = bump, bump * (10.0 + 0.1 * x), "bisection did not converge", 1e-300
+    else:
+        params = Params(0.499, params.p, params.q, params.mu, params.N)
+        grid48 = build_grid(-1.0, 1.0, 48, params)
+        u_eps, w1, message = 0.5 * bump, 0.5 * bump * (1.0 + 0.5 * x), "could not find valid probes"
+    with pytest.raises(SolverError, match=message):
+        crossing_search(GridFunction(grid48, w1), GridFunction(grid48, u_eps), params, tol_cross)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +456,7 @@ def test_stalled_one_sign_descent_is_not_restarted(params, grid48, monkeypatch):
 
 @pytest.mark.parametrize(
     "cause",
-    [NoCrossingError("forced"), NoRootsError("forced"), DegenerateInputError("forced")],
+    [SolverError("forced"), NoRootsError("forced"), DegenerateInputError("forced")],
     ids=["no-crossing", "no-roots", "degenerate"],
 )
 def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch, cause):
@@ -499,14 +508,14 @@ def test_w1_from_another_grid_raises(params, grid48, n):
     # is given builds the bubble, so it fails in its crossing search
     w1 = solve_positive(grid48, params, seed=0).u
     other = build_grid(-3.0, 3.0, n, params)
-    u_eps = make_u_eps(other, params, default_bubble(other, params))
+    u_eps = make_u_eps(other, params, default_bubble(other))
     for call in (
         lambda: crossing_search(w1, u_eps, params),
         lambda: part_scales(w1, u_eps, params, 1.0),
         lambda: sup_scan_ab(w1, u_eps, params),
         lambda: solve_sign_changing(other, params, w1=w1),
     ):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ParameterError, match="different grids"):
             call()
 
 

@@ -57,7 +57,7 @@ def test_tracer_counts_one_bubble_per_rung(tmp_path):
     # concave-mass fit, and its A1-A4 come from one call
     for measure in (
         lambda: main(["bubble-scaling", "--out", str(tmp_path), "--set", "grid.n=48"]) == 0,
-        lambda: len(run_battery(("bubble",), bubble_n=48)) > 0,
+        lambda: len(run_battery(("bubble",))) > 0,
     ):
         tracer = _load_tracer().Tracer()
         tracer.install()

@@ -11,7 +11,6 @@ is a * eps^theta + c * eps^theta' with c < 0, the far field and the core
 """
 
 from nehari_fpl import (
-    DEFAULT_EPS_FRACS,
     Params,
     build_grid,
     default_bubble,
@@ -31,7 +30,7 @@ def main():
     params = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)
     g = build_grid(-1.0, 1.0, 256, params)
     base = default_bubble(g)
-    specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
+    specs = ladder(base)
     bubbles, fits = ladder_fits(g, params, specs)
 
     print("eps ladder:", ", ".join(f"{sp.eps:g}" for sp in specs))

@@ -27,10 +27,11 @@ from .energy import _same_grid, lebesgue_mass
 from .errors import ParameterError
 from .grid import Grid, GridFunction, Params
 
-# default collar and concentration ladder, as fractions of the half-width;
-# every rung must stay below half the collar for the scaling laws to apply
+# default collar and concentration scale (fractions of the half-width) and
+# ladder length; the scaling laws need every rung below half the collar
 DEFAULT_DELTA_FRAC = 0.25
-DEFAULT_EPS_FRACS = (0.1, 0.05, 0.025, 0.0125)
+DEFAULT_EPS_FRAC = 0.1
+LADDER_RUNGS = 4
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class BubbleSpec:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ParameterError(f"delta must be positive, got {self.delta}")
+
+
+def default_bubble(grid: Grid) -> BubbleSpec:
+    """The bubble at the default fractions of the grid's half-width."""
+    return BubbleSpec(DEFAULT_EPS_FRAC * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth)
 
 
 def check_collar(spec: BubbleSpec, grid: Grid) -> None:
@@ -140,9 +146,9 @@ def fit_exponent(eps_ladder, values, theory: float | None = None, label: str | N
     return ScalingFit(tuple(eps.tolist()), tuple(vals.tolist()), slope, theory, rel_err, label)
 
 
-def ladder(spec: BubbleSpec, eps_values: Sequence[float]) -> list[BubbleSpec]:
-    """Copies of spec over a decreasing ladder of concentration scales."""
-    return [BubbleSpec(float(e), spec.delta) for e in eps_values]
+def ladder(spec: BubbleSpec) -> list[BubbleSpec]:
+    """spec and LADDER_RUNGS - 1 copies, each with half the eps of the one before."""
+    return [BubbleSpec(spec.eps * 0.5 ** k, spec.delta) for k in range(LADDER_RUNGS)]
 
 
 def mass_regime(params: Params) -> tuple[int, float]:

@@ -221,8 +221,6 @@ def _cmd_solve_positive(cfg, out_dir):
         ("solve.restarts", "fresh bumps passed over, no fiber maximum", res.restarts),
         ("solve.converged", "residual below tolerance", res.converged),
         ("solve.stop_reason", "why the descent stopped", res.stop_reason),
-        # the one-sign iterate has no negative part, so its seminorm is its positive part's
-        ("solve.seminorm", "gagliardo seminorm to the p", res.plus_part_norm),
         ("solve.plus_part", "positive part seminorm", res.plus_part_norm),
         ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
     ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, check_collar, ladder
+from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRAC, BubbleSpec, check_collar, ladder
 from .constants import SOBOLEV_ITERS
 from .errors import ParameterError
 from .fibering import TOL_MANIFOLD
@@ -31,9 +31,8 @@ DEFAULTS: dict[str, object] = {
     "grid.a": -1.0,
     "grid.b": 1.0,
     "grid.n": 128,
-    "bubble.eps_frac": DEFAULT_EPS_FRACS[0],
+    "bubble.eps_frac": DEFAULT_EPS_FRAC,
     "bubble.delta_frac": DEFAULT_DELTA_FRAC,
-    "bubble.eps_ladder": ",".join(str(f) for f in DEFAULT_EPS_FRACS),
     "solver.seed": 0,
     "solver.max_iters": MAX_ITERS,
     "solver.tol_res": TOL_RES,
@@ -128,12 +127,4 @@ def bubble_from(cfg: dict[str, object], grid: Grid, params: Params) -> BubbleSpe
 
 
 def ladder_from(cfg: dict[str, object], grid: Grid, params: Params) -> list[BubbleSpec]:
-    raw = str(cfg["bubble.eps_ladder"])
-    try:
-        fracs = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"bubble.eps_ladder expects comma-separated numbers, got {raw!r}") from None
-    if len(fracs) < 4:
-        raise ParameterError(f"bubble.eps_ladder needs at least 4 rungs, got {len(fracs)}")
-    base = bubble_from(cfg, grid, params)
-    return ladder(base, [f * grid.halfwidth for f in fracs])
+    return ladder(bubble_from(cfg, grid, params))

@@ -26,4 +26,4 @@ class NoRootsError(NehariError, RuntimeError):
 
 
 class SolverError(NehariError, RuntimeError):
-    """A search failed: an unmet solve precondition, or a root or crossing search that did not converge."""
+    """A solve failed: an unmet precondition, a root or crossing search that did not converge, or a refused iterate."""

@@ -186,11 +186,15 @@ class FiberMap:
         ratio = (self.p - 1.0 - self.q) * self.norm_p / (
             (self.pstar - 1.0 - self.q) * self.mass_star
         )
+        return self._ray_scale("the ray peak", ratio)
+
+    def _ray_scale(self, what: str, ratio: float) -> float:
+        """ratio^(1/(p*-p)); DegenerateInputError naming what where it overflows a float."""
         exponent = 1.0 / (self.pstar - self.p)
         try:
             return ratio ** exponent
         except OverflowError:
-            raise DegenerateInputError(f"the ray peak {ratio:.6g}^{exponent:.6g} overflows a float") from None
+            raise DegenerateInputError(f"{what} {ratio:.6g}^{exponent:.6g} overflows a float") from None
 
     def _peak_above_level(self) -> tuple[float, float]:
         """(concave mass c, t0), once psi(t0) > c guarantees the crossing t+."""
@@ -225,7 +229,7 @@ class FiberMap:
     def _upper_root(self, c: float, t0: float) -> float:
         gap = self._level_gap(c)
         # psi = 0 <= c at the zero-level root, which t+ cannot pass
-        hi = (self.norm_p / self.mass_star) ** (1.0 / (self.pstar - self.p))
+        hi = self._ray_scale("the zero-level root", self.norm_p / self.mass_star)
         for _ in range(ROOT_MAX_ITER):
             if gap(hi)[0] < 0.0:
                 return _root(gap, hi, t0)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import DEFAULT_DELTA_FRAC, DEFAULT_EPS_FRACS, BubbleSpec, make_u_eps
+from .bubble import BubbleSpec, default_bubble, make_u_eps
 from .constants import compactness_gap
 from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
@@ -200,10 +200,14 @@ def _fresh(u: GridFunction, params: Params, tol_res: float):
 
     Every number a solve reports comes from here, at the returned u, and
     not from the pieces carried through the descent.  u is validated
-    again here (grid.GridFunction), as the solve's result.
+    again here (grid.GridFunction), as the solve's result.  An iterate the
+    fiber map refuses is the solve's failure, not bad input: SolverError.
     """
     pieces = GradientPieces.of(GridFunction(u.grid, u.values), params)
-    fm = FiberMap.of_pieces(pieces, params)
+    try:
+        fm = FiberMap.of_pieces(pieces, params)
+    except DegenerateInputError as exc:
+        raise SolverError(f"the final iterate has no fiber map: {exc}") from exc
     e_total = fm.phi(1.0)
     res = float(np.abs(pieces.gradient(params)).max())
     return pieces, fm, e_total, res, _converged(res, e_total, tol_res)
@@ -515,11 +519,6 @@ def crossing_search(
         class_plus_part=classify(plus, params, tol_cls),
         class_minus_part=classify(minus, params, tol_cls),
     )
-
-
-def default_bubble(grid: Grid) -> BubbleSpec:
-    """Bubble used by the sign-changing pipeline when none is configured."""
-    return BubbleSpec(DEFAULT_EPS_FRACS[0] * grid.halfwidth, DEFAULT_DELTA_FRAC * grid.halfwidth)
 
 
 def solve_sign_changing(

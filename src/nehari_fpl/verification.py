@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import (
-    DEFAULT_EPS_FRACS,
     ScalingFit,
+    default_bubble,
     fit_exponent,
     ladder,
     ladder_fits,
@@ -36,7 +36,6 @@ from .grid import GridFunction, Params, build_grid, tail_weight
 from .solver import (
     TOL_RES,
     _converged,
-    default_bubble,
     part_scales,
     project_minus,
     solve_positive,
@@ -398,8 +397,7 @@ def check_constants() -> list[CheckResult]:
 def check_bubble() -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, BUBBLE_N, params)
-    hw = grid.halfwidth
-    specs = ladder(default_bubble(grid), [f * hw for f in DEFAULT_EPS_FRACS])
+    specs = ladder(default_bubble(grid))
     bubbles, fits = ladder_fits(grid, params, specs)
     model_params = Params(0.5, 3.0, 1.0, 0.05, 11)
     theta = 2.0 ** ((model_params.p - 1.0) / (model_params.N - model_params.ps))
@@ -416,7 +414,7 @@ def check_bubble() -> list[CheckResult]:
         return float(np.max(np.abs(ratio - 0.5)))
 
     def cutoff_collar():
-        inside = np.abs(grid.nodes - 0.0) <= hw - specs[0].delta
+        inside = np.abs(grid.nodes - 0.0) <= grid.halfwidth - specs[0].delta
         amp = specs[0].eps ** (-(params.N - params.ps) / params.p)
         want = amp * profile_u(np.abs(grid.nodes[inside]) / specs[0].eps, params)
         return float(np.max(np.abs(bubbles[0].values[inside] - want)))

@@ -222,9 +222,9 @@ def test_criterion_7_bubble_scaling_exponents():
     # two-region rates 0.1, 0.1 and 0.15; see the module docstring
     start = time.perf_counter()
     grid = build_grid(-1.0, 1.0, 256, PARAMS)
-    base = default_bubble(grid)
-    specs = ladder(base, [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)])
+    specs = ladder(default_bubble(grid))
     eps = [sp.eps for sp in specs]
+    assert eps == [f * grid.halfwidth for f in (0.1, 0.05, 0.025, 0.0125)]
     _, fits = ladder_fits(grid, PARAMS, specs)
     regime, _ = mass_regime(PARAMS)
     assert regime == 1

@@ -5,7 +5,7 @@ import pytest
 
 from nehari_fpl import (
     DEFAULT_DELTA_FRAC,
-    DEFAULT_EPS_FRACS,
+    DEFAULT_EPS_FRAC,
     BubbleSpec,
     GridFunction,
     ParameterError,
@@ -23,7 +23,7 @@ from nehari_fpl import (
     mass_regime,
     profile_u,
 )
-from nehari_fpl.bubble import INTERACTION_NAMES
+from nehari_fpl.bubble import INTERACTION_NAMES, LADDER_RUNGS
 
 
 def test_exact_profile_closed_form(params):
@@ -101,16 +101,19 @@ def test_bubble_spec_refuses_bad_fields():
 
 
 def test_ladder_builder(params):
+    # the configured bubble, then three halvings of eps; the collar stays
     base = BubbleSpec(eps=0.1, delta=0.25)
-    specs = ladder(base, (0.1, 0.05, 0.025))
-    assert [sp.eps for sp in specs] == [0.1, 0.05, 0.025]
+    specs = ladder(base)
+    assert specs[0] == base
+    assert [sp.eps for sp in specs] == [0.1, 0.05, 0.025, 0.0125]
     assert all(sp.delta == base.delta for sp in specs)
 
 
 def test_default_ladder_clears_collar():
-    # every default rung stays below half the collar width
-    assert all(f < DEFAULT_DELTA_FRAC / 2.0 for f in DEFAULT_EPS_FRACS)
-    assert len(DEFAULT_EPS_FRACS) >= 4
+    # the first rung is the largest, so every default rung stays below half
+    # the collar width; fit_exponent needs at least four rungs
+    assert DEFAULT_EPS_FRAC < DEFAULT_DELTA_FRAC / 2.0
+    assert LADDER_RUNGS >= 4
 
 
 def test_fit_exponent_tolerates_noise(rng):
@@ -166,7 +169,7 @@ def _default_ladder_fits(params):
     # the scaling fits of the default ladder at n = 256
     g = build_grid(-1.0, 1.0, 256, params)
     base = BubbleSpec(eps=0.1, delta=0.25)
-    return ladder_fits(g, params, ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS]))[1]
+    return ladder_fits(g, params, ladder(base))[1]
 
 
 def test_interaction_slopes_fall_short_of_asymptotic_rates(params):
@@ -206,7 +209,7 @@ def test_concave_mass_regimes_two_and_three(q, regime, theory):
     assert threshold == pytest.approx(2.0 / 3.0, rel=1e-15)
     g = build_grid(-1.0, 1.0, 64, prm)
     base = BubbleSpec(eps=0.1, delta=0.25)
-    specs = ladder(base, [f * g.halfwidth for f in DEFAULT_EPS_FRACS])
+    specs = ladder(base)
     bubbles = [make_u_eps(g, prm, sp) for sp in specs]
     fit = lq_mass_scaling(prm, specs, bubbles)
     assert fit.theory == pytest.approx(theory, rel=1e-12)
@@ -221,7 +224,7 @@ def test_lq_mass_scaling_rejects_wide_rungs(params):
     # clear the collar meets fit_exponent's length check at the end
     g = build_grid(-1.0, 1.0, 64, params)
     base = BubbleSpec(eps=0.2, delta=0.25)
-    specs = ladder(base, (0.2, 0.1, 0.05, 0.025))
+    specs = ladder(base)
     bubbles = [make_u_eps(g, params, sp) for sp in specs]
     with pytest.raises(ParameterError, match="delta/2"):
         lq_mass_scaling(params, specs, bubbles)

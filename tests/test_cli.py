@@ -106,26 +106,36 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, key):
         ("scan.a_max=1", "unknown key 'scan.a_max'"),
         ("scan.b_max=1", "unknown key 'scan.b_max'"),
         ("scan.grid_counts=1", "unknown key 'scan.grid_counts'"),
+        ("bubble.eps_ladder=0.1,0.05,0.025,0.0125", "unknown key 'bubble.eps_ladder'"),
         ("grid.n=4.5", "grid.n expects an integer, got '4.5'"),
         ("params.mu=abc", "params.mu expects a number, got 'abc'"),
     ],
-    ids=["nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts", "not-an-integer", "not-a-number"],
+    ids=[
+        "nope.key", "scan.a_max", "scan.b_max", "scan.grid_counts", "bubble.eps_ladder",
+        "not-an-integer", "not-a-number",
+    ],
 )
 def test_unknown_config_key_exits_2(tmp_path, capsys, setting, message):
-    # a config that still sets one of the removed scan.* keys fails loudly,
-    # as does a value of the wrong type
+    # a config that still sets one of the removed scan.* keys or the removed
+    # bubble.eps_ladder fails loudly, as does a value of the wrong type
     assert main(["constants", "--out", str(tmp_path), "--set", setting]) == 2
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "ladder, message",
-    [("0.1,abc,0.05,0.02", "comma-separated numbers"), ("0.1,0.05,0.02", "at least 4 rungs")],
-    ids=["non-numeric", "three-rungs"],
-)
-def test_malformed_eps_ladder_exits_2(tmp_path, capsys, ladder, message):
-    assert main(["bubble-scaling", "--out", str(tmp_path), "--set", f"bubble.eps_ladder={ladder}"]) == 2
-    assert message in capsys.readouterr().err
+def test_bubble_scaling_halves_the_configured_bubble(tmp_path):
+    # the ladder starts at bubble.eps_frac (half-width 1) and halves it three times
+    assert main(["bubble-scaling", "--out", str(tmp_path), "--set", "bubble.eps_frac=0.05"]) == 0
+    report = _read(tmp_path / "bubble-scaling.report.txt").decode()
+    assert "scaling.eps_ladder\tconcentration scales\t" + ",".join(
+        "%.17g" % (0.05 * 0.5 ** k) for k in range(4)
+    ) + "\n" in report
+
+
+def test_bubble_scaling_refuses_a_first_rung_above_half_the_collar(tmp_path, capsys):
+    # delta/2 = 0.125 of the half-width at the default collar
+    assert main(["bubble-scaling", "--out", str(tmp_path), "--set", "bubble.eps_frac=0.2"]) == 2
+    assert "delta/2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_override_exits_2(tmp_path, capsys):
@@ -372,6 +382,17 @@ def test_each_error_type_exits_with_its_code(tmp_path, capsys, monkeypatch, erro
     monkeypatch.setitem(cli._COMMANDS, "constants", raising)
     assert main(["constants", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == f"{prefix}: forced\n"
+
+
+def test_overflowing_final_iterate_exits_1_without_report(tmp_path, capsys):
+    # at s = 3e-3 the start's fiber maximum has entries near 1e234, so the
+    # ray coefficients of the iterate the descent returns overflow: the
+    # solve's own iterate has no fiber map, a numeric failure, not bad input
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["solve-positive", "--out", str(tmp_path), "--set", "params.s=3e-3"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tiny_s_exits_1_naming_the_overflow(tmp_path, capsys):

@@ -164,7 +164,19 @@ def test_tplus_brackets_past_float_overflow():
     assert tplus == pytest.approx(1.8418771244142063e36, rel=1e-11)
 
 
-def test_tminus_below_the_float_range_raises_bisection_error():
+def test_tplus_refuses_a_zero_level_root_past_the_float_range():
+    # at s = 1e-3, p* - p = 0.004: t0 = ratio^249.5 still fits a float, but
+    # the bracket end (||u||^p / m_*)^249.5, its ratio (p*-1-q)/(p-1-q)
+    # times larger, does not; the map refuses it as t0 refuses its own
+    prm = Params(s=1e-3, p=2.0, q=0.5, mu=0.05, N=1)
+    lift = (prm.pstar - 1.0 - prm.q) / (prm.p - 1.0 - prm.q)
+    fm = FiberMap(17.1 * lift, 1e-300, 1.0, prm.p, prm.q, prm.pstar, prm.mu)
+    assert fm.t0() == pytest.approx(4.29e307, rel=1e-3)
+    with pytest.raises(DegenerateInputError, match="overflows a float"):
+        fm.tplus()
+
+
+def test_tminus_below_the_float_range_raises_solver_error():
     # (c / ||u||^p)^(1/(p-1-q)) = (1e-200)^2 underflows, so the lower
     # bracket end is 0, where psi' has no value to step with; the search
     # bisects toward t- ~ 1e-400 and stops with the package's own error

@@ -49,7 +49,7 @@ def main():
 
     print("\n-- stage 3: two-part descent --")
     est = estimate_sobolev(g, params, iters=600, seed=0)
-    res = solve_sign_changing(g, params, seed=0, w1=pos.u, s_est=est.value)
+    res = solve_sign_changing(g, params, seed=0, w1=pos.u, bubble=spec, s_est=est.value)
     print(f"iterations {res.iterations}, converged {res.converged}")
     print(f"energy {res.energy:.8f} vs positive level {pos.energy:.8f}")
     print(f"part seminorms {res.plus_part_norm:.4f} / {res.minus_part_norm:.4f}")

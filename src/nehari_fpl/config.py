@@ -120,6 +120,7 @@ def grid_from(cfg: dict[str, object], params: Params) -> Grid:
 
 
 def bubble_from(cfg: dict[str, object], grid: Grid, params: Params) -> BubbleSpec:
+    """The configured bubble on grid, refused unless its collar fits; params is unused (perfbench passes it)."""
     hw = grid.halfwidth
     spec = BubbleSpec(float(cfg["bubble.eps_frac"]) * hw, float(cfg["bubble.delta_frac"]) * hw)
     check_collar(spec, grid)

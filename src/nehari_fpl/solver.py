@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleSpec, default_bubble, make_u_eps
+from .bubble import BubbleSpec, make_u_eps
 from .constants import compactness_gap
 from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
@@ -93,10 +93,10 @@ class SolveResult:
     tolerance), ``stalled`` (the line search found no acceptable step) or
     ``budget`` (the iteration budget ran out first).  restarts counts the
     fresh bumps a one-sign solve passed over because they had no fiber
-    maximum (0 for the two-part descent).  armijo_trials counts the
-    projected line-search trials, cg_steps the conjugate-gradient steps of
-    every H^s direction (0 for the two-part descent, which steps along the
-    L2 one).
+    maximum of finite energy (0 for the two-part descent).  armijo_trials
+    counts the projected line-search trials, cg_steps the
+    conjugate-gradient steps of every H^s direction (0 for the two-part
+    descent, which steps along the L2 one).
     pair_actions counts the pair actions of the whole call
     (energy.pair_actions): the CG matvecs plus every direct evaluation of
     G u, the final one included.
@@ -166,11 +166,15 @@ def _project_ray(v: GradientPieces, params: Params):
     """(pieces at t+ v, I(t+ v)): the fiber map read off v's pieces, no pair action.
 
     The energy is the closed form phi(t+), and the pieces are v's scaled
-    along the ray (GradientPieces.scaled).
+    along the ray (GradientPieces.scaled).  An energy that is not finite
+    (phi(t+) overflows at a huge t+) raises DegenerateInputError.
     """
     fm = FiberMap.of_pieces(v, params)
     tplus = fm.tplus()
-    return v.scaled(tplus, params), fm.phi(tplus)
+    value = fm.phi(tplus)
+    if not math.isfinite(value):
+        raise DegenerateInputError(f"the fiber maximum's energy {value} is not finite")
+    return v.scaled(tplus, params), value
 
 
 def _check_settings(max_iters: int = 1, max_restarts: int = 0, **tols: float):
@@ -274,9 +278,9 @@ def solve_positive(
     Needs mu below the two-root threshold of the configuration so the
     projection exists everywhere it is asked for.  The descent starts from
     the first of at most max_restarts + 1 fresh bumps that has a fiber
-    maximum (restarts counts the bumps passed over), and raises
-    SolverError when none has.  A descent whose line search finds no
-    acceptable step ends with stop_reason ``stalled``.  Every trial is
+    maximum of finite energy (restarts counts the bumps passed over), and
+    raises SolverError when none has.  A descent whose line search finds
+    no acceptable step ends with stop_reason ``stalled``.  Every trial is
     clipped to u >= 0 before its ray projection (_project_cone), so the
     result is nonnegative and its minus_part_norm is zero.  At mu = 0 it is
     the Sobolev quotient's minimization (constants.estimate_sobolev).
@@ -527,39 +531,27 @@ def solve_sign_changing(
     seed: int = 0,
     max_iters: int = MAX_ITERS,
     *,
-    w1: GridFunction | None = None,
-    bubble: BubbleSpec | None = None,
+    w1: GridFunction,
+    bubble: BubbleSpec,
     tol_res: float = TOL_RES,
     tol_manifold: float = TOL_MANIFOLD,
     tol_cross: float = TOL_CROSS,
     max_restarts: int = MAX_RESTARTS,
     s_est: float | None = None,
 ) -> SolveResult:
-    """Two-part descent from the crossing ansatz.
+    """Two-part descent from the crossing ansatz on the given w1 and bubble.
 
-    Builds the bubble on grid (default_bubble unless one is given), runs
-    the positive solve (unless w1 is supplied) with the same budget,
-    tolerances and max_restarts, matches the part scalings with one
-    crossing_search, then descends the full energy while keeping both
-    parts on their fiber maxima.  max_restarts bounds only the positive
-    solve's fresh starts.  Raises ParameterError on an out-of-range budget,
-    tolerance or bubble before any solve or when w1 lives on another grid,
-    and SolverError, chained to its cause, when the crossing search fails.
+    w1 is the one-sign solution (its energy is alpha^-).  Matches the part
+    scalings of w1 - r u_eps with one crossing_search, then descends the
+    full energy while keeping both parts on their fiber maxima.  seed and
+    max_restarts are unused; the CLI and perfbench/workloads.py pass the
+    one-sign solve's keywords.  Raises ParameterError on an out-of-range
+    budget, tolerance or bubble, or a w1 on another grid, and SolverError,
+    chained to its cause, when the crossing search fails.
     """
-    _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
+    _check_settings(max_iters, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
-    u_eps = make_u_eps(grid, params, default_bubble(grid) if bubble is None else bubble)
-    if w1 is None:
-        pos = solve_positive(
-            grid, params, seed=seed, max_iters=max_iters,
-            tol_res=tol_res, tol_manifold=tol_manifold, max_restarts=max_restarts,
-        )
-        if not pos.converged:
-            raise SolverError("positive solve did not converge; cannot seed the crossing")
-        w1 = pos.u
-        alpha_minus = pos.energy
-    else:
-        alpha_minus = energy(w1, params)
+    u_eps = make_u_eps(grid, params, bubble)
     try:
         cross = crossing_search(w1, u_eps, params, tol_cross=tol_cross)
     except (NoRootsError, SolverError, DegenerateInputError) as exc:
@@ -581,10 +573,9 @@ def solve_sign_changing(
     fm_minus = FiberMap.of(minus, params)
     e_plus = fm_plus.phi(1.0)
     e_minus = fm_minus.phi(1.0)
-    ps_gap_bound = None
-    ps_gap_ok = None
+    ps_gap_bound = ps_gap_ok = None
     if s_est is not None:
-        ps_gap_bound = alpha_minus + compactness_gap(params, s_est)
+        ps_gap_bound = energy(w1, params) + compactness_gap(params, s_est)
         ps_gap_ok = e_total < ps_gap_bound
     return SolveResult(
         u=final.u,

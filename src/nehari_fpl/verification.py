@@ -35,7 +35,6 @@ from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_d
 from .grid import GridFunction, Params, build_grid, tail_weight
 from .solver import (
     TOL_RES,
-    _converged,
     part_scales,
     project_minus,
     solve_positive,
@@ -472,8 +471,9 @@ def check_solver() -> list[CheckResult]:
     grid = build_grid(-1.0, 1.0, CHECKS_N, params)
     rng = np.random.default_rng(SEED)
     pos = solve_positive(grid, params, seed=SEED)
-    u_eps = make_u_eps(grid, params, default_bubble(grid))
-    sign = solve_sign_changing(grid, params, w1=pos.u)
+    bubble = default_bubble(grid)
+    u_eps = make_u_eps(grid, params, bubble)
+    sign = solve_sign_changing(grid, params, w1=pos.u, bubble=bubble)
     # the solve's crossing, made on u_eps
     cross = sign.crossing
 
@@ -489,7 +489,7 @@ def check_solver() -> list[CheckResult]:
 
     def positive_converged():
         return (
-            _converged(pos.residual_norm, pos.energy, TOL_RES),
+            pos.converged,
             "residual %.3g in %d iters" % (pos.residual_norm, pos.iterations),
             "tolerance %.3g" % (TOL_RES * (1.0 + abs(pos.energy))),
         )

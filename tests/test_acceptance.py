@@ -257,7 +257,7 @@ def test_criterion_9_sign_changing_solution():
     grid = build_grid(-1.0, 1.0, 128, PARAMS)
     pos = solve_positive(grid, PARAMS, seed=0)
     est = estimate_sobolev(grid, PARAMS, iters=600, seed=0)
-    res = solve_sign_changing(grid, PARAMS, seed=0, w1=pos.u, s_est=est.value)
+    res = solve_sign_changing(grid, PARAMS, seed=0, w1=pos.u, bubble=default_bubble(grid), s_est=est.value)
     # structural clauses
     assert res.plus_part_norm > 0.0 and res.minus_part_norm > 0.0
     assert res.plus_class.tag is NehariTag.MINUS

@@ -1,5 +1,7 @@
 """Command line interface: exit codes, report format, determinism."""
 
+import warnings
+
 import pytest
 
 from nehari_fpl import DegenerateInputError, NehariError, NoRootsError, ParameterError, SolverError, cli
@@ -384,14 +386,18 @@ def test_each_error_type_exits_with_its_code(tmp_path, capsys, monkeypatch, erro
     assert capsys.readouterr().err == f"{prefix}: forced\n"
 
 
-def test_overflowing_final_iterate_exits_1_without_report(tmp_path, capsys):
-    # at s = 3e-3 the start's fiber maximum has entries near 1e234, so the
-    # ray coefficients of the iterate the descent returns overflow: the
-    # solve's own iterate has no fiber map, a numeric failure, not bad input
-    with pytest.warns(RuntimeWarning, match="overflow"):
+def test_infinite_fiber_maximum_energy_exits_1_without_warning_or_report(tmp_path, capsys):
+    # at s = 3e-3 every start's fiber maximum lies near t+ ~ 1e234, where
+    # phi(t+) overflows to inf; no start is taken, so no stop rule compares
+    # a residual against an infinite level and nothing overflows later
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["solve-positive", "--out", str(tmp_path), "--set", "params.s=3e-3"])
     assert code == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("numeric failure: ")
+    assert capsys.readouterr().err == (
+        "numeric failure: no start projects onto the fiber maximum in 6 tries;"
+        " the last: the fiber maximum's energy inf is not finite\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

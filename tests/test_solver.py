@@ -46,6 +46,13 @@ def _random_fn(grid, rng):
     return GridFunction(grid, rng.standard_normal(grid.n))
 
 
+def _sign_changing(grid, params, **kwargs):
+    # the pipeline: the seed-0 one-sign solution and the default bubble
+    # seed the two-part descent
+    w1 = solve_positive(grid, params, seed=0).u
+    return solve_sign_changing(grid, params, w1=w1, bubble=default_bubble(grid), **kwargs)
+
+
 def test_projection_lands_on_unstable_stratum(params, grid48, rng):
     for _ in range(10):
         u = project_minus(_random_fn(grid48, rng), params)
@@ -361,7 +368,7 @@ def test_sign_changing_search_facts(params, grid48):
     # the search drives both rescaled parts onto the unstable stratum; the
     # full gradient keeps a strictly positive floor, the nonlocal pairing
     # between the parts, reported through cross_plus and cross_minus
-    res = solve_sign_changing(grid48, params, seed=0, max_iters=800)
+    res = _sign_changing(grid48, params, max_iters=800)
     assert not res.converged
     assert res.plus_part_norm > 0.0 and res.minus_part_norm > 0.0
     assert res.plus_class.tag is NehariTag.MINUS
@@ -378,7 +385,7 @@ def test_sign_changing_search_facts(params, grid48):
 def test_sign_changing_cross_terms_equal_at_p2(params, grid48):
     # for p = 2 the pairing of the state against either part reduces to the
     # same off-diagonal kernel sum
-    res = solve_sign_changing(grid48, params, seed=0, max_iters=800)
+    res = _sign_changing(grid48, params, max_iters=800)
     assert res.cross_plus == pytest.approx(res.cross_minus, rel=1e-9)
     plus, minus = split_parts(res.u)
     neg = minus.with_values(-minus.values)
@@ -390,7 +397,7 @@ def test_sign_changing_cross_terms_equal_at_p2(params, grid48):
 
 def test_sign_changing_parts_superadditivity_gap(params, grid48):
     # the cross terms are exactly the seminorm superadditivity excess
-    res = solve_sign_changing(grid48, params, seed=0, max_iters=800)
+    res = _sign_changing(grid48, params, max_iters=800)
     plus, minus = split_parts(res.u)
     excess = (
         seminorm_p(res.u, params)
@@ -401,8 +408,8 @@ def test_sign_changing_parts_superadditivity_gap(params, grid48):
 
 
 def test_sign_changing_seed_determinism(params, grid48):
-    a = solve_sign_changing(grid48, params, seed=0, max_iters=400)
-    b = solve_sign_changing(grid48, params, seed=0, max_iters=400)
+    a = _sign_changing(grid48, params, max_iters=400)
+    b = _sign_changing(grid48, params, max_iters=400)
     np.testing.assert_array_equal(a.u.values, b.u.values)
     assert a.energy == b.energy
     assert a.iterations == b.iterations
@@ -413,7 +420,8 @@ def test_sign_changing_gap_bound_with_estimate(params, grid48):
     pos = solve_positive(grid48, params, seed=0)
     est = estimate_sobolev(grid48, params, iters=600, seed=0)
     res = solve_sign_changing(
-        grid48, params, seed=0, max_iters=400, w1=pos.u, s_est=est.value
+        grid48, params, seed=0, max_iters=400, w1=pos.u, bubble=default_bubble(grid48),
+        s_est=est.value,
     )
     expect = pos.energy + (params.s / params.N) * est.value ** (params.N / params.ps)
     assert res.ps_gap_bound == pytest.approx(expect, rel=1e-9)
@@ -432,6 +440,30 @@ def test_solve_positive_raises_when_no_start_projects(params, grid48):
     # there is no descent to report
     with pytest.raises(SolverError, match="no start projects"):
         solve_positive(grid48, replace(params, mu=100.0), seed=0)
+
+
+def test_final_iterate_without_a_fiber_map_is_a_solver_error(params, grid48, monkeypatch):
+    # every reported number is read off a fresh fiber map at the returned
+    # iterate; a refusal there is the solve's failure, not bad input
+    descended = []
+    descend = solver_module._descend
+    of_pieces = FiberMap.of_pieces.__func__
+
+    def descend_and_mark(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        descended.append(True)
+        return out
+
+    def refuse_after_the_descent(cls, pieces, prm):
+        if descended:
+            raise DegenerateInputError("forced")
+        return of_pieces(cls, pieces, prm)
+
+    monkeypatch.setattr(solver_module, "_descend", descend_and_mark)
+    monkeypatch.setattr(FiberMap, "of_pieces", classmethod(refuse_after_the_descent))
+    with pytest.raises(SolverError, match="^the final iterate has no fiber map: forced$") as info:
+        solve_positive(grid48, params, seed=0)
+    assert isinstance(info.value.__cause__, DegenerateInputError)
 
 
 def test_stalled_one_sign_descent_is_not_restarted(params, grid48, monkeypatch):
@@ -471,41 +503,25 @@ def test_sign_changing_crossing_failure_raises_once(params, grid48, monkeypatch,
     monkeypatch.setattr(solver_module, "crossing_search", failing)
     w1 = solve_positive(grid48, params, seed=0).u
     with pytest.raises(SolverError, match="crossing search failed") as info:
-        solve_sign_changing(grid48, params, w1=w1, max_restarts=5)
+        solve_sign_changing(grid48, params, w1=w1, bubble=default_bubble(grid48))
     assert len(calls) == 1
     assert info.value.__cause__ is cause
 
 
 def test_sign_changing_refuses_a_bad_bubble_before_its_first_stage(params, grid48, monkeypatch):
+    # the crossing search is the first stage of the two-part solve
+    w1 = solve_positive(grid48, params, seed=0).u
     calls = []
-    monkeypatch.setattr(solver_module, "solve_positive", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(solver_module, "crossing_search", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ParameterError, match="must be smaller than the half-width"):
-        solve_sign_changing(grid48, params, bubble=BubbleSpec(eps=0.1, delta=grid48.halfwidth))
+        solve_sign_changing(grid48, params, w1=w1, bubble=BubbleSpec(eps=0.1, delta=grid48.halfwidth))
     assert calls == []
-
-
-def test_sign_changing_refuses_an_unconverged_first_stage(params, grid48):
-    with pytest.raises(SolverError, match="positive solve did not converge"):
-        solve_sign_changing(grid48, params, max_iters=1)
-
-
-def test_sign_changing_first_stage_takes_the_restart_budget(params, monkeypatch):
-    seen = []
-    real = solver_module.solve_positive
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module, "solve_positive", recording)
-    solve_sign_changing(build_grid(-1.0, 1.0, 32, params), params, max_iters=50, max_restarts=2)
-    assert [kw["max_restarts"] for kw in seen] == [2]
 
 
 @pytest.mark.parametrize("n", [48, 64], ids=["same-n", "other-n"])
 def test_w1_from_another_grid_raises(params, grid48, n):
-    # a w1 on (-1, 1) and a bubble on (-3, 3); the grid solve_sign_changing
-    # is given builds the bubble, so it fails in its crossing search
+    # a w1 on (-1, 1) and a bubble on (-3, 3), the grid solve_sign_changing
+    # is given, so it fails in its crossing search
     w1 = solve_positive(grid48, params, seed=0).u
     other = build_grid(-3.0, 3.0, n, params)
     u_eps = make_u_eps(other, params, default_bubble(other))
@@ -513,7 +529,7 @@ def test_w1_from_another_grid_raises(params, grid48, n):
         lambda: crossing_search(w1, u_eps, params),
         lambda: part_scales(w1, u_eps, params, 1.0),
         lambda: sup_scan_ab(w1, u_eps, params),
-        lambda: solve_sign_changing(other, params, w1=w1),
+        lambda: solve_sign_changing(other, params, w1=w1, bubble=default_bubble(other)),
     ):
         with pytest.raises(ParameterError, match="different grids"):
             call()
@@ -541,7 +557,7 @@ def test_two_part_trial_without_a_negative_part_halves_the_step(params, grid48, 
         return descend(*args, project=trial, **kwargs)
 
     monkeypatch.setattr(solver_module, "_descend", first_trial_loses_its_negative_part)
-    res = solve_sign_changing(grid48, params, w1=w1)
+    res = solve_sign_changing(grid48, params, w1=w1, bubble=default_bubble(grid48))
     assert refusals == [(1, "nonzero function required")]
     assert steps[1].tobytes() == (0.5 * steps[0]).tobytes()
     assert res.armijo_trials > res.iterations
@@ -555,6 +571,6 @@ def test_stop_reason_says_why_descent_ended(params, grid48):
     assert spent.restarts == 0
     # the two-part descent ends on a line search that finds no acceptable
     # step, with the cross pairing still in the gradient
-    res = solve_sign_changing(grid48, params, seed=0)
+    res = _sign_changing(grid48, params)
     assert not res.converged
     assert res.stop_reason == "stalled"

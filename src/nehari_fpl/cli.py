@@ -39,6 +39,7 @@ from .errors import DegenerateInputError, NehariError, ParameterError, SolverErr
 from .fibering import fiber_roots
 from .grid import Grid, GridFunction
 from .solver import solve_positive, solve_sign_changing, sup_scan_ab
+# imported here, not at call time, so the tracer finds run_battery by name when it installs (ROADMAP item 16)
 from .verification import SEED, run_battery
 
 def _fmt(x) -> str:

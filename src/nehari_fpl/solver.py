@@ -6,7 +6,12 @@ u >= 0, for the positive solve; each sign part separately for the
 sign-changing solve), and accept the step only if the projected energy
 satisfies an Armijo decrease.  The projection is the fiber maximum, so
 on the manifold the envelope theorem makes the accepted-step energy
-sequence genuinely nonincreasing.
+sequence genuinely nonincreasing.  Each Armijo search starts at twice
+the previous accepted step, capped at the full step 1 (Nocedal & Wright,
+Numerical Optimization, 2nd ed., 3.5).  The one-sign solves measured
+accept the full step at every iteration, so every search of theirs starts
+at 1 and they keep their bits; the two-part descent accepts steps far
+below 1, which a search from 1 reaches only after a dozen or more halvings.
 
 The descent direction is the Riesz representative of the nodal gradient g
 in an inner product, and the two solves use different ones:
@@ -372,7 +377,10 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     project(state, step, a_step) projects the trial u + step and returns the
     trial's pieces and energy; a_step is A step along the H^s direction and
     None along the L2 one.  An accepted trial's pieces, already scaled onto
-    its fiber maximum, are the next iterate's.  iterations counts the
+    its fiber maximum, are the next iterate's.  The first search starts at
+    the full step 1 and each later one at min(1, alpha / ARMIJO_SHRINK),
+    alpha the last accepted step; each halves until the Armijo decrease
+    holds.  iterations counts the
     gradient steps of this run, trials its projected line-search trials,
     cg_steps the conjugate-gradient steps of its H^s directions (0 along
     the L2 one).  stalled is False only when the run converged or spent
@@ -383,6 +391,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     trials = 0
     cg_steps = 0
     stalled = False
+    alpha = 1.0
     for _ in range(budget):
         iterations += 1
         g = state.gradient(params)
@@ -396,7 +405,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
         else:
             d, ad = -g / grid.h, None
         slope = float(np.dot(g, d))
-        alpha = 1.0
+        alpha = min(1.0, alpha / ARMIJO_SHRINK)
         accepted = False
         while alpha >= ALPHA_FLOOR:
             trials += 1

@@ -1,6 +1,8 @@
-"""The package imports only the standard library and numpy, exports what it binds, and reads each config key."""
+"""The package imports only the standard library and numpy, leaves the check battery out of its root, exports what it binds, and reads each config key."""
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -24,6 +26,20 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_package_import_leaves_out_the_check_battery():
+    # only verify and energy-check run the battery; the CLI still imports it
+    # when it loads, so a tracer installed after that finds run_battery
+    probe = (
+        "import sys, nehari_fpl; print('nehari_fpl.verification' in sys.modules); "
+        "import nehari_fpl.cli; print('nehari_fpl.verification' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_all_lists_exactly_the_public_bindings():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def interaction_integrals(w1: GridFunction, u_eps: GridFunction, params: Params)
     }
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Log-log slope of values against the eps ladder.
 
     rel_err is populated when a theory exponent is attached; label carries

@@ -16,7 +16,8 @@ it is reported next to the estimate, not used in its place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .grid import Grid, Params
@@ -26,8 +27,7 @@ P_BRANCH = (3.0 + math.sqrt(5.0)) / 2.0
 SOBOLEV_ITERS = 600
 
 
-@dataclass(frozen=True)
-class SobolevEstimate:
+class SobolevEstimate(NamedTuple):
     """Sobolev quotient of the mu = 0 one-sign solution, with its solve's bookkeeping.
 
     ``converged`` is the mu = 0 solve's residual test: the sup norm of the
@@ -79,8 +79,7 @@ def sobolev_exact(params: Params) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     """Closed-form constants evaluated for one parameter set.
 
     n0 is the dimension threshold of the active p-branch; both branch

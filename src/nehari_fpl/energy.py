@@ -46,7 +46,7 @@ given platform and thread count.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def _seminorm_gradient_over_p(u: GridFunction, params: Params) -> np.ndarray:
     return w @ vals - w.sum(axis=1) * vals + tail_part
 
 
-@dataclass(frozen=True)
-class GradientPieces:
+class GradientPieces(NamedTuple):
     """The three pieces of the nodal gradient at u.
 
     sem = G u is the seminorm gradient divided by p (the stiffness action

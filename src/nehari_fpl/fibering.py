@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class NehariTag(enum.Enum):
     OFF = "off"
 
 
-@dataclass(frozen=True)
-class NehariClass:
+class NehariClass(NamedTuple):
     """Manifold classification of a point.
 
     tag is Off when |phi'(1)| exceeds tol * scale (the point is not on the
@@ -82,8 +81,7 @@ class NehariClass:
     expr_spread: float
 
 
-@dataclass(frozen=True)
-class FiberingReport:
+class FiberingReport(NamedTuple):
     """Everything the ray analysis of one function produces."""
 
     t0: float
@@ -95,8 +93,7 @@ class FiberingReport:
     class_plus: NehariClass
 
 
-@dataclass(frozen=True)
-class FiberMap:
+class FiberMap(NamedTuple):
     """Scalar coefficients of the ray energy of one function.
 
     Carries ||u||^p and the two masses together with the exponents, so the

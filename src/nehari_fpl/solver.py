@@ -53,7 +53,7 @@ counts them all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +81,7 @@ SCAN_ANGLES = 17
 SCAN_ROUNDS = 12
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a constrained descent run.
 
     plus_class / minus_class hold the part classifications of a
@@ -131,8 +130,7 @@ class SolveResult:
     cross_minus: float | None = None
 
 
-@dataclass(frozen=True)
-class FiberSupremum:
+class FiberSupremum(NamedTuple):
     """Supremum of the ray energy over t >= 0, and the t that attains it.
 
     (value, t_at) = (0, 0) says the supremum is I(0) = 0: the ray energy
@@ -143,8 +141,7 @@ class FiberSupremum:
     t_at: float
 
 
-@dataclass(frozen=True)
-class CrossingResult:
+class CrossingResult(NamedTuple):
     """Matched two-part scaling a*(w1 - r*u_eps) produced by the crossing search."""
 
     r: float
@@ -158,8 +155,7 @@ class CrossingResult:
     class_minus_part: NehariClass
 
 
-@dataclass(frozen=True)
-class SupScanResult:
+class SupScanResult(NamedTuple):
     """Maximum of I(a*w1 - b*u_eps) over the half-plane a >= 0."""
 
     value: float

@@ -15,7 +15,7 @@ have CHECKS_N nodes (BUBBLE_N for bubbles); SEED seeds draws and solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ TAIL_HALF_HAND = 4.3527528164806206  # 2 * 2^0.8 / 0.8: midpoint of (0, 1) at ps
 T0_UNIT_HAND = 0.70176852345018459  # (0.5/8.5)^(1/8): unit norm and critical mass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     value: str

@@ -1,7 +1,5 @@
 """Fiber map analysis: peak, roots, their projections and the edge cases."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -231,7 +229,7 @@ def test_root_search_where_plain_newton_fails(prm, rng):
         maps = [fm]
         if prm.mu > 0.0:
             mu_crit = fm.psi(fm.t0()) / fm.mass_q
-            maps.append(replace(fm, mu=(1.0 - 10.0 ** -rng.uniform(1.0, 4.0)) * mu_crit))
+            maps.append(fm._replace(mu=(1.0 - 10.0 ** -rng.uniform(1.0, 4.0)) * mu_crit))
         for fm in maps:
             t0, c = fm.t0(), fm.concave_mass
             scale = max(abs(fm.psi(t0)), c)

@@ -7,8 +7,6 @@ checks needs no unit test of its own.  The tests after test_check feed a
 check an input that must fail it.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -39,7 +37,7 @@ def test_positive_nonneg_measures_the_solution(monkeypatch):
         res = solve_positive(*args, **kwargs)
         values = res.u.values.copy()
         values[len(values) // 2] = -0.1 * float(np.max(values))
-        return replace(res, u=res.u.with_values(values))
+        return res._replace(u=res.u.with_values(values))
 
     monkeypatch.setattr(verification, "solve_positive", with_negative_node)
     res = {r.name: r for r in verification.check_solver()}["solver.positive-nonneg"]

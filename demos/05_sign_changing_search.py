@@ -13,6 +13,7 @@ import numpy as np
 from nehari_fpl import (
     Params,
     build_grid,
+    compactness_gap,
     crossing_search,
     default_bubble,
     estimate_sobolev,
@@ -49,14 +50,15 @@ def main():
 
     print("\n-- stage 3: two-part descent --")
     est = estimate_sobolev(g, params, iters=600, seed=0)
-    res = solve_sign_changing(g, params, seed=0, w1=pos.u, bubble=spec, s_est=est.value)
+    res = solve_sign_changing(g, params, w1=pos.u, bubble=spec)
     print(f"iterations {res.iterations}, converged {res.converged}")
     print(f"energy {res.energy:.8f} vs positive level {pos.energy:.8f}")
     print(f"part seminorms {res.plus_part_norm:.4f} / {res.minus_part_norm:.4f}")
     print(f"part tags {res.plus_class.tag.value} / {res.minus_class.tag.value}")
     print(f"part stationarity phi'(1): {res.plus_class.first_deriv:.2e} / {res.minus_class.first_deriv:.2e}")
     print(f"level vs split lower bound: {res.energy:.6f} >= {res.c2_split_lower:.6f} ({res.split_ok})")
-    print(f"compactness ceiling: {res.ps_gap_bound:.6f} (below it: {res.ps_gap_ok})")
+    ceiling = pos.energy + compactness_gap(params, est.value)
+    print(f"compactness ceiling: {ceiling:.6f} (below it: {res.energy < ceiling})")
     print(f"\nresidual {res.residual_norm:.6f} floors at the cross pairing")
     print(f"cross_plus {res.cross_plus:.6f}, cross_minus {res.cross_minus:.6f}")
     print("moving mass of either sign always interacts with the other sign")

@@ -201,17 +201,20 @@ def _solver_kwargs(cfg) -> dict:
 
 
 def _positive_stage(cfg, grid, params):
-    """One-sign solution and Sobolev estimate; SolverError if the solve did not converge."""
+    """(one-sign solution, Sobolev estimate, bound); SolverError if the solve did not converge.
+
+    The bound, shared by solve.gap_bound and scan.bound, is the one-sign
+    level plus the compactness gap (s/N) S^(N/(s p)), with S_est for S.
+    """
     pos = solve_positive(grid, params, **_solver_kwargs(cfg))
     if not pos.converged:
         raise SolverError("positive-solution stage did not converge")
-    return pos, estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["solver.seed"]))
+    est = estimate_sobolev(grid, params, int(cfg["sobolev.iters"]), int(cfg["solver.seed"]))
+    return pos, est, pos.energy + compactness_gap(params, est.value)
 
 
-def _cmd_solve_positive(cfg, out_dir):
-    params, grid = _params_grid(cfg)
-    kw = _solver_kwargs(cfg)
-    res = solve_positive(grid, params, **kw)
+def _point_rows(res) -> list:
+    """The rows of a solve's returned point and of its descent; part rows when the point changes sign."""
     rows = [
         ("solve.energy", "energy at the final iterate", res.energy),
         ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
@@ -226,46 +229,39 @@ def _cmd_solve_positive(cfg, out_dir):
         ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
     ]
     rows += _class_rows("solve.class", "final iterate", res.nehari)
+    if res.plus_class is not None:
+        rows += [
+            ("solve.split_lower", "sum of the projected part levels", res.c2_split_lower),
+            ("solve.split_ok", "level at or above the split bound", res.split_ok),
+            ("solve.cross_plus", "gradient pairing with the positive part", res.cross_plus),
+            ("solve.cross_minus", "gradient pairing with the negative part", res.cross_minus),
+        ]
+        rows += _class_rows("solve.plus_class", "positive part", res.plus_class)
+        rows += _class_rows("solve.minus_class", "negative part", res.minus_class)
+    return rows
+
+
+def _cmd_solve_positive(cfg, out_dir):
+    params, grid = _params_grid(cfg)
+    kw = _solver_kwargs(cfg)
+    res = solve_positive(grid, params, **kw)
     _write_csv(out_dir, "solution", res.u)
-    return rows, kw["seed"], 0 if res.converged else 1
+    return _point_rows(res), kw["seed"], 0 if res.converged else 1
 
 
 def _cmd_solve_sign_changing(cfg, out_dir):
     params, grid = _params_grid(cfg)
     kw = _solver_kwargs(cfg)
     bubble = bubble_from(cfg, grid, params)  # refuses a bad collar before the first stage
-    pos, est = _positive_stage(cfg, grid, params)
+    pos, est, bound = _positive_stage(cfg, grid, params)
     res = solve_sign_changing(
-        grid,
-        params,
-        w1=pos.u,
-        bubble=bubble,
-        tol_cross=float(cfg["solver.tol_cross"]),
-        s_est=est.value,
-        **kw,
+        grid, params, w1=pos.u, bubble=bubble, tol_cross=float(cfg["solver.tol_cross"]), **kw,
     )
-    rows = [
-        ("solve.energy", "energy at the final iterate", res.energy),
-        ("solve.residual", "sup norm of the nodal gradient", res.residual_norm),
-        ("solve.iterations", "descent iterations used", res.iterations),
-        ("solve.armijo_trials", "projected line-search trials", res.armijo_trials),
-        ("solve.pair_actions", "pair actions, CG matvecs included", res.pair_actions),
-        ("solve.converged", "residual below tolerance", res.converged),
-        ("solve.stop_reason", "why the descent stopped", res.stop_reason),
-        ("solve.plus_part", "positive part seminorm", res.plus_part_norm),
-        ("solve.minus_part", "negative part seminorm", res.minus_part_norm),
-        ("solve.positive_level", "one-sign level from the first stage", pos.energy),
-        ("solve.split_lower", "sum of the projected part levels", res.c2_split_lower),
-        ("solve.split_ok", "level at or above the split bound", res.split_ok),
-        ("solve.gap_bound", "compactness upper bound on the level, with S_est, not the sharp S", res.ps_gap_bound),
-        ("solve.gap_ok", "level below the compactness bound", res.ps_gap_ok),
-        ("solve.cross_plus", "gradient pairing with the positive part", res.cross_plus),
-        ("solve.cross_minus", "gradient pairing with the negative part", res.cross_minus),
-    ]
-    rows += _class_rows("solve.plus_class", "positive part", res.plus_class)
-    rows += _class_rows("solve.minus_class", "negative part", res.minus_class)
     cr = res.crossing
-    rows += [
+    rows = _point_rows(res) + [
+        ("solve.positive_level", "one-sign level from the first stage", pos.energy),
+        ("solve.gap_bound", "compactness upper bound on the level, with S_est, not the sharp S", bound),
+        ("solve.gap_ok", "level below the compactness bound", res.energy < bound),
         ("cross.ratio", "matched part ratio", cr.r),
         ("cross.amplitude", "matched overall amplitude", cr.a),
         ("cross.bubble_scale", "matched bubble amplitude", cr.b),
@@ -282,10 +278,9 @@ def _cmd_solve_sign_changing(cfg, out_dir):
 def _cmd_sup_scan(cfg, out_dir):
     params, grid = _params_grid(cfg)
     u_eps = make_u_eps(grid, params, bubble_from(cfg, grid, params))
-    pos, est = _positive_stage(cfg, grid, params)
+    pos, est, bound = _positive_stage(cfg, grid, params)
     scan = sup_scan_ab(pos.u, u_eps, params)
     rep = regime_report(params, grid.b - grid.a, est.value)
-    bound = pos.energy + compactness_gap(params, est.value)
     rows = [
         ("scan.value", "max of the two-bump energy", scan.value),
         ("scan.a_at", "one-sign amplitude at the max", scan.a_at),

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 from .grid import Grid, Params
+from .solver import solve_positive
 
 P_BRANCH = (3.0 + math.sqrt(5.0)) / 2.0
 # estimate_sobolev's default iteration budget
@@ -50,8 +51,6 @@ def estimate_sobolev(grid: Grid, params: Params, iters: int = SOBOLEV_ITERS, see
     """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
-    from .solver import solve_positive  # solver imports compactness_gap from here
-
     res = solve_positive(grid, replace(params, mu=0.0), seed=seed, max_iters=iters)
     value = (params.N * res.energy / params.s) ** (params.ps / params.N)
     return SobolevEstimate(value, res.converged, res.iterations)

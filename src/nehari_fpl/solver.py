@@ -45,9 +45,11 @@ p != 2, costs one direct evaluation of G.  So a one-sign iteration at
 p = 2 makes its CG matvecs (about two, each one FFT product) and no
 other pair action, and at p != 2 one pair action per trial on top.  A
 two-part trial evaluates G on both parts and on their sum.  Each solve
-adds one evaluation per start and one fresh evaluation at the returned
-u, from which every reported number comes.  SolveResult.pair_actions
-counts them all.
+adds one evaluation per start, and _certify, from which every reported
+number comes, one fresh evaluation at the returned u plus one per sign
+part of a u that changes sign (none for alpha^-, the one-sign level,
+which the solver does not read).  SolveResult.pair_actions counts them
+all.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bubble import BubbleSpec, make_u_eps
-from .constants import compactness_gap
-from .energy import GradientPieces, _same_grid, energy, pair_actions, split_parts, stiffness_action
+from .energy import GradientPieces, _same_grid, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
 from .fibering import TOL_MANIFOLD, FiberMap, NehariClass, classify
 from .grid import Grid, GridFunction, Params
@@ -84,14 +85,15 @@ SCAN_ROUNDS = 12
 class SolveResult(NamedTuple):
     """Outcome of a constrained descent run.
 
-    plus_class / minus_class hold the part classifications of a
-    sign-changing run; the c2 / gap fields compare the sign-changing level
-    against its structural lower and upper bounds when the inputs needed
-    for them are available.  cross_plus / cross_minus record the pairing
-    of the full gradient with each part at the final iterate.  For a
-    two-part function this pairing equals the nonlocal cross interaction
-    of the parts, which is strictly positive, so it is the floor under the
-    full-gradient residual of any two-part run.
+The part fields are filled for any result that changes sign, whichever
+    solve returned it, and are None otherwise: plus_class / minus_class
+    hold the part classifications, c2_split_lower the sum of the part
+    levels and split_ok whether the level sits at or above it.
+    cross_plus / cross_minus record the pairing of the full gradient with
+    each part at the final iterate.  For a two-part function this pairing
+    equals the nonlocal cross interaction of the parts, which is strictly
+    positive, so it is the floor under the full-gradient residual of any
+    two-part run.
 
     stop_reason says why the descent ended: ``converged`` (residual below
     tolerance), ``stalled`` (the line search found no acceptable step) or
@@ -124,8 +126,6 @@ class SolveResult(NamedTuple):
     crossing: "CrossingResult | None" = None
     c2_split_lower: float | None = None
     split_ok: bool | None = None
-    ps_gap_bound: float | None = None
-    ps_gap_ok: bool | None = None
     cross_plus: float | None = None
     cross_minus: float | None = None
 
@@ -200,13 +200,16 @@ def _stop_reason(converged: bool, stalled: bool) -> str:
     return "stalled" if stalled else "budget"
 
 
-def _fresh(u: GridFunction, params: Params, tol_res: float):
-    """(pieces, fiber map, energy, residual norm, converged) from one fresh G u.
+def _certify(u: GridFunction, params: Params, tol_res: float, tol_manifold: float) -> dict:
+    """The SolveResult fields that describe the point u, from fresh evaluations at u.
 
     Every number a solve reports comes from here, at the returned u, and
-    not from the pieces carried through the descent.  u is validated
-    again here (grid.GridFunction), as the solve's result.  An iterate the
-    fiber map refuses is the solve's failure, not bad input: SolverError.
+    not from the pieces carried through the descent: one fresh G u gives
+    the energy, the residual and the class of u, and when u has a nonzero
+    negative part one fresh fiber map per sign part gives the part fields.
+    u is validated again here (grid.GridFunction), as the solve's result.
+    An iterate the fiber map refuses is the solve's failure, not bad
+    input: SolverError.
     """
     pieces = GradientPieces.of(GridFunction(u.grid, u.values), params)
     try:
@@ -215,7 +218,32 @@ def _fresh(u: GridFunction, params: Params, tol_res: float):
         raise SolverError(f"the final iterate has no fiber map: {exc}") from exc
     e_total = fm.phi(1.0)
     res = float(np.abs(pieces.gradient(params)).max())
-    return pieces, fm, e_total, res, _converged(res, e_total, tol_res)
+    point = dict(
+        u=pieces.u,
+        energy=e_total,
+        residual_norm=res,
+        converged=_converged(res, e_total, tol_res),
+        nehari=fm.classify(tol_manifold),
+        # u+ = u and u- = 0 unless u has a negative part
+        plus_part_norm=fm.norm_p,
+        minus_part_norm=0.0,
+    )
+    plus, minus = split_parts(pieces.u)
+    if minus.values.any():
+        fm_plus, fm_minus = FiberMap.of(plus, params), FiberMap.of(minus, params)
+        split = fm_plus.phi(1.0) + fm_minus.phi(1.0)
+        point.update(
+            plus_part_norm=fm_plus.norm_p,
+            minus_part_norm=fm_minus.norm_p,
+            plus_class=fm_plus.classify(tol_manifold),
+            minus_class=fm_minus.classify(tol_manifold),
+            c2_split_lower=split,
+            split_ok=e_total >= split - 1e-12 * max(1.0, abs(e_total)),
+            # <A(u), u+> - ||u+||^p and <A(u), -u-> - ||u-||^p, with <A(u), phi> = phi . G u
+            cross_plus=float(np.dot(plus.values, pieces.sem)) - fm_plus.norm_p,
+            cross_minus=-float(np.dot(minus.values, pieces.sem)) - fm_minus.norm_p,
+        )
+    return point
 
 
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
@@ -303,18 +331,11 @@ def solve_positive(
         start, e_start, params, max_iters, tol_res,
         sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
     )
-    final, fm, e_total, res, converged = _fresh(state.u, params, tol_res)
+    point = _certify(state.u, params, tol_res, tol_manifold)
     return SolveResult(
-        u=final.u,
-        energy=e_total,
-        residual_norm=res,
+        **point,
         iterations=iterations,
-        nehari=fm.classify(tol_manifold),
-        # u >= 0 (every trial is clipped), so u+ = u and u- = 0
-        plus_part_norm=fm.norm_p,
-        minus_part_norm=0.0,
-        converged=converged,
-        stop_reason=_stop_reason(converged, stalled),
+        stop_reason=_stop_reason(point["converged"], stalled),
         armijo_trials=trials,
         cg_steps=cg_steps,
         pair_actions=pair_actions() - start_actions,
@@ -548,11 +569,12 @@ def solve_sign_changing(
 
     w1 is the one-sign solution (its energy is alpha^-).  Matches the part
     scalings of w1 - r u_eps with one crossing_search, then descends the
-    full energy while keeping both parts on their fiber maxima.  seed and
-    max_restarts are unused; the CLI and perfbench/workloads.py pass the
-    one-sign solve's keywords.  Raises ParameterError on an out-of-range
-    budget, tolerance or bubble, or a w1 on another grid, and SolverError,
-    chained to its cause, when the crossing search fails.
+    full energy while keeping both parts on their fiber maxima.  seed,
+    max_restarts and s_est are ignored: perfbench/workloads.py passes
+    them, and the CLI passes the one-sign solve's keywords.  Raises
+    ParameterError on an out-of-range budget, tolerance or bubble, or a w1
+    on another grid, and SolverError, chained to its cause, when the
+    crossing search fails.
     """
     _check_settings(max_iters, tol_res=tol_res, tol_manifold=tol_manifold, tol_cross=tol_cross)
     start_actions = pair_actions()
@@ -571,40 +593,15 @@ def solve_sign_changing(
         state, e_start, params, max_iters, tol_res, sobolev=False, project=project,
     )
 
-    # the parts' numbers also come from fresh maps at the returned u's parts
-    final, fm, e_total, res, converged = _fresh(state.u, params, tol_res)
-    plus, minus = split_parts(final.u)
-    fm_plus = FiberMap.of(plus, params)
-    fm_minus = FiberMap.of(minus, params)
-    e_plus = fm_plus.phi(1.0)
-    e_minus = fm_minus.phi(1.0)
-    ps_gap_bound = ps_gap_ok = None
-    if s_est is not None:
-        ps_gap_bound = energy(w1, params) + compactness_gap(params, s_est)
-        ps_gap_ok = e_total < ps_gap_bound
+    point = _certify(state.u, params, tol_res, tol_manifold)
     return SolveResult(
-        u=final.u,
-        energy=e_total,
-        residual_norm=res,
+        **point,
         iterations=iterations,
-        nehari=fm.classify(tol_manifold),
-        plus_part_norm=fm_plus.norm_p,
-        minus_part_norm=fm_minus.norm_p,
-        converged=converged,
-        stop_reason=_stop_reason(converged, stalled),
+        stop_reason=_stop_reason(point["converged"], stalled),
         armijo_trials=trials,
         cg_steps=cg_steps,
         pair_actions=pair_actions() - start_actions,
-        plus_class=fm_plus.classify(tol_manifold),
-        minus_class=fm_minus.classify(tol_manifold),
         crossing=cross,
-        c2_split_lower=e_plus + e_minus,
-        split_ok=e_total >= e_plus + e_minus - 1e-12 * max(1.0, abs(e_total)),
-        ps_gap_bound=ps_gap_bound,
-        ps_gap_ok=ps_gap_ok,
-        # <A(u), u+> - ||u+||^p and <A(u), -u-> - ||u-||^p, with <A(u), phi> = phi . G u
-        cross_plus=float(np.dot(plus.values, final.sem)) - fm_plus.norm_p,
-        cross_minus=-float(np.dot(minus.values, final.sem)) - fm_minus.norm_p,
     )
 
 

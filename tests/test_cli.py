@@ -6,6 +6,7 @@ import pytest
 
 from nehari_fpl import DegenerateInputError, NehariError, NoRootsError, ParameterError, SolverError, cli
 from nehari_fpl.cli import main
+from nehari_fpl.config import load_config, params_from
 
 FAST = ["--set", "grid.n=48", "--set", "solver.max_iters=400"]
 
@@ -13,6 +14,12 @@ FAST = ["--set", "grid.n=48", "--set", "solver.max_iters=400"]
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _values(path):
+    """name -> value text of a report's rows"""
+    rows = [ln.split("\t") for ln in _read(path).decode().splitlines() if not ln.startswith("#")]
+    return {name: value for name, _, value in rows}
 
 
 def test_constants_writes_report(tmp_path):
@@ -290,6 +297,16 @@ def test_sign_changing_reports_cross_terms(tmp_path):
     assert "solve.minus_class.tag\tnegative part manifold tag\tminus" in report
     assert (tmp_path / "solution.csv").exists()
     assert (tmp_path / "w1.csv").exists()
+    # the compactness bound is the one-sign level plus (s/N) S^(N/(sp)),
+    # computed once for both commands
+    assert main(["sup-scan", "--out", str(tmp_path)] + FAST) == 0
+    solve = _values(tmp_path / "solve-sign-changing.report.txt")
+    scan = _values(tmp_path / "sup-scan.report.txt")
+    assert solve["solve.gap_bound"] == scan["scan.bound"]
+    params = params_from(load_config())
+    gap = (params.s / params.N) * float(scan["scan.sobolev"]) ** (params.N / params.ps)
+    assert float(scan["scan.bound"]) == pytest.approx(float(solve["solve.positive_level"]) + gap, rel=1e-12)
+    assert solve["solve.gap_ok"] == ("1" if float(solve["solve.energy"]) < float(solve["solve.gap_bound"]) else "0")
 
 
 def test_sup_scan_runs(tmp_path):

@@ -18,6 +18,7 @@ from nehari_fpl import (
     SolverError,
     build_grid,
     classify,
+    compactness_gap,
     crossing_search,
     default_bubble,
     energy,
@@ -374,6 +375,10 @@ def test_sign_changing_search_facts(params, grid48):
     assert res.plus_class.tag is NehariTag.MINUS
     assert res.minus_class.tag is NehariTag.MINUS
     assert res.cross_plus > 0.0 and res.cross_minus > 0.0
+    # the whole point is off the manifold: each part sits on its own fiber
+    # maximum, so phi'_u(1) = <I'(u), u+> + <I'(u), -u-> is the cross pairing
+    assert res.nehari.tag is NehariTag.OFF
+    assert res.nehari.first_deriv == pytest.approx(res.cross_plus + res.cross_minus, rel=1e-9)
     assert res.residual_norm > 0.0
     pos = solve_positive(grid48, params, seed=0)
     assert res.energy > pos.energy
@@ -426,16 +431,19 @@ def test_two_part_line_search_starts_from_the_last_step(params, n):
 
 
 def test_sign_changing_gap_bound_with_estimate(params, grid48):
-    # the compactness ceiling is the positive level plus (s/N) S^(N/(sp))
+    # the compactness ceiling is the positive level plus (s/N) S^(N/(sp)); the
+    # two-part solve leaves it to its caller and ignores an s_est it is given
     pos = solve_positive(grid48, params, seed=0)
     est = estimate_sobolev(grid48, params, iters=600, seed=0)
-    res = solve_sign_changing(
-        grid48, params, seed=0, max_iters=400, w1=pos.u, bubble=default_bubble(grid48),
-        s_est=est.value,
-    )
+    kw = dict(seed=0, max_iters=400, w1=pos.u, bubble=default_bubble(grid48))
+    res = solve_sign_changing(grid48, params, s_est=est.value, **kw)
+    plain = solve_sign_changing(grid48, params, **kw)
+    np.testing.assert_array_equal(res.u.values, plain.u.values)
+    assert res.energy == plain.energy
+    bound = pos.energy + compactness_gap(params, est.value)
     expect = pos.energy + (params.s / params.N) * est.value ** (params.N / params.ps)
-    assert res.ps_gap_bound == pytest.approx(expect, rel=1e-9)
-    assert res.ps_gap_ok == (res.energy < res.ps_gap_bound)
+    assert bound == pytest.approx(expect, rel=1e-9)
+    assert pos.energy < res.energy
 
 
 def test_solve_positive_respects_restart_budget(params):

@@ -166,9 +166,12 @@ class Grid:
         """A's off-diagonal part T_ij = column[|i-j|], a read-only n x n view of 2n - 1 numbers.
 
         Built per call: its nbytes reports n^2 * 8, so the grid does not store it.
+        T_ij is entry n - 1 - i + j of the concatenation (column[:0:-1], column).
         """
         c = self.column
-        return np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)[::-1]
+        return np.lib.stride_tricks.as_strided(
+            np.concatenate((c[:0:-1], c))[c.size - 1:], (c.size, c.size), (-8, 8), writeable=False
+        )
 
 
 def build_grid(a: float, b: float, n: int, params: Params) -> Grid:

@@ -257,18 +257,36 @@ def check_fibering() -> list[CheckResult]:
         return ok and worst <= 1e-13, "%.3g" % worst, "root residual over max(|psi(t0)|, mu m_q)"
 
     def roots_vs_scan():
+        # the points of np.linspace(start, stop, points) by linspace's own
+        # arithmetic, t_i = i step + start with the last one exactly stop,
+        # walked in blocks so that no full-length array is built; a crossing
+        # at i is a sign change of psi - mu m_q between t_i and t_(i+1), and
+        # the last sign of a block carries into the next
+        points, block = 200001, 8192
         worst = 0.0
         for _ in range(5):
             fm = FiberMap.of(_random_function(grid, rng), params)
             tminus, tplus = fm.roots()
-            ts = np.linspace(1e-9, 3.0 * tplus, 200001)
-            signs = np.sign(fm.psi(ts) - fm.concave_mass)
-            flips = np.nonzero(np.diff(signs))[0]
-            if flips.size < 2:
-                return False, "scan found %d crossings" % flips.size, ""
-            cell = ts[1] - ts[0]
-            worst = max(worst, abs(ts[flips[0]] - tminus), abs(ts[flips[-1]] - tplus))
-            if abs(ts[flips[0]] - tminus) > 2.0 * cell or abs(ts[flips[-1]] - tplus) > 2.0 * cell:
+            start, stop = 1e-9, 3.0 * tplus
+            step = (stop - start) / (points - 1)
+            count, first, last, prev = 0, 0, 0, np.empty(0)
+            for lo in range(0, points, block):
+                ts = np.arange(lo, min(lo + block, points), dtype=np.float64) * step + start
+                if lo + block >= points:
+                    ts[-1] = stop
+                signs = np.concatenate((prev, np.sign(fm.psi(ts) - fm.concave_mass)))
+                flips = np.flatnonzero(np.diff(signs)) + (lo - prev.size)
+                if flips.size:
+                    if not count:
+                        first = flips[0]
+                    last, count = flips[-1], count + flips.size
+                prev = signs[-1:]
+            if count < 2:
+                return False, "scan found %d crossings" % count, ""
+            cell = (step + start) - start
+            t_first, t_last = first * step + start, last * step + start
+            worst = max(worst, abs(t_first - tminus), abs(t_last - tplus))
+            if abs(t_first - tminus) > 2.0 * cell or abs(t_last - tplus) > 2.0 * cell:
                 return False, "%.3g" % worst, "ray root outside scan cell"
         return True, "%.3g" % worst, "max distance to scan crossing"
 

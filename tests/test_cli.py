@@ -1,6 +1,10 @@
 """Command line interface: exit codes, report format, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -426,3 +430,26 @@ def test_tiny_s_exits_1_naming_the_overflow(tmp_path, capsys):
         "numeric failure: no start projects onto the fiber maximum in 6 tries;"
         " the last: the ray peak 1986.51^249.5 overflows a float\n"
     )
+
+
+def test_verify_peak_rss_stays_near_a_solve(tmp_path):
+    # the benchmark's cli-defaults peak_rss_mb is the largest maxrss among
+    # the subcommands; verify led solve-positive by 6.5 MiB while its
+    # ray-root scan built full-length arrays, and leads by about 1.2 MiB
+    # with the scan walked in blocks.  Each command runs under a fresh
+    # wrapper interpreter, so RUSAGE_CHILDREN sees that command alone and
+    # no other child of this process (ru_maxrss is in KiB on Linux)
+    wrapper = (
+        "import resource, subprocess, sys; "
+        "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    runs = {}
+    for step in ("verify", "solve-positive"):
+        argv = [sys.executable, "-c", wrapper, sys.executable, "-m", "nehari_fpl.cli", step, "--out", "."]
+        out = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        code, kib = out.stdout.split()
+        runs[step] = int(code), int(kib)
+    assert (runs["verify"][0], runs["solve-positive"][0]) == (3, 0)
+    assert runs["verify"][1] - runs["solve-positive"][1] < 3 * 1024

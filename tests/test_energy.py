@@ -1,5 +1,7 @@
 """Energy assembly: seminorm, masses, gradient, and sign-part structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,8 @@ PAIR_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 17, 48, 64])
+# at n = 513 the p != 2 pair action takes five row blocks of 120 rows, the last of 33
+@pytest.mark.parametrize("n", [2, 17, 48, 64, 513])
 @pytest.mark.parametrize("key", list(PAIR_PARAMS))
 def test_pair_sums_match_dense_reference(key, n):
     # the pair action (one matvec against K at p = 2, against the weighted
@@ -165,6 +168,23 @@ def test_pair_sums_match_dense_reference(key, n):
     np.testing.assert_allclose(
         [fm.norm_p, fm.mass_q, fm.mass_star, energy(u, prm)], [sem, lq, lps, total], rtol=1e-13
     )
+
+
+def test_weighted_pair_action_holds_no_square_array():
+    # at p != 2 the weights W are built in row blocks of PAIR_BLOCK entries:
+    # one gradient's traced peak is about 1.2 MiB, against the 32 MiB of a
+    # full W at this n
+    prm = PAIR_PARAMS["p3"]
+    n = 2048
+    g = build_grid(-1.0, 1.0, n, prm)
+    u = GridFunction(g, np.sin(np.pi * (g.nodes - g.a) / (g.b - g.a)))
+    tracemalloc.start()
+    try:
+        gradient(u, prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 48, 384])

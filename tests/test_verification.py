@@ -4,8 +4,10 @@ run_battery() runs once, when this module is collected, at its own
 defaults, which are the verify subcommand's at the config defaults.  Each
 check then passes or fails under its own id, so a property the battery
 checks needs no unit test of its own.  The tests after test_check feed a
-check an input that must fail it.
+check an input that must fail it, and the last bounds one group's memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,3 +54,17 @@ def test_a_crashing_check_fails_and_reads_raised():
 def test_unknown_check_group_is_refused():
     with pytest.raises(ValueError, match=r"unknown check groups \['nope'\]"):
         run_battery(("grid", "nope"))
+
+
+def test_fibering_group_builds_no_full_length_scan():
+    # roots-vs-scan walks its 200001-point scan in blocks: the group's
+    # traced peak is about 0.3 MiB, against 6.1 MiB with full-length arrays
+    # (RESULTS above ran the battery once, so numpy's lazily imported
+    # submodules do not enter the peak)
+    tracemalloc.start()
+    try:
+        run_battery(("fibering",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

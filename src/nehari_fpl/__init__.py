@@ -7,6 +7,8 @@ positive and sign-changing critical points.  The check battery that
 `verify` runs is not imported here; import it from nehari_fpl.verification.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bubble import (
     DEFAULT_DELTA_FRAC,
     DEFAULT_EPS_FRAC,
@@ -81,71 +83,7 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BubbleSpec",
-    "ConstantsReport",
-    "CrossingResult",
-    "DEFAULTS",
-    "DEFAULT_DELTA_FRAC",
-    "DEFAULT_EPS_FRAC",
-    "DegenerateInputError",
-    "FiberMap",
-    "FiberSupremum",
-    "FiberingReport",
-    "Grid",
-    "GridFunction",
-    "NehariClass",
-    "NehariError",
-    "NehariTag",
-    "NoRootsError",
-    "P_BRANCH",
-    "Params",
-    "ParameterError",
-    "ScalingFit",
-    "SobolevEstimate",
-    "SolveResult",
-    "SolverError",
-    "SupScanResult",
-    "apply_overrides",
-    "big_m",
-    "build_grid",
-    "classify",
-    "compactness_gap",
-    "config_hash",
-    "crossing_search",
-    "cutoff",
-    "default_bubble",
-    "energy",
-    "estimate_sobolev",
-    "fiber_derivatives",
-    "fiber_roots",
-    "fit_exponent",
-    "form_a",
-    "gradient",
-    "interaction_exponent",
-    "interaction_integrals",
-    "ladder",
-    "ladder_fits",
-    "lebesgue_mass",
-    "load_config",
-    "lq_mass_scaling",
-    "make_u_eps",
-    "mass_regime",
-    "mu_tilde",
-    "part_scales",
-    "perturbation_derivative",
-    "profile_u",
-    "project_minus",
-    "psi_and_t0",
-    "psi_mu",
-    "regime_report",
-    "residual",
-    "seminorm_p",
-    "sobolev_exact",
-    "solve_positive",
-    "solve_sign_changing",
-    "split_parts",
-    "sup_over_fiber",
-    "sup_scan_ab",
-    "tail_weight",
-]
+# every public binding but the submodules, which importing binds too
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .energy import GradientPieces, _same_grid
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
-from .grid import GridFunction, Params
+from .grid import GridFunction, Params, _check_tolerances
 
 # _root: at most ROOT_MAX_ITER evaluations, stopping once a step moves the
 # iterate by at most ROOT_ULPS ulps
@@ -342,8 +342,10 @@ def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = TOL_MANIF
     """Full two-root ray analysis of u, with both projections classified.
 
     t- u and t+ u are classified from u's gradient pieces scaled along the
-    ray, so the whole analysis costs one pair action.
+    ray, so the whole analysis costs one pair action.  Raises
+    ParameterError unless 0 < tol_manifold < inf, the solves' rule.
     """
+    _check_tolerances(tol_manifold=tol_manifold)
     pieces = GradientPieces.of(u, params)
     fm = FiberMap.of_pieces(pieces, params)
     t0 = fm.t0()

@@ -87,6 +87,13 @@ class Params:
         return self.N * self.p / (self.N - self.p * self.s)
 
 
+def _check_tolerances(**tols: float):
+    """Raise ParameterError unless every tolerance lies in (0, inf): the solves' rule, and fiber_roots'."""
+    for name, value in tols.items():
+        if not 0.0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_ps(grid: "Grid", params: Params):
     if params.ps != grid.ps:
         raise ParameterError(

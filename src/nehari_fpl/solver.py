@@ -45,11 +45,15 @@ p != 2, costs one direct evaluation of G.  So a one-sign iteration at
 p = 2 makes its CG matvecs (about two, each one FFT product) and no
 other pair action, and at p != 2 one pair action per trial on top.  A
 two-part trial evaluates G on both parts and on their sum.  Each solve
-adds one evaluation per start, and _certify, from which every reported
-number comes, one fresh evaluation at the returned u plus one per sign
-part of a u that changes sign (none for alpha^-, the one-sign level,
-which the solver does not read).  SolveResult.pair_actions counts them
-all.
+adds one evaluation per start, and its finish one fresh evaluation at
+the returned u plus one per sign part of a u that changes sign (none for
+alpha^-, the one-sign level, which the solver does not read).
+SolveResult.pair_actions counts them all.
+
+Both solves end in one finish, _finish: it reads every reported number
+off the returned u, says why the descent stopped and counts its work.
+Each solve passes it only the field no other fills: restarts for the
+one-sign solve, crossing for the two-part one.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .bubble import BubbleSpec, make_u_eps
 from .energy import GradientPieces, _same_grid, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
 from .fibering import TOL_MANIFOLD, FiberMap, NehariClass, classify
-from .grid import Grid, GridFunction, Params
+from .grid import Grid, GridFunction, Params, _check_tolerances
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -179,14 +183,12 @@ def _project_ray(v: GradientPieces, params: Params):
 
 
 def _check_settings(max_iters: int = 1, max_restarts: int = 0, **tols: float):
-    """Raise ParameterError on a budget no solve can spend or a tolerance (<= 0) it cannot meet."""
+    """Raise ParameterError on a budget no solve can spend or a tolerance outside (0, inf)."""
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if max_restarts < 0:
         raise ParameterError(f"max_restarts must be >= 0, got {max_restarts}")
-    for name, value in tols.items():
-        if not value > 0.0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+    _check_tolerances(**tols)
 
 
 def _converged(res: float, e_total: float, tol_res: float) -> bool:
@@ -194,14 +196,8 @@ def _converged(res: float, e_total: float, tol_res: float) -> bool:
     return res <= tol_res * (1.0 + abs(e_total))
 
 
-def _stop_reason(converged: bool, stalled: bool) -> str:
-    if converged:
-        return "converged"
-    return "stalled" if stalled else "budget"
-
-
-def _certify(u: GridFunction, params: Params, tol_res: float, tol_manifold: float) -> dict:
-    """The SolveResult fields that describe the point u, from fresh evaluations at u.
+def _finish(state, stalled, counters, params, tol_res, tol_manifold, start_actions, **extra) -> SolveResult:
+    """The SolveResult of a finished descent (_descend's return value), from fresh evaluations at its u.
 
     Every number a solve reports comes from here, at the returned u, and
     not from the pieces carried through the descent: one fresh G u gives
@@ -209,8 +205,11 @@ def _certify(u: GridFunction, params: Params, tol_res: float, tol_manifold: floa
     negative part one fresh fiber map per sign part gives the part fields.
     u is validated again here (grid.GridFunction), as the solve's result.
     An iterate the fiber map refuses is the solve's failure, not bad
-    input: SolverError.
+    input: SolverError.  pair_actions counts from start_actions, taken
+    before the solve's first pair action; extra holds the fields only one
+    solve fills (restarts or crossing).
     """
+    u = state.u
     pieces = GradientPieces.of(GridFunction(u.grid, u.values), params)
     try:
         fm = FiberMap.of_pieces(pieces, params)
@@ -243,7 +242,10 @@ def _certify(u: GridFunction, params: Params, tol_res: float, tol_manifold: floa
             cross_plus=float(np.dot(plus.values, pieces.sem)) - fm_plus.norm_p,
             cross_minus=-float(np.dot(minus.values, pieces.sem)) - fm_minus.norm_p,
         )
-    return point
+    stop_reason = "converged" if point["converged"] else "stalled" if stalled else "budget"
+    return SolveResult(
+        **point, **counters, **extra, stop_reason=stop_reason, pair_actions=pair_actions() - start_actions
+    )
 
 
 def project_minus(u: GridFunction, params: Params) -> GridFunction:
@@ -327,20 +329,11 @@ def solve_positive(
             refusal = exc
     else:
         raise SolverError(f"no start projects onto the fiber maximum in {max_restarts + 1} tries; the last: {refusal}")
-    state, iterations, stalled, trials, cg_steps = _descend(
+    run = _descend(
         start, e_start, params, max_iters, tol_res,
         sobolev=True, project=lambda v, step, a_step: _project_cone(v, step, a_step, params),
     )
-    point = _certify(state.u, params, tol_res, tol_manifold)
-    return SolveResult(
-        **point,
-        iterations=iterations,
-        stop_reason=_stop_reason(point["converged"], stalled),
-        armijo_trials=trials,
-        cg_steps=cg_steps,
-        pair_actions=pair_actions() - start_actions,
-        restarts=restarts,
-    )
+    return _finish(*run, params, tol_res, tol_manifold, start_actions, restarts=restarts)
 
 
 def _riesz_direction(grid: Grid, g: np.ndarray):
@@ -383,7 +376,7 @@ def _riesz_direction(grid: Grid, g: np.ndarray):
 
 
 def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
-    """Shared projected-descent loop; returns (state, iterations, stalled, trials, cg_steps).
+    """Shared projected-descent loop; returns (state, stalled, counters), which _finish reads.
 
     state holds the GradientPieces of the start and e_total its energy;
     the returned state holds the pieces of the last accepted iterate.  Each
@@ -397,11 +390,11 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
     its fiber maximum, are the next iterate's.  The first search starts at
     the full step 1 and each later one at min(1, alpha / ARMIJO_SHRINK),
     alpha the last accepted step; each halves until the Armijo decrease
-    holds.  iterations counts the
-    gradient steps of this run, trials its projected line-search trials,
-    cg_steps the conjugate-gradient steps of its H^s directions (0 along
-    the L2 one).  stalled is False only when the run converged or spent
-    its budget.
+    holds.  counters holds the run's counts under their SolveResult names:
+    iterations its gradient steps, armijo_trials its projected line-search
+    trials, cg_steps the conjugate-gradient steps of its H^s directions
+    (0 along the L2 one).  stalled is False only when the run converged or
+    spent its budget.
     """
     grid = state.u.grid
     iterations = 0
@@ -440,7 +433,7 @@ def _descend(state, e_total, params, budget, tol_res, *, sobolev, project):
             stalled = True
             break
         state, e_total = trial, e_trial
-    return state, iterations, stalled, trials, cg_steps
+    return state, stalled, dict(iterations=iterations, armijo_trials=trials, cg_steps=cg_steps)
 
 
 def sup_over_fiber(u0: GridFunction, params: Params) -> FiberSupremum:
@@ -484,7 +477,7 @@ def crossing_search(
     rbar1 the negative part vanishes and s- blows up; as r rises to rbar2
     the positive part vanishes and s+ blows up.  Continuity in between
     forces a crossing, located here by bisection on s+ - s-.  Raises
-    ParameterError unless tol_cross > 0 and w1 and u_eps share a grid.
+    ParameterError unless 0 < tol_cross < inf and w1 and u_eps share a grid.
     """
     _check_settings(tol_cross=tol_cross)
     _same_grid(w1, u_eps)
@@ -589,20 +582,8 @@ def solve_sign_changing(
     def project(v, step, a_step):
         return _project_parts(GridFunction._wrap(v.u.grid, v.u.values + step), params)
 
-    state, iterations, stalled, trials, cg_steps = _descend(
-        state, e_start, params, max_iters, tol_res, sobolev=False, project=project,
-    )
-
-    point = _certify(state.u, params, tol_res, tol_manifold)
-    return SolveResult(
-        **point,
-        iterations=iterations,
-        stop_reason=_stop_reason(point["converged"], stalled),
-        armijo_trials=trials,
-        cg_steps=cg_steps,
-        pair_actions=pair_actions() - start_actions,
-        crossing=cross,
-    )
+    run = _descend(state, e_start, params, max_iters, tol_res, sobolev=False, project=project)
+    return _finish(*run, params, tol_res, tol_manifold, start_actions, crossing=cross)
 
 
 def sup_scan_ab(w1: GridFunction, u_eps: GridFunction, params: Params) -> SupScanResult:

@@ -92,6 +92,9 @@ def test_verify_reports_known_failures(tmp_path, capsys):
         ("solve-positive", "solver.tol_res=-1"),
         ("solve-positive", "solver.tol_manifold=-1"),
         ("solve-sign-changing", "solver.tol_cross=0"),
+        ("solve-positive", "solver.tol_res=inf"),
+        ("solve-positive", "solver.tol_manifold=inf"),
+        ("solve-sign-changing", "solver.tol_cross=inf"),
     ],
 )
 def test_out_of_range_solver_setting_exits_2(tmp_path, capsys, command, setting):
@@ -232,6 +235,17 @@ def test_fiber_reads_the_manifold_tolerance(tmp_path):
     rows = [ln.split("\t") for ln in _read(tmp_path / "fiber.report.txt").decode().splitlines()]
     tags = {row[0]: row[2] for row in rows if row[0].endswith(".tag")}
     assert tags == {"fiber.minus.tag": "zero", "fiber.plus.tag": "zero"}
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
+def test_fiber_refuses_a_manifold_tolerance_the_solves_refuse(tmp_path, capsys, tol):
+    # one rule for solver.tol_manifold, whichever command reads it
+    assert main(["solve-positive", "--out", str(tmp_path)] + FAST) == 0
+    csv = tmp_path / "solution.csv"
+    argv = ["fiber", "--out", str(tmp_path), "--set", f"fiber.input={csv}", "--set", f"solver.tol_manifold={tol}"]
+    assert main(argv + FAST) == 2
+    assert "tol_manifold" in capsys.readouterr().err
+    assert not (tmp_path / "fiber.report.txt").exists()
 
 
 def test_fiber_grid_mismatch_exits_2(tmp_path):

@@ -81,11 +81,14 @@ def test_tracer_two_part_solve_makes_no_seminorm_call(params):
     tracer.install()
     try:
         assert tracer.missing == []
-        nehari_fpl.solve_sign_changing(grid, params, w1=w1, bubble=nehari_fpl.default_bubble(grid))
+        res = nehari_fpl.solve_sign_changing(grid, params, w1=w1, bubble=nehari_fpl.default_bubble(grid))
     finally:
         tracer.uninstall()
     assert tracer.counts["solver.solve_sign_changing.calls"] == 1
     assert tracer.counts["energy.seminorm_p.calls"] == 0
+    # the shared finish reports the counts the tracer makes on its own
+    assert tracer.counts["solver.armijo_trials"] == res.armijo_trials
+    assert tracer.counts["solver.iterations"] == res.iterations
 
 
 @pytest.mark.parametrize("name", ["positive-p2-n384", "positive-p3-n256", "sign-changing-p2-n128"])

@@ -127,7 +127,7 @@ class ScalingFit(NamedTuple):
 
 
 def fit_exponent(eps_ladder, values, theory: float | None = None, label: str | None = None) -> ScalingFit:
-    """Least-squares slope of log(values) vs log(eps)."""
+    """Least-squares slope of log(values) vs log(eps), in closed form."""
     eps = np.asarray(eps_ladder, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
     if eps.size < 4:
@@ -140,7 +140,10 @@ def fit_exponent(eps_ladder, values, theory: float | None = None, label: str | N
         raise ParameterError("eps values must be positive")
     if not np.all(vals > 0.0):
         raise ParameterError("fit values must be positive")
-    slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
+    # closed-form least squares on centred abscissae; the guards above make x . x > 0
+    x = np.log(eps)
+    x -= x.mean()
+    slope = float(x @ np.log(vals) / (x @ x))
     rel_err = None if theory is None else abs(slope - theory) / abs(theory)
     return ScalingFit(tuple(eps.tolist()), tuple(vals.tolist()), slope, theory, rel_err, label)
 

@@ -310,19 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nehari-fpl",
         description="Discrete fibering analysis of a concave-convex critical problem.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="path to a key = value config file")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-        cmd.add_argument("--out", default=".", help="directory for reports and csv output")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="path to a key = value config file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable)",
+    )
+    parser.add_argument("--out", default=".", help="directory for reports and csv output")
     return parser
 
 

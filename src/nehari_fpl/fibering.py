@@ -261,7 +261,10 @@ class FiberMap(NamedTuple):
             (p-p*)  m_*     + (p-1-q) mu m_q
             (p-1-q) ||u||^p - (p*-1-q) m_*
             (p-p*)  ||u||^p + (p*-1-q) mu m_q
+
+        Raises ParameterError unless 0 < tol_manifold < inf, the solves' rule.
         """
+        _check_tolerances(tol_manifold=tol_manifold)
         first = self.dphi(1.0)
         second = self.ddphi(1.0)
         p, q, pstar = self.p, self.q, self.pstar
@@ -345,6 +348,8 @@ def fiber_roots(u: GridFunction, params: Params, tol_manifold: float = TOL_MANIF
     ray, so the whole analysis costs one pair action.  Raises
     ParameterError unless 0 < tol_manifold < inf, the solves' rule.
     """
+    # FiberMap.classify applies the rule too, but only after the roots: a
+    # ray without roots would report NoRootsError for a bad tolerance
     _check_tolerances(tol_manifold=tol_manifold)
     pieces = GradientPieces.of(u, params)
     fm = FiberMap.of_pieces(pieces, params)

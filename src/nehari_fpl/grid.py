@@ -88,7 +88,7 @@ class Params:
 
 
 def _check_tolerances(**tols: float):
-    """Raise ParameterError unless every tolerance lies in (0, inf): the solves' rule, and fiber_roots'."""
+    """Raise ParameterError unless every tolerance lies in (0, inf): the solves' rule, and FiberMap.classify's."""
     for name, value in tols.items():
         if not 0.0 < value < math.inf:
             raise ParameterError(f"{name} must be positive and finite, got {value}")

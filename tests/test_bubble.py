@@ -194,6 +194,20 @@ def test_concave_mass_trend_and_measured_slope(params):
     assert fit.slope == pytest.approx(0.117, abs=0.01)
 
 
+def test_fit_exponent_matches_polyfit(params, rng):
+    # the closed-form slope against numpy's least-squares line fit, kept here
+    # as the reference: the default ladder's A1-A4 and mass values, then
+    # seeded ladders of 4-8 rungs with slopes of either sign
+    ladders = [(fit.eps_ladder, fit.values) for fit in _default_ladder_fits(params).values()]
+    for _ in range(200):
+        eps = np.sort(rng.uniform(1e-4, 1.0, rng.integers(4, 9)))[::-1]
+        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+        ladders.append((eps, rng.uniform(0.1, 10.0) * eps ** slope * np.exp(0.1 * rng.standard_normal(eps.size))))
+    for eps, vals in ladders:
+        ref = np.polyfit(np.log(eps), np.log(vals), 1)[0]
+        assert fit_exponent(eps, vals).slope == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "q, regime, theory",
     [(2.0 / 3.0, 2, 0.5), (0.8, 3, 1.0 - 0.6 * 1.8 / 2.0)],

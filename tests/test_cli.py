@@ -449,21 +449,26 @@ def test_tiny_s_exits_1_naming_the_overflow(tmp_path, capsys):
 def test_verify_peak_rss_stays_near_a_solve(tmp_path):
     # the benchmark's cli-defaults peak_rss_mb is the largest maxrss among
     # the subcommands; verify led solve-positive by 6.5 MiB while its
-    # ray-root scan built full-length arrays, and leads by about 1.2 MiB
-    # with the scan walked in blocks.  Each command runs under a fresh
-    # wrapper interpreter, so RUSAGE_CHILDREN sees that command alone and
-    # no other child of this process (ru_maxrss is in KiB on Linux)
+    # ray-root scan built full-length arrays, and by about 1.1 MiB more
+    # while the ladder slope called LAPACK, whose first least-squares solve
+    # maps its workspace.  Each command runs under a fresh wrapper
+    # interpreter, so RUSAGE_CHILDREN sees that command alone and no other
+    # child of this process (ru_maxrss is in KiB on Linux).  Where the
+    # loader places the libraries moves one run's maxrss by up to ~120 KiB
+    # either way, so each command's median of three runs is compared
     wrapper = (
         "import resource, subprocess, sys; "
         "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
         "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    runs = {}
-    for step in ("verify", "solve-positive"):
-        argv = [sys.executable, "-c", wrapper, sys.executable, "-m", "nehari_fpl.cli", step, "--out", "."]
-        out = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
-        code, kib = out.stdout.split()
-        runs[step] = int(code), int(kib)
-    assert (runs["verify"][0], runs["solve-positive"][0]) == (3, 0)
-    assert runs["verify"][1] - runs["solve-positive"][1] < 3 * 1024
+    codes, kib = {"verify": set(), "solve-positive": set()}, {"verify": [], "solve-positive": []}
+    for _ in range(3):
+        for step in kib:
+            argv = [sys.executable, "-c", wrapper, sys.executable, "-m", "nehari_fpl.cli", step, "--out", "."]
+            out = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+            code, maxrss = out.stdout.split()
+            codes[step].add(int(code))
+            kib[step].append(int(maxrss))
+    assert codes == {"verify": {3}, "solve-positive": {0}}
+    assert sorted(kib["verify"])[1] - sorted(kib["solve-positive"])[1] < 512

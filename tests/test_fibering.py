@@ -64,6 +64,13 @@ def test_projected_point_sits_on_manifold(params, grid48, rng):
             assert abs(cls.first_deriv) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+def test_classify_refuses_a_tolerance_the_solves_refuse(params, grid48, rng, tol):
+    # the rule of the solves and of fiber_roots, applied by FiberMap.classify
+    with pytest.raises(ParameterError, match="tol_manifold must be positive and finite"):
+        classify(_random_fn(grid48, rng), params, tol)
+
+
 def test_no_roots_when_mu_dominates(params, grid48, rng):
     u = _random_fn(grid48, rng)
     fm = FiberMap.of(u, params)
@@ -71,6 +78,9 @@ def test_no_roots_when_mu_dominates(params, grid48, rng):
     big = Params(params.s, params.p, params.q, 2.0 * mu_crit, params.N)
     with pytest.raises(NoRootsError) as info:
         fiber_roots(u, big)
+    # a bad tolerance is refused as bad input before the ray's roots are sought
+    with pytest.raises(ParameterError, match="tol_manifold must be positive and finite"):
+        fiber_roots(u, big, -1.0)
     fm = FiberMap.of(u, big)
     peak, c = fm.psi(fm.t0()), fm.concave_mass
     assert str(info.value) == "no ray roots: peak %.9g <= concave mass %.9g (gap %.3g)" % (peak, c, c - peak)

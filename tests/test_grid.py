@@ -14,7 +14,7 @@ from nehari_fpl import (
     tail_weight,
 )
 from nehari_fpl.energy import stiffness_action
-from nehari_fpl.grid import tail_vector
+from nehari_fpl.grid import strang_circulant, tail_vector
 from conftest import dense_stiffness
 
 
@@ -95,6 +95,12 @@ def test_strang_eigenvalues_match_dense_circulant(n, p):
     assert g.strang_eigs.shape == (n // 2 + 1,)
     assert np.all(g.strang_eigs > 0.0)
     assert not g.strang_eigs.flags.writeable
+
+
+def test_strang_circulant_refuses_an_indefinite_operator():
+    # the circulant column is (0.1, -1, -1, -1): zero-frequency eigenvalue 0.1 - 3 = -2.9
+    with pytest.raises(ParameterError, match="not positive definite: least eigenvalue -2.9"):
+        strang_circulant(np.array([0.0, -1.0, -1.0, -1.0]), np.full(4, 0.1))
 
 
 @pytest.mark.parametrize("n", [2, 17, 48, 384])

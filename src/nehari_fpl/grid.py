@@ -22,6 +22,7 @@ descent's preconditioner.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,25 @@ def _check_tolerances(**tols: float):
     for name, value in tols.items():
         if not 0.0 < value < math.inf:
             raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """n float64 draws uniform on [0, 1): the top 53 bits of each 8 bytes of one rng.randbytes call.
+
+    The seeded starts and the check battery draw from the standard
+    library's generator, so no process imports numpy.random (about 2 MB
+    of peak RSS); one randbytes call per vector keeps the draws off a
+    Python loop.
+    """
+    return (np.frombuffer(rng.randbytes(8 * n), dtype="<u8") >> 11) * 2.0 ** -53
+
+
+def _normals(rng: random.Random, n: int) -> np.ndarray:
+    """n standard normal draws: Box-Muller on 2 * ceil(n / 2) of _uniforms' draws."""
+    u = _uniforms(rng, 2 * ((n + 1) // 2)).reshape(2, -1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    angle = 2.0 * math.pi * u[1]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
 
 
 def _check_ps(grid: "Grid", params: Params):

@@ -59,6 +59,7 @@ one-sign solve, crossing for the two-part one.
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +68,7 @@ from .bubble import BubbleSpec, make_u_eps
 from .energy import GradientPieces, _same_grid, pair_actions, split_parts, stiffness_action
 from .errors import DegenerateInputError, NoRootsError, ParameterError, SolverError
 from .fibering import TOL_MANIFOLD, FiberMap, NehariClass, classify
-from .grid import Grid, GridFunction, Params, _check_tolerances
+from .grid import Grid, GridFunction, Params, _check_tolerances, _uniforms
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -289,9 +290,16 @@ def _project_cone(state: GradientPieces, step: np.ndarray, a_step: np.ndarray, p
     return _project_ray(GradientPieces.of(GridFunction._wrap(state.u.grid, trial), params, sem), params)
 
 
-def _positive_bump(grid: Grid, rng) -> GridFunction:
+def _positive_bump(grid: Grid, rng: random.Random) -> GridFunction:
+    """The one-sign solve's start: sin(pi (x - a)/(b - a)) times noise uniform on [0.8, 1.2) per node.
+
+    The noise comes from rng, the standard library's generator seeded with
+    solve_positive's seed (grid._uniforms), so a seed selects one
+    reproducible start and each restart draws the next bump from the same
+    stream.
+    """
     base = np.sin(np.pi * (grid.nodes - grid.a) / (grid.b - grid.a))
-    return GridFunction(grid, base * (0.8 + 0.4 * rng.random(grid.n)))
+    return GridFunction(grid, base * (0.8 + 0.4 * _uniforms(rng, grid.n)))
 
 
 def solve_positive(
@@ -319,7 +327,7 @@ def solve_positive(
     (_check_settings).
     """
     _check_settings(max_iters, max_restarts, tol_res=tol_res, tol_manifold=tol_manifold)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     start_actions = pair_actions()
     for restarts in range(max_restarts + 1):
         try:

@@ -9,12 +9,15 @@ judged on its least margin (_least_margin), and a one-sided slope of the
 concentration ladder (_slope_floor).  The frozen numbers were
 hand-evaluated from the closed forms before the modules were written and
 are deliberately repeated here as literals.  Nothing is settable: grids
-have CHECKS_N nodes (BUBBLE_N for bubbles); SEED seeds draws and solves.
+have CHECKS_N nodes (BUBBLE_N for bubbles); SEED seeds each group's
+random.Random, whose standard normal test functions come from
+_random_functions, and the seed of every solve.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +35,7 @@ from .bubble import (
 from .constants import estimate_sobolev, regime_report
 from .energy import energy, form_a, gradient, lebesgue_mass, seminorm_p, split_parts
 from .fibering import FiberMap, NehariTag, classify, fiber_roots, perturbation_derivative, psi_mu
-from .grid import GridFunction, Params, build_grid, tail_weight
+from .grid import GridFunction, Params, _normals, build_grid, tail_weight
 from .solver import (
     TOL_RES,
     part_scales,
@@ -127,8 +130,17 @@ def _slope_floor(name: str, target: str, fit: ScalingFit) -> CheckResult:
     return _run(name, target, judge)
 
 
-def _random_function(grid, rng) -> GridFunction:
-    return GridFunction(grid, rng.standard_normal(grid.n))
+def _random_functions(grid, rng: random.Random):
+    """Endless GridFunctions with standard normal values, drawn from rng 32 at a time.
+
+    _normals spends about ten numpy calls per draw whatever its length, so
+    one draw per 32 functions keeps that cost off each function.  The
+    values are finite by construction, so each row is wrapped without the
+    constructor's copy and scan.
+    """
+    while True:
+        for row in _normals(rng, 32 * grid.n).reshape(32, grid.n):
+            yield GridFunction._wrap(grid, row)
 
 
 def check_grid() -> list[CheckResult]:
@@ -157,24 +169,25 @@ def check_grid() -> list[CheckResult]:
 def check_energy() -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, CHECKS_N, params)
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
+    draws = _random_functions(grid, rng)
 
     def homogeneity():
-        u = _random_function(grid, rng)
+        u = next(draws)
         t = 0.3 + 2.0 * rng.random()
         return _rel(seminorm_p(u.with_values(t * u.values), params), t ** params.p * seminorm_p(u, params))
 
     def pairing_diag():
-        u = _random_function(grid, rng)
+        u = next(draws)
         return _rel(form_a(u, u, params), seminorm_p(u, params))
 
     def gradient_fd():
-        u = _random_function(grid, rng)
+        u = next(draws)
         g = gradient(u, params).values
         worst = 0.0
         for _ in range(3):
-            d = rng.standard_normal(grid.n)
-            d /= float(np.max(np.abs(d)))
+            d = next(draws).values
+            d = d / float(np.max(np.abs(d)))
             eps = 1e-6
             ep = energy(u.with_values(u.values + eps * d), params)
             em = energy(u.with_values(u.values - eps * d), params)
@@ -182,30 +195,30 @@ def check_energy() -> list[CheckResult]:
         return worst
 
     def superadd():
-        u = _random_function(grid, rng)
+        u = next(draws)
         plus, minus = split_parts(u)
         return seminorm_p(u, params) - seminorm_p(plus, params) - seminorm_p(minus, params)
 
     def mass_split():
         worst = 0.0
         for r in (params.q + 1.0, params.pstar):
-            u = _random_function(grid, rng)
+            u = next(draws)
             plus, minus = split_parts(u)
             worst = max(worst, _rel(lebesgue_mass(u, r), lebesgue_mass(plus, r) + lebesgue_mass(minus, r)))
         return worst
 
     def energy_split():
-        u = _random_function(grid, rng)
+        u = next(draws)
         plus, minus = split_parts(u)
         return energy(u, params) - energy(plus, params) - energy(minus.with_values(-minus.values), params)
 
     def positivity_pairing():
-        u = _random_function(grid, rng)
+        u = next(draws)
         _, minus = split_parts(u)
         return form_a(u, minus.with_values(-minus.values), params) - seminorm_p(minus, params)
 
     def determinism():
-        u = _random_function(grid, rng)
+        u = next(draws)
         first = energy(u, params)
         second = energy(u, params)
         return first == second, "bitwise" if first == second else "differs", ""
@@ -225,11 +238,11 @@ def check_energy() -> list[CheckResult]:
 def check_fibering() -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, CHECKS_N, params)
-    rng = np.random.default_rng(SEED)
+    draws = _random_functions(grid, random.Random(SEED))
     unit = FiberMap(1.0, 1.0, 1.0, 2.0, 0.5, 10.0, params.mu)
 
     def peak_property():
-        fm = FiberMap.of(_random_function(grid, rng), params)
+        fm = FiberMap.of(next(draws), params)
         t0 = fm.t0()
         # psi'(t0) = 0 algebraically; measure the float residual
         dpsi = (
@@ -242,7 +255,7 @@ def check_fibering() -> list[CheckResult]:
         worst = 0.0
         ok = True
         for _ in range(30):
-            fm = FiberMap.of(_random_function(grid, rng), params)
+            fm = FiberMap.of(next(draws), params)
             t0 = fm.t0()
             tminus, tplus = fm.roots()
             ok = ok and (tminus < t0 < tplus)
@@ -265,7 +278,7 @@ def check_fibering() -> list[CheckResult]:
         points, block = 200001, 8192
         worst = 0.0
         for _ in range(5):
-            fm = FiberMap.of(_random_function(grid, rng), params)
+            fm = FiberMap.of(next(draws), params)
             tminus, tplus = fm.roots()
             start, stop = 1e-9, 3.0 * tplus
             step = (stop - start) / (points - 1)
@@ -292,7 +305,7 @@ def check_fibering() -> list[CheckResult]:
 
     def projection_classes():
         for _ in range(10):
-            u = _random_function(grid, rng)
+            u = next(draws)
             rep = fiber_roots(u, params)
             if rep.class_plus.tag is not NehariTag.MINUS or rep.class_minus.tag is not NehariTag.PLUS:
                 return (
@@ -303,13 +316,13 @@ def check_fibering() -> list[CheckResult]:
         return True, "plus/minus", ""
 
     def expr_spread():
-        rep = fiber_roots(_random_function(grid, rng), params)
+        rep = fiber_roots(next(draws), params)
         return max(cls.expr_spread / abs(cls.second_deriv) for cls in (rep.class_minus, rep.class_plus))
 
     def perturbation_fd():
-        u0 = _random_function(grid, rng)
+        u0 = next(draws)
         u = project_minus(u0, params)
-        direction = _random_function(grid, rng)
+        direction = next(draws)
         scale = float(np.max(np.abs(u.values))) / float(np.max(np.abs(direction.values)))
         phi = direction.with_values(direction.values * scale)
         analytic = perturbation_derivative(u, phi, params)
@@ -322,7 +335,7 @@ def check_fibering() -> list[CheckResult]:
         worst = 0.0
         tag_ok = True
         for _ in range(5):
-            w = _random_function(grid, rng)
+            w = next(draws)
             fm = FiberMap.of(w, params)
             t0 = fm.t0()
             mu_crit = float(fm.psi(t0)) / fm.mass_q
@@ -334,7 +347,7 @@ def check_fibering() -> list[CheckResult]:
         return worst <= 1e-10 and tag_ok, "%.3g" % worst, "residual over concave mass"
 
     def mu_zero_limit():
-        u = _random_function(grid, rng)
+        u = next(draws)
         fm = FiberMap.of(u, params)
         tbar = (fm.norm_p / fm.mass_star) ** (1.0 / (fm.pstar - fm.p))
         prev_tminus = math.inf
@@ -418,16 +431,25 @@ def check_bubble() -> list[CheckResult]:
     model_params = Params(0.5, 3.0, 1.0, 0.05, 11)
     theta = 2.0 ** ((model_params.p - 1.0) / (model_params.N - model_params.ps))
 
+    def blocks(r):
+        # slices of 2049 points that share their end points, so the profile's
+        # temporaries stay short of r's length and verify's peak RSS near a
+        # solve's (tests/test_cli.py::test_verify_peak_rss_stays_near_a_solve)
+        return (r[i:i + 2049] for i in range(0, r.size - 1, 2048))
+
     def profile_monotone():
-        r = np.linspace(0.0, 50.0, 20001)
-        dec_p2 = np.all(np.diff(profile_u(r, params)) <= 0.0)
-        dec_model = np.all(np.diff(profile_u(r, model_params)) <= 0.0)
-        return bool(dec_p2 and dec_model), "nonincreasing", ""
+        ok = all(
+            np.all(np.diff(profile_u(b, prm)) <= 0.0)
+            for prm in (params, model_params)
+            for b in blocks(np.linspace(0.0, 50.0, 20001))
+        )
+        return ok, "nonincreasing", ""
 
     def model_halving():
-        r = np.linspace(1.0, 40.0, 20001)
-        ratio = profile_u(r * theta, model_params) / profile_u(r, model_params)
-        return float(np.max(np.abs(ratio - 0.5)))
+        return max(
+            float(np.max(np.abs(profile_u(b * theta, model_params) / profile_u(b, model_params) - 0.5)))
+            for b in blocks(np.linspace(1.0, 40.0, 20001))
+        )
 
     def cutoff_collar():
         inside = np.abs(grid.nodes - 0.0) <= grid.halfwidth - specs[0].delta
@@ -486,7 +508,7 @@ def check_bubble() -> list[CheckResult]:
 def check_solver() -> list[CheckResult]:
     params = DEFAULT_PARAMS
     grid = build_grid(-1.0, 1.0, CHECKS_N, params)
-    rng = np.random.default_rng(SEED)
+    draws = _random_functions(grid, random.Random(SEED))
     pos = solve_positive(grid, params, seed=SEED)
     bubble = default_bubble(grid)
     u_eps = make_u_eps(grid, params, bubble)
@@ -495,11 +517,11 @@ def check_solver() -> list[CheckResult]:
     cross = sign.crossing
 
     def reprojection():
-        u = project_minus(_random_function(grid, rng), params)
+        u = project_minus(next(draws), params)
         return abs(FiberMap.of(u, params).tplus() - 1.0)
 
     def projection_sign_flip():
-        u = _random_function(grid, rng)
+        u = next(draws)
         left = project_minus(u.with_values(-u.values), params).values
         right = -project_minus(u, params).values
         return float(np.max(np.abs(left - right))) / float(np.max(np.abs(right)))

@@ -442,7 +442,7 @@ def test_tiny_s_exits_1_naming_the_overflow(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "numeric failure: no start projects onto the fiber maximum in 6 tries;"
-        " the last: the ray peak 1986.51^249.5 overflows a float\n"
+        " the last: the ray peak 1986.81^249.5 overflows a float\n"
     )
 
 

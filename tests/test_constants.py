@@ -58,7 +58,7 @@ def test_hypothesis_flag():
 def test_sobolev_estimate_converges_and_pins(params, grid64):
     est = estimate_sobolev(grid64, params, iters=600, seed=0)
     assert est.converged
-    assert est.value == pytest.approx(4.51850851, rel=1e-6)
+    assert est.value == pytest.approx(4.51444366, rel=1e-6)
     # below what the earlier quotient descent of its own reached here
     assert est.value <= 4.52145331
     # same seed, same descent path
@@ -83,7 +83,7 @@ def test_sobolev_estimate_pins_at_n128(params):
     est = estimate_sobolev(grid, params, iters=600, seed=0)
     assert est.converged
     assert est.iterations <= 25
-    assert est.value == pytest.approx(4.3204657620638, rel=1e-13)
+    assert est.value == pytest.approx(4.3225900135479, rel=1e-13)
     assert est.value <= 4.3737756011015
 
 

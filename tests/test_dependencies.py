@@ -49,6 +49,25 @@ def test_package_import_leaves_out_the_check_battery():
     assert out.split() == ["False", "True"]
 
 
+def test_seeded_solve_and_checks_leave_out_numpy_random():
+    # the seeded start and the battery's draws come from the standard
+    # library's generator, so no command pays numpy.random's import
+    probe = (
+        "import sys\n"
+        "from nehari_fpl import Params, build_grid, solve_positive\n"
+        "from nehari_fpl.verification import run_battery\n"
+        "params = Params(s=0.4, p=2.0, q=0.5, mu=0.05, N=1)\n"
+        "solve_positive(build_grid(-1.0, 1.0, 48, params), params, seed=0)\n"
+        "run_battery(('energy',))\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False"]
+
+
 def test_only_validated_inputs_are_dataclasses():
     # on Python 3.11 each frozen dataclass costs 0.5-1.5 ms of generated-method
     # compilation at every interpreter start (2-core Xeon), and the CLI starts

@@ -1,5 +1,6 @@
 """Grid construction, tail quadrature, kernel structure and the stored operator."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from nehari_fpl import (
     tail_weight,
 )
 from nehari_fpl.energy import stiffness_action
-from nehari_fpl.grid import strang_circulant, tail_vector
+from nehari_fpl.grid import _normals, _uniforms, strang_circulant, tail_vector
 from conftest import dense_stiffness
 
 
@@ -194,3 +195,42 @@ def test_grid_function_shape_guard(params, grid48):
         GridFunction(grid48, np.zeros(grid48.n + 1))
     with pytest.raises(ParameterError, match="values must be finite"):
         GridFunction(grid48, np.full(grid48.n, np.nan))
+
+
+class _FixedBytes:
+    """A stand-in generator whose randbytes repeats one byte."""
+
+    def __init__(self, byte):
+        self.byte = byte
+
+    def randbytes(self, n):
+        return bytes([self.byte]) * n
+
+
+def test_uniform_draws_lie_in_the_half_open_unit_interval():
+    # the extreme words map to 0 and to 1 - 2^-53, so no draw reaches 1
+    assert _uniforms(_FixedBytes(0x00), 3).tolist() == [0.0, 0.0, 0.0]
+    assert _uniforms(_FixedBytes(0xFF), 3).tolist() == [1.0 - 2.0**-53] * 3
+    u = _uniforms(random.Random(0), 100_000)
+    assert u.dtype == np.float64 and u.shape == (100_000,)
+    assert 0.0 <= u.min() and u.max() < 1.0
+
+
+def test_draws_repeat_per_seed_and_differ_across_seeds():
+    first = _uniforms(random.Random(0), 64).tobytes()
+    assert _uniforms(random.Random(0), 64).tobytes() == first
+    assert _uniforms(random.Random(1), 64).tobytes() != first
+    assert _normals(random.Random(0), 64).tobytes() == _normals(random.Random(0), 64).tobytes()
+    assert _normals(random.Random(0), 64).tobytes() != _normals(random.Random(1), 64).tobytes()
+
+
+def test_draw_moments_match_their_laws():
+    # 1e5 seeded draws: mean and variance within 1% of the exact values
+    # (of the standard deviation for the normal mean, which is 0)
+    u = _uniforms(random.Random(0), 100_000)
+    assert u.mean() == pytest.approx(0.5, rel=0.01)
+    assert u.var() == pytest.approx(1.0 / 12.0, rel=0.01)
+    z = _normals(random.Random(0), 100_000)
+    assert abs(z.mean()) <= 0.01
+    assert z.var() == pytest.approx(1.0, rel=0.01)
+    assert _normals(random.Random(0), 7).shape == (7,)

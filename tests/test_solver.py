@@ -85,7 +85,7 @@ def test_positive_solve_facts(params, grid48):
     assert res.minus_part_norm == 0.0
     assert np.all(res.u.values >= 0.0)
     assert res.nehari.tag is NehariTag.MINUS
-    assert res.energy == pytest.approx(2.6858648751, rel=1e-6)
+    assert res.energy == pytest.approx(2.6842508686, rel=1e-6)
     scale = 1.0 + abs(res.energy)
     assert res.residual_norm <= 1e-6 * scale
 
@@ -259,21 +259,30 @@ def _spy_part_scales(monkeypatch):
 
 
 def test_crossing_search_doubles_a_refused_probe(monkeypatch):
-    # at s = 0.48 the ratio 1e-6 of the bracket width inside rbar2 still
-    # leaves w1 - r u_eps without a positive part; the probe doubles its
-    # offset four times before part_scales accepts it
+    # w1 is u_eps times a ratio of 1 at every node but the first, where it is
+    # rbar2 = 1 + width.  Near rbar2 the positive part of w1 - r u_eps is that
+    # one node, of height u_eps[0] (rbar2 - r), and at p* = 50 its critical
+    # mass h height^p* is subnormal or zero below the height v_t with
+    # h v_t^p* = tiny, which part_scales refuses.  width puts v_t at the
+    # offset 2^3.5 * 1e-6 of the width, so the probe doubles its offset four
+    # times, from a mass of tiny * 2^-175 to one of tiny * 2^25, the first it
+    # accepts.  Near rbar1 = 1 the negative part spans the bubble, 15 times
+    # higher than the first node, so that probe is accepted at once
     params = Params(s=0.48, p=2.0, q=0.5, mu=0.05, N=1)
     grid = build_grid(-1.0, 1.0, 48, params)
-    pos = solve_positive(grid, params, seed=0)
     u_eps = make_u_eps(grid, params, default_bubble(grid))
+    v_t = (np.finfo(float).tiny / grid.h) ** (1.0 / params.pstar)
+    ratio = np.ones(grid.n)
+    ratio[0] += v_t / (u_eps.values[0] * 1e-6 * 2.0**3.5)
+    w1 = GridFunction(grid, ratio * u_eps.values)
     calls = _spy_part_scales(monkeypatch)
-    cr = crossing_search(pos.u, u_eps, params)
+    cr = crossing_search(w1, u_eps, params)
     r1, r2 = cr.bracket
     offsets = [r2 - r for r, _ in calls[1:6]]
     assert [refused for _, refused in calls[:6]] == [False, True, True, True, True, False]
     np.testing.assert_allclose(offsets, [1e-6 * (r2 - r1) * 2.0**k for k in range(5)], rtol=1e-6)
     assert not any(refused for _, refused in calls[6:])
-    assert cr.r == pytest.approx(0.61242, abs=1e-5)
+    assert cr.r == pytest.approx(1.05822, abs=1e-5)
 
 
 def test_crossing_search_stops_on_the_bracket_width(params, grid48, monkeypatch):
